@@ -50,12 +50,6 @@ class Corpus:
     def n_interactions(self) -> int:
         return int(sum(len(s) for s in self.sequences))
 
-    def user_index(self) -> dict[str, int]:
-        return {u: i for i, u in enumerate(self.user_ids)}
-
-    def item_index(self) -> dict[str, int]:
-        return {it: i for i, it in enumerate(self.item_ids)}
-
     def train_prefix(self, user: int) -> np.ndarray:
         """Leave-one-out training portion: everything but the last two items."""
         return self.sequences[user][:-2]
@@ -82,26 +76,12 @@ class Corpus:
         cnt = self.bigram.get(int(i), {}).get(int(j), 0)
         return math.log(cnt + 1) - math.log(int(self.bigram_totals[i]) + self.n_items)
 
-    def bigram_row(self, i: int) -> np.ndarray:
-        """Full smoothed transition distribution out of item i."""
-        row = np.ones(self.n_items)
-        for j, cnt in self.bigram.get(int(i), {}).items():
-            row[j] += cnt
-        return row / (int(self.bigram_totals[i]) + self.n_items)
-
     def with_sequences(self, sequences: list[np.ndarray]) -> "Corpus":
         """Same vocabulary, new sequences, statistics recomputed."""
         if len(sequences) != self.n_users:
             raise InvalidArgument("sequence list does not match the user list")
         seqs = [np.asarray(s, dtype=np.int64).copy() for s in sequences]
         return Corpus(list(self.user_ids), seqs, list(self.item_ids))
-
-    def to_raw(self) -> list[tuple[str, str, int]]:
-        """Re-export as interaction records (position index as timestamp)."""
-        out = []
-        for u, seq in zip(self.user_ids, self.sequences):
-            out.extend((u, self.item_ids[int(it)], t) for t, it in enumerate(seq))
-        return out
 
     def to_snapshot(self) -> dict:
         return {

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import injector
 from .corpus import Corpus
-from .dualview import DualViewModel
+from .dualview import ENCODERS, DualViewModel
 from .encoder import next_step_probs, sigmoid
 from .errors import InvalidArgument
 from .numkit import SeededRng
@@ -133,6 +133,13 @@ def _jsd_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.maximum(ent(m) - 0.5 * (ent(p) + ent(q)), 0.0)
 
 
+def _cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine along the last axis, clipped to [-1, 1]; 0 where either vector is zero."""
+    denom = np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)
+    cos = np.where(denom > 0.0, (a * b).sum(axis=-1) / np.maximum(denom, 1e-300), 0.0)
+    return np.clip(cos, -1.0, 1.0)
+
+
 def features(
     model: DualViewModel,
     params: ParamVector,
@@ -159,28 +166,18 @@ def features(
         batch = prefixes[start : start + batch_users]
         if not batch:
             continue
-        states_s, items, lengths, table_s, _ = model.batch_view_states(
-            params, "semantic", batch, tables=tables
-        )
-        states_c, _, _, table_c, _ = model.batch_view_states(
-            params, "collaborative", batch, tables=tables
-        )
-        b, t_len = items.shape
-        probs_s = np.empty((b, t_len, model.cfg.vocab))
-        probs_c = np.empty((b, t_len, model.cfg.vocab))
-        probs_s[:, 0, :] = 1.0 / model.cfg.vocab
-        probs_c[:, 0, :] = 1.0 / model.cfg.vocab
-        if t_len > 1:
-            probs_s[:, 1:, :] = next_step_probs(states_s[:, :-1, :], table_s)
-            probs_c[:, 1:, :] = next_step_probs(states_c[:, :-1, :], table_c)
-        jsd = _jsd_rows(probs_s, probs_c)
-
-        norm_s = np.linalg.norm(states_s, axis=-1)
-        norm_c = np.linalg.norm(states_c, axis=-1)
-        dots = (states_s * states_c).sum(axis=-1)
-        denom = norm_s * norm_c
-        cos = np.where(denom > 0.0, dots / np.maximum(denom, 1e-300), 0.0)
-        disagreement = (1.0 - np.clip(cos, -1.0, 1.0)) / 2.0
+        states, probs = [], []
+        for view in ENCODERS:
+            view_states, _, lengths, table, _ = model.batch_view_states(
+                params, view, batch, tables=tables
+            )
+            # no prefix predicts position 0: both views call it uniform
+            view_probs = np.full(view_states.shape[:2] + (model.cfg.vocab,), 1.0 / model.cfg.vocab)
+            view_probs[:, 1:] = next_step_probs(view_states[:, :-1], table)
+            states.append(view_states)
+            probs.append(view_probs)
+        jsd = _jsd_rows(*probs)
+        disagreement = (1.0 - _cosine_rows(*states)) / 2.0
 
         for j, seq in enumerate(batch):
             ln = int(lengths[j])
@@ -308,10 +305,6 @@ def tune_threshold(
     return float(best_tau)
 
 
-def _manifest_truth(manifest) -> dict[tuple[int, int], str]:
-    return {(e.user, e.position): e.kind for e in manifest.entries}
-
-
 def detect(
     corpus: Corpus,
     model: DualViewModel,
@@ -362,7 +355,7 @@ def detect(
         cal_feats, cal_u, cal_p = features(
             model, params, corpus, prefixes=cal_prefixes, batch_users=cfg.batch_users
         )
-        marked = {(e.user, e.position) for e in cal_manifest.entries}
+        marked = cal_manifest.truth()
         labels = np.asarray(
             [(int(u), int(p)) in marked for u, p in zip(cal_u, cal_p)], dtype=bool
         )
@@ -388,10 +381,9 @@ def detect(
         "flagged": int(flags.sum()),
     }
     if manifest is not None:
-        truth = _manifest_truth(manifest)
-        is_fake = np.asarray(
-            [(int(u), int(p)) in truth for u, p in zip(users, positions)], dtype=bool
-        )
+        truth = manifest.truth()
+        kinds = np.asarray([truth.get((int(u), int(p)), "") for u, p in zip(users, positions)])
+        is_fake = kinds != ""
         tp = int((flags & is_fake).sum())
         fp = int((flags & ~is_fake).sum())
         fn = int((~flags & is_fake).sum())
@@ -407,10 +399,7 @@ def detect(
         }
         per_type = {}
         for kind in injector.TYPES:
-            kind_mask = np.asarray(
-                [truth.get((int(u), int(p))) == kind for u, p in zip(users, positions)],
-                dtype=bool,
-            )
+            kind_mask = kinds == kind
             k_tp = int((flags & kind_mask).sum())
             k_total = int(kind_mask.sum())
             per_type[kind] = {

@@ -22,9 +22,9 @@ import numpy as np
 from . import encoder
 from .errors import DegenerateVector, InvalidArgument
 from .numkit import SeededRng
-from .params import ParamVector, TrainConfig, run_training
+from .params import BlockModel, ParamVector, TrainConfig, run_training
 
-VIEWS = ("semantic", "collaborative")
+ENCODERS = {"semantic": "sem_enc", "collaborative": "collab_enc"}  # view -> block prefix
 
 
 @dataclass
@@ -99,7 +99,7 @@ def contrastive_loss(rep_sem: np.ndarray, rep_col: np.ndarray, temperature: floa
     return loss, d_rs, d_rc
 
 
-class DualViewModel:
+class DualViewModel(BlockModel):
     """Stateless definition over fixed semantic inputs.
 
     `sem` is the (V, sem_dim) embedding table; `reduced` its (V, hidden)
@@ -134,26 +134,10 @@ class DualViewModel:
             "gate_bias": (d_h,),
             "item_embeddings": (cfg.vocab, d_h),
         }
-        for prefix in ("sem_enc", "collab_enc"):
+        for prefix in ENCODERS.values():
             for name, shape in encoder.encoder_shapes(d_h, d_h).items():
                 registry[f"{prefix}.{name}"] = shape
         self.registry = registry
-
-    def zero_params(self) -> ParamVector:
-        return ParamVector(self.registry)
-
-    def init_params(self, rng: SeededRng) -> ParamVector:
-        params = self.zero_params()
-        for name in params.block_names():
-            if name.endswith("bias"):
-                continue
-            block = params.view(name)
-            block[...] = rng.gen.normal(0.0, self.cfg.init_scale, size=block.shape)
-        return params
-
-    def _enc_weights(self, params: ParamVector, view: str) -> dict[str, np.ndarray]:
-        prefix = "sem_enc" if view == "semantic" else "collab_enc"
-        return {name: params.view(f"{prefix}.{name}") for name in encoder.encoder_shapes(1, 1)}
 
     # -- item input paths ----------------------------------------------------
 
@@ -210,39 +194,13 @@ class DualViewModel:
 
     # -- forward -------------------------------------------------------------
 
-    def _check_items(self, seq) -> np.ndarray:
-        arr = np.asarray(seq, dtype=np.int64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise InvalidArgument("item sequence must be non-empty and 1-D")
-        if arr.size > self.cfg.max_len:
-            raise InvalidArgument(f"sequence length {arr.size} exceeds max {self.cfg.max_len}")
-        if arr.min() < 0 or arr.max() >= self.cfg.vocab:
-            raise InvalidArgument("item index outside the vocabulary")
-        return arr
-
-    def encode(self, params: ParamVector, view: str, seq):
-        """Per-position representations and predictive distributions.
-
-        reps[k] is the hidden state after consuming item k; dists[k] is the
-        view's distribution over position k given items before it, with
-        dists[0] uniform (no prefix exists).
-        """
-        if view not in VIEWS:
-            raise InvalidArgument(f"view must be one of {VIEWS}")
-        items = self._check_items(seq)
-        table_sem, table_col, _ = self.item_inputs(params)
-        table = table_sem if view == "semantic" else table_col
-        x = table[items][None, :, :]
-        states, _ = encoder.gru_forward(self._enc_weights(params, view), x)
-        reps = states[0]
-        dists = np.empty((items.size, self.cfg.vocab))
-        dists[0] = 1.0 / self.cfg.vocab
-        if items.size > 1:
-            dists[1:] = encoder.next_step_probs(reps[:-1], table)
-        return reps, dists
-
     def batch_view_states(self, params: ParamVector, view: str, seqs, tables=None):
-        """Batched hidden states for one view; returns (states, items, lengths, table, cache)."""
+        """Batched hidden states for one view; returns (states, items, lengths, table, cache).
+
+        states[:, k] is the view's hidden state after consuming item k.
+        """
+        if view not in ENCODERS:
+            raise InvalidArgument(f"view must be one of {tuple(ENCODERS)}")
         checked = [self._check_items(s) for s in seqs]
         items, lengths = encoder.pad_sequences(checked)
         if tables is None:
@@ -251,7 +209,7 @@ class DualViewModel:
             table_sem, table_col = tables
         table = table_sem if view == "semantic" else table_col
         x = table[items]
-        states, cache = encoder.gru_forward(self._enc_weights(params, view), x)
+        states, cache = encoder.gru_forward(self._enc_weights(params, ENCODERS[view]), x)
         return states, items, lengths, table, cache
 
     # -- joint objective -----------------------------------------------------
@@ -276,50 +234,39 @@ class DualViewModel:
 
         grad = self.zero_params()
         alpha = loss_cfg.view_blend
-        view_losses = {}
-        d_tables = {}
+        lam = loss_cfg.contrastive_weight
         final_idx = (np.arange(b), lengths - 1)
-        finals = {}
-        view_items = {"semantic": (table_sem, "sem_enc", alpha), "collaborative": (table_col, "collab_enc", 1.0 - alpha)}
-        caches = {}
-        states_by_view = {}
-        for view, (table, prefix, coef) in view_items.items():
-            x = table[items]
-            states, cache = encoder.gru_forward(self._enc_weights(params, view), x)
-            loss_v, d_states, d_table = encoder.tied_next_item_loss(states, table, items, weights)
-            view_losses[view] = loss_v
-            caches[view] = (cache, d_states * coef)
-            d_tables[view] = d_table * coef
+        tables = {"semantic": table_sem, "collaborative": table_col}
+        coefs = {"semantic": alpha, "collaborative": 1.0 - alpha}
+        losses, finals, backward = {}, {}, {}
+        for view, table in tables.items():
+            w_enc = self._enc_weights(params, ENCODERS[view])
+            states, cache = encoder.gru_forward(w_enc, table[items])
+            losses[view], d_states, d_table = encoder.tied_next_item_loss(
+                states, table, items, weights
+            )
+            backward[view] = (cache, d_states * coefs[view], d_table * coefs[view])
             finals[view] = states[final_idx]
-            states_by_view[view] = states
 
         c_loss, d_fin_sem, d_fin_col = contrastive_loss(
             finals["semantic"], finals["collaborative"], loss_cfg.temperature
         )
-        lam = loss_cfg.contrastive_weight
-        total = (
-            alpha * view_losses["semantic"]
-            + (1.0 - alpha) * view_losses["collaborative"]
-            + lam * c_loss
-        )
+        total = alpha * losses["semantic"] + (1.0 - alpha) * losses["collaborative"] + lam * c_loss
 
-        d_tables_total = {}
         for view, d_fin in (("semantic", d_fin_sem), ("collaborative", d_fin_col)):
-            cache, d_states = caches[view]
+            cache, d_states, d_table = backward[view]
             d_states[final_idx] += lam * d_fin
-            d_enc, d_x = encoder.gru_backward(self._enc_weights(params, view), cache, d_states)
-            prefix = "sem_enc" if view == "semantic" else "collab_enc"
+            prefix = ENCODERS[view]
+            d_enc, d_x = encoder.gru_backward(self._enc_weights(params, prefix), cache, d_states)
             for name, val in d_enc.items():
                 grad.view(f"{prefix}.{name}")[...] = val
-            d_table = d_tables[view]
             np.add.at(d_table, items.ravel(), d_x.reshape(-1, self.cfg.hidden))
-            d_tables_total[view] = d_table
         self._item_inputs_backward(
-            params, in_cache, d_tables_total["semantic"], d_tables_total["collaborative"], grad
+            params, in_cache, backward["semantic"][2], backward["collaborative"][2], grad
         )
         parts = {
-            "rec_semantic": view_losses["semantic"],
-            "rec_collaborative": view_losses["collaborative"],
+            "rec_semantic": losses["semantic"],
+            "rec_collaborative": losses["collaborative"],
             "contrastive": c_loss,
         }
         return total, grad, parts

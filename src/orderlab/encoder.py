@@ -136,17 +136,17 @@ def pad_sequences(seqs) -> tuple[np.ndarray, np.ndarray]:
     return items, lengths
 
 
-def term_weight_matrix(lengths: np.ndarray, t_len: int, per_term: bool = False) -> np.ndarray:
+def term_weight_matrix(lengths: np.ndarray, t_len: int) -> np.ndarray:
     """Weights for next-item terms: weights[b, t] scales the prediction of
-    position t+1 from state t. `per_term=False` gives each sequence's terms
-    weight 1/(len-1) so a row sums to one sequence-mean loss."""
+    position t+1 from state t. Each sequence's terms get weight 1/(len-1),
+    so a row sums to one sequence-mean loss."""
     b = lengths.shape[0]
     weights = np.zeros((b, max(t_len - 1, 0)))
     for i, ln in enumerate(lengths):
         n_terms = int(ln) - 1
         if n_terms <= 0:
             continue
-        weights[i, :n_terms] = 1.0 if per_term else 1.0 / n_terms
+        weights[i, :n_terms] = 1.0 / n_terms
     return weights
 
 

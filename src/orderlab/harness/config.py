@@ -84,18 +84,10 @@ class ExperimentConfig:
             return klass(**kwargs)
 
         doc = dict(doc)
-        nested = {
-            "data": DataConfig,
-            "semantics": SemanticsConfig,
-            "injection": InjectionConfig,
-            "model": ModelSpec,
-            "target_train": TrainConfig,
-            "dualview_train": TrainConfig,
-            "dualview_loss": LossConfig,
-            "detector": DetectorConfig,
-            "influence": InfluenceConfig,
-            "rectify": RectifyConfig,
-            "eval": EvalConfig,
+        nested = {  # section name -> its config class
+            f.name: type(f.default_factory())
+            for f in dataclasses.fields(cls)
+            if f.default_factory is not dataclasses.MISSING
         }
         kwargs = {}
         for key, value in doc.items():

@@ -2,10 +2,12 @@
 
 Stage order: data -> clean_model -> inject -> poisoned_model -> dualview
 -> detect -> influence -> rectify -> final. Every stage derives its
-randomness from a fixed label off the root seed, writes its artifacts
-atomically, and can be reloaded on --resume; a resumed run therefore
-produces byte-identical reports. Wall-clock timings go to a separate
-timings.json, keeping metrics.json deterministic.
+randomness from a fixed label off the root seed and keeps its results in
+files written atomically. On --resume a stage reloads a group of files
+when every file of the group exists, and otherwise recomputes and rewrites
+the group (`Pipeline.artifacts`); a resumed run therefore produces
+byte-identical reports. Wall-clock timings go to a separate timings.json,
+keeping metrics.json deterministic.
 
 The clean and poisoned target models share initialization and training
 randomness (labels "target-init"/"target-train"), so a zero-injection run
@@ -85,8 +87,29 @@ def file_digest(path: str) -> str:
     return h.hexdigest()[:16]
 
 
-def _have(*paths) -> bool:
-    return all(os.path.exists(p) for p in paths)
+def _checkpoint(model, config: dict):
+    """Save/load pair of a model's parameters, with `config` in the file header."""
+    return (
+        lambda path, params: save_checkpoint(path, model.ARCH, config, params.flat),
+        lambda path: ParamVector(model.registry, load_checkpoint(path)[2]),
+    )
+
+
+JSON = (write_json, read_json)
+CORPUS = (lambda path, corpus: corpus.save(path), lambda path: Corpus.load(path))
+MANIFEST = (
+    lambda path, manifest: manifest.save(path),
+    lambda path: injector.FakeOrderManifest.load(path),
+)
+
+
+def _write_influence_csv(path: str, report, truth: dict) -> None:
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write("user,position,truth_type,influence,harmful\n")
+        for (u, p), v in zip(report.samples, report.values):
+            fh.write(f"{u},{p},{truth.get((u, p), '')},{float(v)!r},{int(v > report.threshold)}\n")
+    os.replace(tmp, path)
 
 
 class Pipeline:
@@ -104,57 +127,86 @@ class Pipeline:
     def path(self, name: str) -> str:
         return os.path.join(self.out, name)
 
+    def artifacts(self, files: dict, compute) -> list:
+        """The values a stage keeps on disk, reloaded or computed.
+
+        `files` maps each file name to a (save(path, value), load(path))
+        pair, in the order compute() returns the values; a load of None
+        marks a report that is written but never read back. With --resume
+        and every file present the values are loaded; otherwise compute()
+        runs and each value is saved.
+        """
+        paths = [self.path(name) for name in files]
+        if self.resume and all(os.path.exists(p) for p in paths):
+            return [load(p) if load else None for p, (_, load) in zip(paths, files.values())]
+        values = compute()
+        for p, (save, _), value in zip(paths, files.values(), values):
+            save(p, value)
+        return list(values)
+
     # -- stages --------------------------------------------------------------
 
     def stage_data(self) -> None:
         cfg = self.cfg
-        corpus_path = self.path("corpus_clean.json")
-        sem_path = self.path("semantics.tsv")
-        cats_path = self.path("categories.json")
-        need_cats = cfg.data.source == "synth"
-        if self.resume and _have(corpus_path, sem_path) and (not need_cats or _have(cats_path)):
-            corpus = Corpus.load(corpus_path)
-            table = semantics_mod.load_semantic_tsv(sem_path, corpus)
-            categories = (
-                np.asarray(read_json(cats_path)["categories"], dtype=np.int64)
-                if need_cats
-                else None
-            )
-        else:
-            if cfg.data.source == "synth":
-                corpus, categories = synth_corpus(cfg.data.synth, self.root.child("synth"))
-            elif cfg.data.source == "tsv":
-                raw = load_interactions(cfg.data.path)
-                corpus = build_corpus(raw, cfg.data.min_user, cfg.data.min_item)
-                categories = None
-            else:
-                raise InvalidArgument(f"unknown data source {cfg.data.source!r}")
-            if cfg.semantics.source == "synth":
-                if categories is None:
-                    raise InvalidArgument("synthetic semantics need a synthetic corpus")
-                table = semantics_mod.synth_semantics(
-                    categories, cfg.semantics.dim, cfg.semantics.noise_sigma,
-                    self.root.child("semantics"),
-                )
-            elif cfg.semantics.source == "tsv":
-                table = semantics_mod.load_semantic_tsv(cfg.semantics.path, corpus)
-            else:
-                raise InvalidArgument(f"unknown semantics source {cfg.semantics.source!r}")
-            corpus.save(corpus_path)
-            semantics_mod.save_semantic_tsv(table, corpus, sem_path)
-            if categories is not None:
-                write_json(cats_path, {"categories": categories.tolist()})
-            # persisted values are what later stages must see: reload
-            table = semantics_mod.load_semantic_tsv(sem_path, corpus)
+        files = {"corpus_clean.json": CORPUS}
+        if cfg.data.source == "synth":
+            files["categories.json"] = JSON
+        corpus, *cats = self.artifacts(files, self._make_corpus)
+        categories = np.asarray(cats[0]["categories"], dtype=np.int64) if cats else None
+
+        def write_tsv(path, table):
+            semantics_mod.save_semantic_tsv(table, corpus, path)
+
+        self.artifacts(
+            {"semantics.tsv": (write_tsv, None)}, lambda: [self._make_semantics(corpus, categories)]
+        )
+        # later stages must see the values as persisted (8 digits), fresh or resumed
+        table = semantics_mod.load_semantic_tsv(self.path("semantics.tsv"), corpus)
         self.ctx["corpus"] = corpus
         self.ctx["semantics"] = table
-        self.ctx["categories"] = categories
         self.ctx["reduced"] = semantics_mod.reduce(table, cfg.model.hidden)
         self.ctx["split"] = leave_one_out(corpus)
 
-    def _target_model(self) -> SeqRecModel:
+    def _make_corpus(self) -> list:
+        data = self.cfg.data
+        if data.source == "synth":
+            corpus, categories = synth_corpus(data.synth, self.root.child("synth"))
+            return [corpus, {"categories": categories.tolist()}]
+        if data.source == "tsv":
+            raw = load_interactions(data.path)
+            return [build_corpus(raw, data.min_user, data.min_item)]
+        raise InvalidArgument(f"unknown data source {data.source!r}")
+
+    def _make_semantics(self, corpus: Corpus, categories):
+        sem = self.cfg.semantics
+        if sem.source == "synth":
+            if categories is None:
+                raise InvalidArgument("synthetic semantics need a synthetic corpus")
+            return semantics_mod.synth_semantics(
+                categories, sem.dim, sem.noise_sigma, self.root.child("semantics")
+            )
+        if sem.source == "tsv":
+            return semantics_mod.load_semantic_tsv(sem.path, corpus)
+        raise InvalidArgument(f"unknown semantics source {sem.source!r}")
+
+    def _train_target(self, corpus: Corpus, ckpt: str, trace_name: str):
+        model = self.ctx["target_model"]
+
+        def fit():
+            init = model.init_params(self.root.child("target-init"))
+            prefixes = [corpus.train_prefix(u) for u in range(corpus.n_users)]
+            params, trace = model.train(
+                init, prefixes, self.cfg.target_train, self.root.child("target-train")
+            )
+            return params, {"trace": trace}
+
+        files = {ckpt: _checkpoint(model, dataclasses.asdict(model.cfg)), trace_name: JSON}
+        params, doc = self.artifacts(files, fit)
+        return params, doc["trace"]
+
+    def stage_clean_model(self) -> None:
         cfg = self.cfg
-        return SeqRecModel(
+        self.ctx["target_model"] = SeqRecModel(
             ModelConfig(
                 vocab=self.ctx["corpus"].n_items,
                 hidden=cfg.model.hidden,
@@ -162,57 +214,30 @@ class Pipeline:
                 init_scale=cfg.model.init_scale,
             )
         )
-
-    def _train_target(self, corpus: Corpus, ckpt: str, trace_path: str):
-        model = self.ctx["target_model"]
-        if self.resume and _have(ckpt, trace_path):
-            _, _, flat = load_checkpoint(ckpt)
-            return ParamVector(model.registry, flat), read_json(trace_path)["trace"]
-        init = model.init_params(self.root.child("target-init"))
-        prefixes = [corpus.train_prefix(u) for u in range(corpus.n_users)]
-        params, trace = model.train(
-            init, prefixes, self.cfg.target_train, self.root.child("target-train")
+        self.ctx["clean_params"], self.ctx["clean_trace"] = self._train_target(
+            self.ctx["corpus"], "target_clean.ckpt", "trace_clean.json"
         )
-        save_checkpoint(ckpt, model.ARCH, dataclasses.asdict(model.cfg), params.flat)
-        write_json(trace_path, {"trace": trace})
-        return params, trace
-
-    def stage_clean_model(self) -> None:
-        self.ctx["target_model"] = self._target_model()
-        params, trace = self._train_target(
-            self.ctx["corpus"], self.path("target_clean.ckpt"), self.path("trace_clean.json")
-        )
-        self.ctx["clean_params"] = params
-        self.ctx["clean_trace"] = trace
 
     def stage_inject(self) -> None:
         cfg = self.cfg
-        poisoned_path = self.path("corpus_poisoned.json")
-        manifest_path = self.path("manifest.json")
-        if self.resume and _have(poisoned_path, manifest_path):
-            poisoned = Corpus.load(poisoned_path)
-            manifest = injector.FakeOrderManifest.load(manifest_path)
-        elif cfg.injection.user_ratio == 0.0 or cfg.injection.intensity == 0.0:
-            poisoned = self.ctx["corpus"]
-            manifest = injector.FakeOrderManifest([], {"disabled": True}, cfg.seed)
-            poisoned.save(poisoned_path)
-            manifest.save(manifest_path)
-        else:
-            poisoned, manifest = injector.inject(
+
+        def inject():
+            if cfg.injection.user_ratio == 0.0 or cfg.injection.intensity == 0.0:
+                disabled = injector.FakeOrderManifest([], {"disabled": True}, cfg.seed)
+                return self.ctx["corpus"], disabled
+            return injector.inject(
                 self.ctx["corpus"], self.ctx["semantics"], cfg.injection, self.root.child("inject")
             )
-            poisoned.save(poisoned_path)
-            manifest.save(manifest_path)
+
+        files = {"corpus_poisoned.json": CORPUS, "manifest.json": MANIFEST}
+        poisoned, self.ctx["manifest"] = self.artifacts(files, inject)
         self.ctx["poisoned"] = poisoned
-        self.ctx["manifest"] = manifest
         self.ctx["poisoned_split"] = leave_one_out(poisoned)
 
     def stage_poisoned_model(self) -> None:
-        params, trace = self._train_target(
-            self.ctx["poisoned"], self.path("target_poisoned.ckpt"), self.path("trace_poisoned.json")
+        self.ctx["poisoned_params"], self.ctx["poisoned_trace"] = self._train_target(
+            self.ctx["poisoned"], "target_poisoned.ckpt", "trace_poisoned.json"
         )
-        self.ctx["poisoned_params"] = params
-        self.ctx["poisoned_trace"] = trace
 
     def stage_dualview(self) -> None:
         cfg = self.cfg
@@ -230,170 +255,127 @@ class Pipeline:
             table.embeddings,
             self.ctx["reduced"],
         )
+
+        def fit():
+            init = model.init_params(self.root.child("dualview-init"))
+            prefixes = [corpus.train_prefix(u) for u in range(corpus.n_users)]
+            train_cfg = dataclasses.replace(
+                cfg.dualview_train, batch_size=cfg.dualview_loss.batch_size
+            )
+            params, trace = model.train(
+                init, prefixes, cfg.dualview_loss, train_cfg, self.root.child("dualview-train")
+            )
+            return params, {"trace": trace}
+
+        files = {
+            "dualview.ckpt": _checkpoint(model, {"model": dataclasses.asdict(model.cfg)}),
+            "trace_dualview.json": JSON,
+        }
+        params, doc = self.artifacts(files, fit)
         self.ctx["dualview_model"] = model
-        ckpt = self.path("dualview.ckpt")
-        trace_path = self.path("trace_dualview.json")
-        if self.resume and _have(ckpt, trace_path):
-            _, _, flat = load_checkpoint(ckpt)
-            self.ctx["dualview_params"] = ParamVector(model.registry, flat)
-            self.ctx["dualview_trace"] = read_json(trace_path)["trace"]
-            return
-        init = model.init_params(self.root.child("dualview-init"))
-        prefixes = [corpus.train_prefix(u) for u in range(corpus.n_users)]
-        train_cfg = dataclasses.replace(
-            cfg.dualview_train, batch_size=cfg.dualview_loss.batch_size
-        )
-        params, trace = model.train(
-            init, prefixes, cfg.dualview_loss, train_cfg, self.root.child("dualview-train")
-        )
-        save_checkpoint(
-            ckpt,
-            model.ARCH,
-            {"model": dataclasses.asdict(model.cfg)},
-            params.flat,
-        )
-        write_json(trace_path, {"trace": trace})
         self.ctx["dualview_params"] = params
-        self.ctx["dualview_trace"] = trace
+        self.ctx["dualview_trace"] = doc["trace"]
 
     def stage_detect(self) -> None:
-        csv_path = self.path("detection.csv")
-        json_path = self.path("detection.json")
         manifest = self.ctx["manifest"]
-        if self.resume and _have(csv_path, json_path):
-            doc = read_json(json_path)
-            self.ctx["detect_summary"] = doc["summary"]
-            self.ctx["suspicious"] = [tuple(x) for x in doc["suspicious"]]
-            return
-        report = detector.detect(
-            self.ctx["poisoned"],
-            self.ctx["dualview_model"],
-            self.ctx["dualview_params"],
-            self.ctx["semantics"],
-            self.cfg.detector,
-            self.cfg.injection,
-            self.root.child("detect"),
-            manifest=manifest,
-        )
-        truth = {(e.user, e.position): e.kind for e in manifest.entries}
-        report.to_csv(csv_path, truth)
-        write_json(
-            json_path,
-            {"summary": report.summary, "suspicious": [[u, p] for u, p in report.suspicious]},
-        )
-        self.ctx["detect_summary"] = _jsonable(report.summary)
-        self.ctx["suspicious"] = report.suspicious
-        self.ctx["detect_report"] = report
+
+        def detect():
+            report = detector.detect(
+                self.ctx["poisoned"],
+                self.ctx["dualview_model"],
+                self.ctx["dualview_params"],
+                self.ctx["semantics"],
+                self.cfg.detector,
+                self.cfg.injection,
+                self.root.child("detect"),
+                manifest=manifest,
+            )
+            doc = {"summary": report.summary, "suspicious": [[u, p] for u, p in report.suspicious]}
+            return report, doc
+
+        truth = manifest.truth()
+        files = {
+            "detection.csv": (lambda path, report: report.to_csv(path, truth), None),
+            "detection.json": JSON,
+        }
+        _, doc = self.artifacts(files, detect)
+        self.ctx["detect_summary"] = _jsonable(doc["summary"])
+        self.ctx["suspicious"] = [tuple(x) for x in doc["suspicious"]]
 
     def stage_influence(self) -> None:
-        csv_path = self.path("influence.csv")
-        json_path = self.path("influence.json")
-        manifest = self.ctx["manifest"]
-        truth = {(e.user, e.position): e.kind for e in manifest.entries}
-        if self.resume and _have(csv_path, json_path):
-            doc = read_json(json_path)
-            self.ctx["influence_summary"] = doc
-            self.ctx["harmful"] = [tuple(x) for x in doc["harmful"]]
-            self.ctx["influence_samples"] = [tuple(x) for x in doc["samples"]]
-            self.ctx["influence_values"] = np.asarray(doc["values"])
-            return
         corpus = self.ctx["poisoned"]
         split = self.ctx["poisoned_split"]
-        model = self.ctx["target_model"]
-        params = self.ctx["poisoned_params"]
-        suspicious = [
-            (u, p) for u, p in self.ctx["suspicious"] if p >= 1  # terms need a left context
-        ]
-        flagged = set(self.ctx["suspicious"])
-        pairs = []
-        for i, user in enumerate(split.users):
-            vpos = len(corpus.sequences[user]) - 2
-            if (user, vpos) not in flagged:
-                pairs.append((split.prefixes[i], int(split.valid_targets[i])))
-        prefixes = [corpus.train_prefix(u) for u in range(corpus.n_users)]
-        report = rectifier.influence_report(
-            model, params, prefixes, suspicious, pairs,
-            self.cfg.influence, self.root.child("influence"),
-        )
-        harmful = report.harmful
-        doc = {
-            "samples": [[u, p] for u, p in report.samples],
-            "values": [float(v) for v in report.values],
-            "harmful": [[u, p] for u, p in harmful],
-            "threshold": report.threshold,
-            "scale": report.scale,
-            "residual": report.residual,
-            "validation_grad_norm": report.validation_grad_norm,
-            "clean_validation_pairs": len(pairs),
+
+        def score():
+            # flagged positions lie in train prefixes, never at a validation target
+            pairs = [(prefix, int(t)) for prefix, t in zip(split.prefixes, split.valid_targets)]
+            suspicious = [(u, p) for u, p in self.ctx["suspicious"] if p >= 1]  # need a prefix
+            prefixes = [corpus.train_prefix(u) for u in range(corpus.n_users)]
+            report = rectifier.influence_report(
+                self.ctx["target_model"], self.ctx["poisoned_params"], prefixes, suspicious,
+                pairs, self.cfg.influence, self.root.child("influence"),
+            )
+            doc = {
+                "samples": [[u, p] for u, p in report.samples],
+                "values": [float(v) for v in report.values],
+                "harmful": [[u, p] for u, p in report.harmful],
+                "threshold": report.threshold,
+                "scale": report.scale,
+                "residual": report.residual,
+                "validation_grad_norm": report.validation_grad_norm,
+                "clean_validation_pairs": len(pairs),
+            }
+            return report, doc
+
+        truth = self.ctx["manifest"].truth()
+        files = {
+            "influence.csv": (lambda path, report: _write_influence_csv(path, report, truth), None),
+            "influence.json": JSON,
         }
-        write_json(json_path, doc)
-        tmp = f"{csv_path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("user,position,truth_type,influence,harmful\n")
-            for (u, p), v in zip(report.samples, report.values):
-                fh.write(
-                    f"{u},{p},{truth.get((u, p), '')},{float(v)!r},{int(v > report.threshold)}\n"
-                )
-        os.replace(tmp, csv_path)
-        self.ctx["influence_summary"] = _jsonable(doc)
-        self.ctx["harmful"] = harmful
-        self.ctx["influence_samples"] = report.samples
-        self.ctx["influence_values"] = report.values
+        _, doc = self.artifacts(files, score)
+        self.ctx["harmful"] = [tuple(x) for x in doc["harmful"]]
 
     def stage_rectify(self) -> None:
-        ckpt = self.path("rectified.ckpt")
-        trace_path = self.path("rectify_trace.json")
         model = self.ctx["target_model"]
-        if self.resume and _have(ckpt, trace_path):
-            _, _, flat = load_checkpoint(ckpt)
-            self.ctx["rectified_params"] = ParamVector(model.registry, flat)
-            self.ctx["rectify_trace"] = read_json(trace_path)
-            return
         corpus = self.ctx["poisoned"]
         split = self.ctx["poisoned_split"]
-        prefixes = [corpus.train_prefix(u) for u in range(corpus.n_users)]
-        flagged = set(self.ctx["suspicious"])
-        clean_pool = [
-            (u, p)
-            for u in range(corpus.n_users)
-            for p in range(1, len(prefixes[u]))
-            if (u, p) not in flagged
-        ]
-        eval_rng = self.root.child("eval")
 
-        def eval_fn(params):
-            rep = evaluate_topk(
-                model, params, corpus, split, mode="valid",
-                negatives=self.cfg.eval.negatives, ks=(10,), rng=eval_rng,
+        def ascend():
+            prefixes = [corpus.train_prefix(u) for u in range(corpus.n_users)]
+            flagged = set(self.ctx["suspicious"])
+            clean_pool = [
+                (u, p)
+                for u in range(corpus.n_users)
+                for p in range(1, len(prefixes[u]))
+                if (u, p) not in flagged
+            ]
+            eval_rng = self.root.child("eval")
+
+            def eval_fn(params):
+                rep = evaluate_topk(
+                    model, params, corpus, split, mode="valid",
+                    negatives=self.cfg.eval.negatives, ks=(10,), rng=eval_rng,
+                )
+                return rep["NDCG@10"]
+
+            rectified, trace = rectifier.rectify(
+                model, self.ctx["poisoned_params"], prefixes, self.ctx["harmful"], clean_pool,
+                eval_fn, self.cfg.rectify, self.root.child("rectify"),
             )
-            return rep["NDCG@10"]
+            return rectified, dataclasses.asdict(trace)
 
-        rectified, trace = rectifier.rectify(
-            model,
-            self.ctx["poisoned_params"],
-            prefixes,
-            self.ctx["harmful"],
-            clean_pool,
-            eval_fn,
-            self.cfg.rectify,
-            self.root.child("rectify"),
-        )
-        save_checkpoint(ckpt, model.ARCH, dataclasses.asdict(model.cfg), rectified.flat)
-        doc = {
-            "initial_value": trace.initial_value,
-            "rounds": trace.rounds,
-            "best_round": trace.best_round,
-            "stopped_early": trace.stopped_early,
+        files = {
+            "rectified.ckpt": _checkpoint(model, dataclasses.asdict(model.cfg)),
+            "rectify_trace.json": JSON,
         }
-        write_json(trace_path, doc)
-        self.ctx["rectified_params"] = rectified
-        self.ctx["rectify_trace"] = doc
+        self.ctx["rectified_params"], self.ctx["rectify_trace"] = self.artifacts(files, ascend)
 
     def stage_final(self) -> None:
-        metrics_path = self.path("metrics.json")
-        if self.resume and _have(metrics_path):
-            self.ctx["metrics"] = read_json(metrics_path)
-            return
+        (self.ctx["metrics"],) = self.artifacts(
+            {"metrics.json": JSON}, lambda: [_jsonable(self._metrics())]
+        )
+
+    def _metrics(self) -> dict:
         cfg = self.cfg
         model = self.ctx["target_model"]
         eval_rng = self.root.child("eval")
@@ -451,28 +433,16 @@ class Pipeline:
             "gap": gap,
             "recovered_fraction": (rect_v - comp_v) / gap if gap > 0 else None,
         }
-        write_json(metrics_path, metrics)
-        self.ctx["metrics"] = read_json(metrics_path)
+        return metrics
 
     def run(self, stop_after: str = "final") -> dict:
         if stop_after not in STAGES:
             raise InvalidArgument(f"unknown stage {stop_after!r}")
         self.cfg.save(self.path("config.json"))
-        stage_fns = {
-            "data": self.stage_data,
-            "clean_model": self.stage_clean_model,
-            "inject": self.stage_inject,
-            "poisoned_model": self.stage_poisoned_model,
-            "dualview": self.stage_dualview,
-            "detect": self.stage_detect,
-            "influence": self.stage_influence,
-            "rectify": self.stage_rectify,
-            "final": self.stage_final,
-        }
         for name in STAGES:
             start = time.perf_counter()
             try:
-                stage_fns[name]()
+                getattr(self, f"stage_{name}")()
             except Exception:
                 log.error("pipeline stage %r failed; earlier artifacts are preserved", name)
                 raise
@@ -522,29 +492,18 @@ def fake_order_effect_sweep(
             if variant not in mixes:
                 raise InvalidArgument(f"unknown sweep variant {variant!r}")
             inj = dataclasses.replace(cfg.injection, type_mix=mixes[variant])
-            ckpt = pipe.path(f"target_sweep_{variant}.ckpt")
-            trace_path = pipe.path(f"trace_sweep_{variant}.json")
-            manifest_path = pipe.path(f"manifest_sweep_{variant}.json")
-            corpus_path = pipe.path(f"corpus_sweep_{variant}.json")
-            if resume and _have(ckpt, trace_path, corpus_path):
-                var_corpus = Corpus.load(corpus_path)
-                _, _, flat = load_checkpoint(ckpt)
-                params = ParamVector(model.registry, flat)
-                trace = read_json(trace_path)["trace"]
-            else:
-                var_corpus, manifest = injector.inject(
-                    corpus, pipe.ctx["semantics"], inj, pipe.root.child(f"sweep-inject-{variant}")
-                )
-                var_corpus.save(corpus_path)
-                manifest.save(manifest_path)
-                init = model.init_params(pipe.root.child("target-init"))
-                prefixes = [var_corpus.train_prefix(u) for u in range(var_corpus.n_users)]
-                params, trace = model.train(
-                    init, prefixes, cfg.target_train, pipe.root.child("target-train")
-                )
-                save_checkpoint(ckpt, model.ARCH, dataclasses.asdict(model.cfg), params.flat)
-                write_json(trace_path, {"trace": trace})
+            rng = pipe.root.child(f"sweep-inject-{variant}")
+            files = {
+                f"corpus_sweep_{variant}.json": CORPUS,
+                f"manifest_sweep_{variant}.json": MANIFEST,
+            }
+            var_corpus, _ = pipe.artifacts(
+                files, lambda: injector.inject(corpus, pipe.ctx["semantics"], inj, rng)
+            )
             var_split = leave_one_out(var_corpus)
+            params, trace = pipe._train_target(
+                var_corpus, f"target_sweep_{variant}.ckpt", f"trace_sweep_{variant}.json"
+            )
         report = evaluate_topk(
             model, params, var_corpus, var_split, mode="test",
             negatives=cfg.eval.negatives, ks=cfg.eval.ks, rng=eval_rng,

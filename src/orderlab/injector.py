@@ -66,8 +66,9 @@ class FakeOrderManifest:
     knobs: dict
     seed: int
 
-    def by_position(self) -> dict[tuple[int, int], ManifestEntry]:
-        return {(e.user, e.position): e for e in self.entries}
+    def truth(self) -> dict[tuple[int, int], str]:
+        """(user, position) -> fake-order type of every planted position."""
+        return {(e.user, e.position): e.kind for e in self.entries}
 
     def to_json(self) -> dict:
         return {
@@ -122,17 +123,6 @@ class InjectionPlan:
 
     def affected_users(self) -> list[int]:
         return sorted(self.ops)
-
-    def position_types(self) -> dict[tuple[int, int], str]:
-        out: dict[tuple[int, int], str] = {}
-        for user, ops in self.ops.items():
-            for op in ops:
-                for pos in op.positions:
-                    key = (user, pos)
-                    if key in out:
-                        raise InvalidArgument(f"position {key} planned twice")
-                    out[key] = op.kind
-        return out
 
     def size(self) -> int:
         return sum(len(op.positions) for ops in self.ops.values() for op in ops)

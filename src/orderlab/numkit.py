@@ -1,9 +1,8 @@
-"""Deterministic numeric kernel.
+"""Seeded random streams, PCA and a finite-difference gradient check.
 
-Dense matrices are plain float64 numpy arrays throughout the package;
-probability distributions are 1-D arrays summing to one. Every stochastic
-routine in the toolkit draws from a SeededRng so that a single root seed
-reproduces a whole experiment.
+Every stochastic routine in the toolkit draws from a SeededRng so that a
+single root seed reproduces a whole experiment. Dense matrices are plain
+float64 numpy arrays throughout the package.
 """
 from __future__ import annotations
 
@@ -12,9 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateVector, InvalidArgument, NumericalFailure
-
-LN2 = float(np.log(2.0))
+from .errors import InvalidArgument, NumericalFailure
 
 _DIRECTIONAL_FD_DIM = 2000  # above this, fd_gradient_check probes random directions
 
@@ -43,72 +40,6 @@ class SeededRng:
 
     def __repr__(self):  # pragma: no cover
         return f"SeededRng(seed={self.seed}, path={tuple(self._seq.spawn_key)})"
-
-
-def _as_vector(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise InvalidArgument(f"{name} must be 1-D, got shape {arr.shape}")
-    return arr
-
-
-def validate_dist(p, name: str = "dist") -> np.ndarray:
-    """Check the ProbDist invariants: finite, non-negative, sums to 1 within 1e-9."""
-    arr = _as_vector(p, name)
-    if arr.size == 0:
-        raise InvalidArgument(f"{name} is empty")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidArgument(f"{name} contains non-finite entries")
-    if np.any(arr < -1e-12):
-        raise InvalidArgument(f"{name} contains negative entries")
-    total = float(arr.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise InvalidArgument(f"{name} sums to {total!r}, not 1")
-    return np.clip(arr, 0.0, None)
-
-
-def stable_softmax(logits) -> np.ndarray:
-    """Max-subtracted softmax of a 1-D logit vector."""
-    x = _as_vector(logits, "logits")
-    if x.size == 0:
-        raise InvalidArgument("softmax of empty logits")
-    if not np.all(np.isfinite(x)):
-        raise InvalidArgument("softmax logits must be finite")
-    e = np.exp(x - x.max())
-    return e / e.sum()
-
-
-def _entropy(p: np.ndarray) -> float:
-    # natural-log entropy with 0*log(0) = 0
-    nz = p[p > 0.0]
-    return float(-(nz * np.log(nz)).sum())
-
-
-def jensen_shannon(p, q) -> float:
-    """JSD(p, q) = H(m) - (H(p) + H(q))/2 with m = (p+q)/2, natural log.
-
-    Symmetric, zero iff p == q, bounded by ln 2.
-    """
-    pa = validate_dist(p, "p")
-    qa = validate_dist(q, "q")
-    if pa.size != qa.size:
-        raise InvalidArgument(f"length mismatch: {pa.size} vs {qa.size}")
-    m = 0.5 * (pa + qa)
-    jsd = _entropy(m) - 0.5 * (_entropy(pa) + _entropy(qa))
-    return max(jsd, 0.0)
-
-
-def cosine_similarity(a, b) -> float:
-    """dot(a,b)/(|a||b|), clipped to [-1, 1]."""
-    va = _as_vector(a, "a")
-    vb = _as_vector(b, "b")
-    if va.size != vb.size:
-        raise InvalidArgument(f"length mismatch: {va.size} vs {vb.size}")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateVector("cosine of a zero-norm vector")
-    return float(np.clip(float(va @ vb) / (na * nb), -1.0, 1.0))
 
 
 def _complement_direction(components: list[np.ndarray], dim: int) -> np.ndarray:

@@ -1,11 +1,12 @@
-"""Flat parameter vectors with named block views, plus the shared optimizer."""
+"""Flat parameter vectors with named block views, the models' shared base, and the optimizer."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
+from . import encoder
 from .errors import InvalidArgument, NumericalFailure
 from .numkit import SeededRng
 
@@ -38,23 +39,50 @@ class ParamVector:
     def view(self, name: str) -> np.ndarray:
         return self.flat[self._slices[name]].reshape(self._shapes[name])
 
-    def views(self, names: Iterable[str]) -> dict[str, np.ndarray]:
-        return {n: self.view(n) for n in names}
-
     def block_names(self) -> list[str]:
         return list(self._shapes)
-
-    def slice_of(self, name: str) -> slice:
-        return self._slices[name]
 
     def copy(self) -> "ParamVector":
         return ParamVector(self._shapes, self.flat)
 
-    def zeros_like(self) -> "ParamVector":
-        return ParamVector(self._shapes)
-
     def __len__(self):
         return self.size
+
+
+class BlockModel:
+    """What the recommender and the dual-view model share.
+
+    A subclass sets `registry` (block name -> shape) and a `cfg` with
+    `vocab`, `max_len` and `init_scale`.
+    """
+
+    registry: dict[str, tuple[int, ...]]
+
+    def zero_params(self) -> ParamVector:
+        return ParamVector(self.registry)
+
+    def init_params(self, rng: SeededRng) -> ParamVector:
+        """Weights drawn from N(0, init_scale) in registry order; biases start at zero."""
+        params = self.zero_params()
+        for name in params.block_names():
+            if not name.endswith("bias"):
+                block = params.view(name)
+                block[...] = rng.gen.normal(0.0, self.cfg.init_scale, size=block.shape)
+        return params
+
+    def _check_items(self, seq) -> np.ndarray:
+        arr = np.asarray(seq, dtype=np.int64)
+        if arr.ndim != 1 or arr.size == 0:
+            raise InvalidArgument("item sequence must be non-empty and 1-D")
+        if arr.size > self.cfg.max_len:
+            raise InvalidArgument(f"sequence length {arr.size} exceeds max {self.cfg.max_len}")
+        if arr.min() < 0 or arr.max() >= self.cfg.vocab:
+            raise InvalidArgument("item index outside the vocabulary")
+        return arr
+
+    def _enc_weights(self, params: ParamVector, prefix: str) -> dict[str, np.ndarray]:
+        """The 9 recurrent-encoder blocks stored under `prefix.`."""
+        return {name: params.view(f"{prefix}.{name}") for name in encoder.encoder_shapes(1, 1)}
 
 
 @dataclass

@@ -118,7 +118,6 @@ class IhvpResult:
     estimate: np.ndarray
     scale: float
     residual: float
-    per_repeat_norms: list[float] = field(default_factory=list)
 
 
 def lissa_ihvp(
@@ -143,18 +142,13 @@ def lissa_ihvp(
     batch = n if cfg.batch_users is None else min(cfg.batch_users, n)
 
     def grad_on(idx, x_flat):
-        pv = ParamVector(model.registry, x_flat)
         chosen = [seqs[i] for i in idx]
-        weights = [np.full(len(s) - 1, 1.0 / (len(s) - 1) / len(chosen)) for s in chosen]
-        return model.weighted_gradient(pv, chosen, weights)[1].flat
+        return model.dataset_loss(ParamVector(model.registry, x_flat), chosen)[1].flat
 
     full_idx = np.arange(n)
 
-    def full_grad(x_flat):
-        return model.dataset_loss(ParamVector(model.registry, x_flat), seqs)[1].flat
-
     def full_hvp(h):
-        return hvp(full_grad, params.flat, h, cfg.fd_step)
+        return hvp(lambda x: grad_on(full_idx, x), params.flat, h, cfg.fd_step)
 
     scale = cfg.scale
     if scale is None:
@@ -169,7 +163,6 @@ def lissa_ihvp(
         )
 
     estimates = []
-    norms = []
     for r in range(cfg.repeats):
         rep_rng = rng.child(f"repeat-{r}")
 
@@ -182,7 +175,6 @@ def lissa_ihvp(
 
         est = lissa_solve(apply, np.asarray(v, dtype=np.float64), cfg.lissa_depth, cfg.damping, scale)
         estimates.append(est)
-        norms.append(float(np.linalg.norm(est)))
     estimate = np.mean(estimates, axis=0)
     if float(np.linalg.norm(v)) > 0.0:
         residual = float(
@@ -192,7 +184,7 @@ def lissa_ihvp(
     else:
         residual = 0.0
     log.info("lissa: scale=%.4g residual=%.4g", scale, residual)
-    return IhvpResult(estimate, float(scale), residual, norms)
+    return IhvpResult(estimate, float(scale), residual)
 
 
 # --- influence -----------------------------------------------------------
@@ -237,14 +229,6 @@ class InfluenceReport:
     @property
     def harmful(self) -> list[tuple[int, int]]:
         return [s for s, v in zip(self.samples, self.values) if v > self.threshold]
-
-    def harmful_mask(self) -> np.ndarray:
-        return self.values > self.threshold
-
-
-def filter_harmful(report: InfluenceReport, threshold: float | None = None):
-    tau = report.threshold if threshold is None else threshold
-    return [s for s, v in zip(report.samples, report.values) if v > tau]
 
 
 def influence_report(

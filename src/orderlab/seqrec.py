@@ -14,7 +14,7 @@ import numpy as np
 from . import encoder
 from .errors import InvalidArgument
 from .numkit import SeededRng
-from .params import ParamVector, TrainConfig, run_training
+from .params import BlockModel, ParamVector, TrainConfig, run_training
 
 
 @dataclass
@@ -29,7 +29,7 @@ class ModelConfig:
             raise InvalidArgument("need vocab >= 2 and hidden >= 8")
 
 
-class SeqRecModel:
+class SeqRecModel(BlockModel):
     """Stateless model definition; parameters travel as ParamVector."""
 
     ARCH = "seqrec-gru/1"
@@ -44,43 +44,7 @@ class SeqRecModel:
             registry[f"enc.{name}"] = shape
         self.registry = registry
 
-    # -- parameters --------------------------------------------------------
-
-    def zero_params(self) -> ParamVector:
-        return ParamVector(self.registry)
-
-    def init_params(self, rng: SeededRng) -> ParamVector:
-        params = self.zero_params()
-        for name in params.block_names():
-            block = params.view(name)
-            if name.endswith("bias"):
-                continue
-            block[...] = rng.gen.normal(0.0, self.cfg.init_scale, size=block.shape)
-        return params
-
-    def _enc_weights(self, params: ParamVector) -> dict[str, np.ndarray]:
-        return {name: params.view(f"enc.{name}") for name in encoder.encoder_shapes(1, 1)}
-
     # -- forward / losses ----------------------------------------------------
-
-    def _check_items(self, seq: np.ndarray) -> np.ndarray:
-        arr = np.asarray(seq, dtype=np.int64)
-        if arr.ndim != 1:
-            raise InvalidArgument("item sequence must be 1-D")
-        if arr.size > self.cfg.max_len:
-            raise InvalidArgument(f"sequence length {arr.size} exceeds max {self.cfg.max_len}")
-        if arr.size and (arr.min() < 0 or arr.max() >= self.cfg.vocab):
-            raise InvalidArgument("item index outside the vocabulary")
-        return arr
-
-    def forward(self, params: ParamVector, seq) -> tuple[np.ndarray, np.ndarray]:
-        """Hidden states (T, d_h) and per-step logits (T, V) for one sequence."""
-        items = self._check_items(seq)
-        table = params.view("item_embeddings")
-        x = table[items][None, :, :]
-        states, _ = encoder.gru_forward(self._enc_weights(params), x)
-        logits = states[0] @ table.T
-        return states[0], logits
 
     def batch_states(self, params: ParamVector, seqs) -> tuple[np.ndarray, np.ndarray, dict]:
         """Padded batched forward: (states (B,T,d), items (B,T), cache)."""
@@ -88,8 +52,7 @@ class SeqRecModel:
         items, lengths = encoder.pad_sequences(checked)
         table = params.view("item_embeddings")
         x = table[items]
-        states, cache = encoder.gru_forward(self._enc_weights(params), x)
-        cache["items"] = items
+        states, cache = encoder.gru_forward(self._enc_weights(params, "enc"), x)
         cache["lengths"] = lengths
         return states, items, cache
 
@@ -111,7 +74,7 @@ class SeqRecModel:
             weights[i, : w.size] = w
         table = params.view("item_embeddings")
         loss, d_states, d_table = encoder.tied_next_item_loss(states, table, items, weights)
-        d_weights, d_x = encoder.gru_backward(self._enc_weights(params), cache, d_states)
+        d_weights, d_x = encoder.gru_backward(self._enc_weights(params, "enc"), cache, d_states)
         grad = self.zero_params()
         d_emb = grad.view("item_embeddings")
         d_emb += d_table
@@ -120,39 +83,20 @@ class SeqRecModel:
             grad.view(f"enc.{name}")[...] = val
         return loss, grad
 
-    def sequence_loss(self, params: ParamVector, seq, exclude_targets=None):
-        """Mean next-item loss over one sequence (exact gradient).
-
-        `exclude_targets` drops the terms whose target position (0-based
-        index into the sequence) is listed, keeping the original 1/(T-1)
-        term weight so exclusion removes exactly those terms from the
-        objective without reweighting the rest.
-        """
+    def sequence_loss(self, params: ParamVector, seq):
+        """Mean next-item loss over one sequence (exact gradient)."""
         items = self._check_items(seq)
         if items.size < 2:
             raise InvalidArgument("sequence_loss needs length >= 2")
         w = np.full(items.size - 1, 1.0 / (items.size - 1))
-        if exclude_targets:
-            for pos in exclude_targets:
-                if 1 <= pos < items.size:
-                    w[pos - 1] = 0.0
         return self.batch_term_loss(params, [items], [w])
 
     def sample_term_loss(self, params: ParamVector, prefix, target: int):
         """The single cross-entropy term predicting `target` after `prefix`."""
-        prefix = self._check_items(prefix)
-        if prefix.size < 1:
-            raise InvalidArgument("sample_term_loss needs a non-empty prefix")
-        seq = np.append(prefix, np.int64(target))
+        seq = np.append(self._check_items(prefix), np.int64(target))
         w = np.zeros(seq.size - 1)
         w[-1] = 1.0
         return self.batch_term_loss(params, [seq], [w])
-
-    def next_item_dist(self, params: ParamVector, prefix) -> np.ndarray:
-        """softmax of the last step's logits over the full vocabulary."""
-        states, _ = self.forward(params, prefix)
-        table = params.view("item_embeddings")
-        return encoder.next_step_probs(states[-1:, :], table)[0]
 
     def final_states(self, params: ParamVector, seqs) -> np.ndarray:
         """Last hidden state per sequence, batched (B, d_h)."""

@@ -86,18 +86,23 @@ class TestBuildCorpus:
         seq = [corpus.item_ids[i] for i in corpus.sequences[0]]
         assert seq == ["i5", "i0", "i1", "i2", "i3", "i4"]
 
-    def test_reindex_bijection(self, small_synth):
-        corpus = small_synth[0]
-        index = corpus.item_index()
-        for dense, ext in enumerate(corpus.item_ids):
-            assert index[ext] == dense
-        uindex = corpus.user_index()
-        for dense, ext in enumerate(corpus.user_ids):
-            assert uindex[ext] == dense
+    def test_reindex_bijection(self):
+        raw = dense_raw()
+        corpus = build_corpus(raw, min_user=5, min_item=5)
+        assert len(set(corpus.item_ids)) == corpus.n_items == 8
+        assert len(set(corpus.user_ids)) == corpus.n_users == 6
+        for user, seq in zip(corpus.user_ids, corpus.sequences):
+            expected = [item for u, item, _ in raw if u == user]
+            assert [corpus.item_ids[i] for i in seq] == expected
 
     def test_idempotent_on_own_output(self):
         corpus = build_corpus(dense_raw(), min_user=5, min_item=5)
-        again = build_corpus(corpus.to_raw(), min_user=5, min_item=5)
+        records = [
+            (u, corpus.item_ids[int(it)], t)
+            for u, seq in zip(corpus.user_ids, corpus.sequences)
+            for t, it in enumerate(seq)
+        ]
+        again = build_corpus(records, min_user=5, min_item=5)
         assert again.user_ids == corpus.user_ids
         assert again.item_ids == corpus.item_ids
         for a, b in zip(again.sequences, corpus.sequences):
@@ -106,7 +111,8 @@ class TestBuildCorpus:
     def test_bigram_rows_are_distributions(self, small_synth):
         corpus = small_synth[0]
         for i in [0, 3, corpus.n_items - 1]:
-            assert abs(corpus.bigram_row(i).sum() - 1.0) < 1e-9
+            row = [np.exp(corpus.bigram_logprob(i, j)) for j in range(corpus.n_items)]
+            assert abs(sum(row) - 1.0) < 1e-9
 
     def test_stats_from_train_prefix_only(self):
         # the held-out validation/test items never enter counts or bigrams

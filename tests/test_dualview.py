@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from orderlab.detector import features
 from orderlab.dualview import DualViewConfig, DualViewModel, LossConfig, contrastive_loss
+from orderlab.encoder import next_step_probs
 from orderlab.errors import DegenerateVector, InvalidArgument
 from orderlab.numkit import SeededRng, fd_gradient_check
 from orderlab.params import ParamVector, TrainConfig
+
+from conftest import toy_corpus
 
 
 def tiny_dualview(vocab=10, sem_dim=12, hidden=8, seed=3, scale=0.3):
@@ -23,16 +27,11 @@ def tiny_dualview(vocab=10, sem_dim=12, hidden=8, seed=3, scale=0.3):
 class TestRegistry:
     def test_encoder_blocks_disjoint(self):
         model, params = tiny_dualview()
-        slices = [
-            params.slice_of(name)
-            for name in model.registry
-            if name.startswith(("sem_enc.", "collab_enc."))
-        ]
-        seen = set()
-        for s in slices:
-            span = set(range(s.start, s.stop))
-            assert not span & seen
-            seen |= span
+        names = [n for n in model.registry if n.startswith(("sem_enc.", "collab_enc."))]
+        for k, name in enumerate(names):
+            params.view(name)[...] = k
+        for k, name in enumerate(names):
+            np.testing.assert_array_equal(params.view(name), k)
 
     def test_views_partition_flat(self):
         model, params = tiny_dualview()
@@ -117,6 +116,12 @@ class TestJointLoss:
         assert np.abs(grad.view("adapter_hidden_w")).max() > 0
 
 
+def view_states(model, params, view, seq):
+    """One view's hidden states (T, d) and next-step distributions (T-1, V) of one sequence."""
+    states, _, _, table, _ = model.batch_view_states(params, view, [seq])
+    return states[0], next_step_probs(states[0, :-1], table)
+
+
 class TestEncode:
     def test_view_symmetry_bitwise(self):
         model, params = tiny_dualview()
@@ -130,38 +135,42 @@ class TestEncode:
                 twin = "collab_enc." + name.split(".", 1)[1]
                 params.view(twin)[...] = params.view(name)
         seq = np.array([0, 4, 2, 7, 1])
-        reps_s, dists_s = model.encode(params, "semantic", seq)
-        reps_c, dists_c = model.encode(params, "collaborative", seq)
+        reps_s, dists_s = view_states(model, params, "semantic", seq)
+        reps_c, dists_c = view_states(model, params, "collaborative", seq)
         np.testing.assert_array_equal(reps_s, reps_c)
         np.testing.assert_array_equal(dists_s, dists_c)
 
     def test_first_position_uniform(self):
+        # no prefix predicts position 0: the detector gives both views the
+        # uniform distribution there, so their divergence is exactly zero
         model, params = tiny_dualview()
-        _, dists = model.encode(params, "semantic", np.array([3, 1, 2]))
-        np.testing.assert_allclose(dists[0], 1.0 / model.cfg.vocab)
+        corpus = toy_corpus([[3, 1, 2, 5, 0]], n_items=model.cfg.vocab)
+        feats, _, positions = features(model, params, corpus)
+        assert positions[0] == 0 and feats[0, 0] == 0.0
+        assert (feats[1:, 0] > 0.0).all()
 
     def test_causality(self):
         model, params = tiny_dualview()
         a = np.array([1, 2, 3, 4, 5])
         b = a.copy()
         b[4] = 0
-        reps_a, dists_a = model.encode(params, "collaborative", a)
-        reps_b, dists_b = model.encode(params, "collaborative", b)
+        reps_a, dists_a = view_states(model, params, "collaborative", a)
+        reps_b, dists_b = view_states(model, params, "collaborative", b)
         np.testing.assert_array_equal(reps_a[:4], reps_b[:4])
-        np.testing.assert_array_equal(dists_a[:5], dists_b[:5])
+        np.testing.assert_array_equal(dists_a, dists_b)
 
     def test_zero_encoder_params_uniform(self):
         model, params = tiny_dualview()
         for name in model.registry:
             if name.startswith("sem_enc."):
                 params.view(name)[...] = 0.0
-        _, dists = model.encode(params, "semantic", np.array([1, 2, 3]))
+        _, dists = view_states(model, params, "semantic", np.array([1, 2, 3]))
         np.testing.assert_allclose(dists, 1.0 / model.cfg.vocab)
 
     def test_bad_view(self):
         model, params = tiny_dualview()
         with pytest.raises(InvalidArgument):
-            model.encode(params, "hybrid", np.array([1]))
+            model.batch_view_states(params, "hybrid", [np.array([1])])
 
 
 class TestContrastive:

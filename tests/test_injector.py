@@ -27,6 +27,10 @@ def two_category_semantics(n_items):
     return synth_semantics(cats, 16, 0.0, SeededRng(4)), cats
 
 
+def planned_positions(plan):
+    return [(user, p) for user, ops in plan.ops.items() for op in ops for p in op.positions]
+
+
 class TestPlanAllocation:
     def test_position_fraction(self, small_synth):
         corpus, _, _ = small_synth
@@ -39,7 +43,8 @@ class TestPlanAllocation:
     def test_exclusivity(self, small_synth):
         corpus, _, _ = small_synth
         plan = plan_allocation(corpus, InjectionConfig(0.5, 0.5), SeededRng(9))
-        plan.position_types()  # raises if any position planned twice
+        planned = planned_positions(plan)
+        assert len(planned) == len(set(planned)) == plan.size()
 
     def test_saturation(self, small_synth):
         corpus, _, _ = small_synth
@@ -52,7 +57,7 @@ class TestPlanAllocation:
     def test_position_zero_never_planned(self, small_synth):
         corpus, _, _ = small_synth
         plan = plan_allocation(corpus, InjectionConfig(0.6, 0.6), SeededRng(11))
-        assert all(p >= 1 for (_, p) in plan.position_types())
+        assert all(p >= 1 for (_, p) in planned_positions(plan))
 
     def test_bad_knobs(self, small_synth):
         corpus, _, _ = small_synth

@@ -6,9 +6,9 @@ from orderlab.numkit import SeededRng
 from orderlab.params import ParamVector, TrainConfig
 from orderlab.rectifier import (
     InfluenceConfig,
+    InfluenceReport,
     RectifyConfig,
     estimate_scale,
-    filter_harmful,
     hvp,
     influence_report,
     influence_values,
@@ -134,17 +134,13 @@ class TestInfluenceAlgebra:
         )
 
     def test_filter_harmful(self):
-        class R:
-            samples = [(0, 1), (0, 2), (1, 3)]
-            values = np.array([0.5, -0.2, 0.0])
-            threshold = 0.0
-
-        assert filter_harmful(R) == [(0, 1)]
-        R.values = np.array([-1.0, -0.5, -0.1])
-        assert filter_harmful(R) == []
-        R.samples = []
-        R.values = np.array([])
-        assert filter_harmful(R) == []
+        values = np.array([0.5, -0.2, 0.0])
+        report = InfluenceReport([(0, 1), (0, 2), (1, 3)], values, 0.0, 1.0, 0.0, 1.0)
+        assert report.harmful == [(0, 1)]
+        report.values = np.array([-1.0, -0.5, -0.1])
+        assert report.harmful == []
+        report.samples, report.values = [], np.array([])
+        assert report.harmful == []
 
 
 class TestValidationGradient:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from orderlab.checkpoint import load_checkpoint, save_checkpoint
+from orderlab.encoder import next_step_probs
 from orderlab.errors import FormatError, InvalidArgument
 from orderlab.numkit import SeededRng, fd_gradient_check
 from orderlab.params import ParamVector, TrainConfig
@@ -14,15 +15,20 @@ def tiny_model(vocab=12, hidden=8, scale=0.3, seed=3):
     return model, params
 
 
+def last_step_dist(model, params, prefix):
+    """The next-item distribution after `prefix`, as evaluation scores it."""
+    final = model.final_states(params, [np.asarray(prefix)])
+    return next_step_probs(final, params.view("item_embeddings"))[0]
+
+
 class TestForward:
     def test_zero_params_uniform(self):
         model, _ = tiny_model()
         zero = model.zero_params()
         seq = np.array([0, 1, 2, 3])
-        _, logits = model.forward(zero, seq)
-        np.testing.assert_array_equal(logits, 0.0)
-        dist = model.next_item_dist(zero, seq)
-        np.testing.assert_allclose(dist, 1.0 / 12, atol=1e-15)
+        states, _, _ = model.batch_states(zero, [seq])
+        np.testing.assert_array_equal(states @ zero.view("item_embeddings").T, 0.0)
+        np.testing.assert_allclose(last_step_dist(model, zero, seq), 1.0 / 12, atol=1e-15)
         loss, _ = model.sequence_loss(zero, seq)
         assert loss == pytest.approx(np.log(12), abs=1e-12)
 
@@ -31,20 +37,24 @@ class TestForward:
         a = np.array([1, 2, 3, 4, 5])
         b = a.copy()
         b[3] = 9  # perturb a later input
-        states_a, _ = model.forward(params, a)
-        states_b, _ = model.forward(params, b)
-        np.testing.assert_array_equal(states_a[:3], states_b[:3])
-        assert not np.allclose(states_a[3:], states_b[3:])
+        states, _, _ = model.batch_states(params, [a, b])
+        np.testing.assert_array_equal(states[0, :3], states[1, :3])
+        assert not np.allclose(states[0, 3:], states[1, 3:])
 
     def test_out_of_vocab(self):
         model, params = tiny_model()
         with pytest.raises(InvalidArgument):
-            model.forward(params, [0, 99])
+            model.batch_states(params, [[0, 99]])
+
+    def test_empty_rejected(self):
+        model, params = tiny_model()
+        with pytest.raises(InvalidArgument):
+            model.batch_states(params, [[]])
 
     def test_too_long(self):
         model, params = tiny_model()
         with pytest.raises(InvalidArgument):
-            model.forward(params, np.zeros(65, dtype=np.int64))
+            model.batch_states(params, [np.zeros(65, dtype=np.int64)])
 
 
 class TestGradients:
@@ -94,12 +104,14 @@ class TestGradients:
         assert total == pytest.approx(sum(terms) / (len(seq) - 1), abs=1e-12)
 
     def test_exclusion_zeroes_one_term(self):
+        # one sequence in one batch: the epoch loss is the objective at the input
         model, params = tiny_model()
         seq = np.array([1, 4, 2, 7, 3, 0])
+        cfg = TrainConfig(epochs=1, early_stop=False)
         full, _ = model.sequence_loss(params, seq)
-        excl, _ = model.sequence_loss(params, seq, exclude_targets={3})
+        _, excl = model.train(params, [seq], cfg, SeededRng(1), exclude={0: {3}})
         term, _ = model.sample_term_loss(params, seq[:3], int(seq[3]))
-        assert excl == pytest.approx(full - term / (len(seq) - 1), abs=1e-12)
+        assert excl[0] == pytest.approx(full - term / (len(seq) - 1), abs=1e-12)
 
     def test_mean_invariance_under_duplication(self):
         model, params = tiny_model()
@@ -146,7 +158,7 @@ class TestTraining:
         trained, _ = model.train(
             params, seqs, TrainConfig(epochs=150, batch_size=8, early_stop=False), SeededRng(10)
         )
-        dist = model.next_item_dist(trained, np.array([0, 1, 0]))
+        dist = last_step_dist(model, trained, [0, 1, 0])
         assert dist[1] > 0.9
 
 
