@@ -42,25 +42,13 @@ class SeededRng:
         return f"SeededRng(seed={self.seed}, path={tuple(self._seq.spawn_key)})"
 
 
-def _complement_direction(components: list[np.ndarray], dim: int) -> np.ndarray:
-    # deterministic unit vector orthogonal to all found components
-    for j in range(dim):
-        v = np.zeros(dim)
-        v[j] = 1.0
-        for c in components:
-            v -= (v @ c) * c
-        n = np.linalg.norm(v)
-        if n > 1e-6:
-            return v / n
-    raise NumericalFailure("no orthogonal complement direction found")
-
-
-def pca_fit(data, r: int, tol: float = 1e-9, max_iter: int = 1000):
-    """Top-r principal components of the sample covariance by power iteration.
+def pca_fit(data, r: int):
+    """Top-r principal components of the sample covariance, by `np.linalg.eigh`.
 
     Returns (components, explained_variance); components has shape (d, r),
-    one orthonormal column per component, variances non-increasing. The
-    largest-magnitude entry of each component is made positive.
+    one orthonormal column per component, variances non-increasing and
+    clipped at zero. The largest-magnitude entry of each component is made
+    positive.
     """
     x = np.asarray(data, dtype=np.float64)
     if x.ndim != 2:
@@ -72,55 +60,11 @@ def pca_fit(data, r: int, tol: float = 1e-9, max_iter: int = 1000):
         raise InvalidArgument(f"r={r} out of range [1, {min(n - 1, d)}]")
     xc = x - x.mean(axis=0)
     cov = (xc.T @ xc) / (n - 1)
-    scale = max(float(np.trace(cov)), np.finfo(np.float64).tiny)
-
-    # fixed start-vector stream so the fit is deterministic for a given input
-    start = np.random.Generator(np.random.PCG64(0x5EEDED))
-    deflated = cov.copy()
-    comps: list[np.ndarray] = []
-    variances: list[float] = []
-    for _ in range(r):
-        v = start.standard_normal(d)
-        v /= np.linalg.norm(v)
-        converged = False
-        for _ in range(max_iter):
-            w = deflated @ v
-            nw = float(np.linalg.norm(w))
-            if nw <= scale * 1e-14:
-                # remaining variance is numerically zero: any orthogonal
-                # direction completes the basis with eigenvalue 0
-                v = _complement_direction(comps, d)
-                converged = True
-                break
-            w /= nw
-            if float(w @ v) < 0.0:
-                w = -w
-            delta = float(np.max(np.abs(w - v)))
-            v = w
-            if delta < tol:
-                converged = True
-                break
-        if not converged:
-            raise NumericalFailure(
-                f"power iteration did not converge within {max_iter} iterations "
-                f"(component {len(comps) + 1} of {r})"
-            )
-        # re-orthogonalize against earlier components to stop rounding drift
-        for c in comps:
-            v -= (v @ c) * c
-        v /= np.linalg.norm(v)
-        lam = max(float(v @ cov @ v), 0.0)
-        k = int(np.argmax(np.abs(v)))
-        if v[k] < 0.0:
-            v = -v
-        comps.append(v)
-        variances.append(lam)
-        deflated -= lam * np.outer(v, v)
-
-    order = np.argsort(-np.asarray(variances), kind="stable")
-    components = np.stack([comps[i] for i in order], axis=1)
-    explained = np.asarray([variances[i] for i in order])
-    return components, explained
+    variances, vectors = np.linalg.eigh(cov)  # ascending
+    components = vectors[:, ::-1][:, :r]
+    peak = components[np.argmax(np.abs(components), axis=0), np.arange(r)]
+    components = components * np.where(peak < 0.0, -1.0, 1.0)
+    return components, np.maximum(variances[::-1][:r], 0.0)
 
 
 def pca_project(data, components) -> np.ndarray:

@@ -117,17 +117,15 @@ def synth_semantics(
     return SemanticTable(rows, source=f"synth:c{n_cats}-d{dim}")
 
 
-def reduce(table: SemanticTable, d_h: int, max_iter: int = 20000) -> np.ndarray:
+def reduce(table: SemanticTable, d_h: int) -> np.ndarray:
     """Project embeddings onto their top d_h principal components.
 
     The output has one row per item and d_h columns, matching the hidden
-    width the collaborative fusion expects. max_iter is raised well above
-    the power-iteration default because the trailing components of noisy
-    embeddings have slowly separating eigenvalues.
+    width the collaborative fusion expects.
     """
     if d_h > min(table.n_items - 1, table.dim):
         raise InvalidArgument(
             f"cannot keep {d_h} components of a {table.n_items}x{table.dim} table"
         )
-    components, _ = pca_fit(table.embeddings, d_h, max_iter=max_iter)
+    components, _ = pca_fit(table.embeddings, d_h)
     return pca_project(table.embeddings, components)

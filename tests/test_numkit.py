@@ -162,6 +162,19 @@ class TestPca:
             k = np.argmax(np.abs(comps[:, j]))
             assert comps[k, j] > 0
 
+    def test_near_tied_top_eigenvalues(self):
+        # exact covariance Q diag(lam) Q^T whose top two eigenvalues differ by 1e-4:
+        # power iteration needs ~1e5 steps to separate them, eigh is exact
+        gen = SeededRng(19).gen
+        lam = np.array([1.0, 0.9999, 0.5, 0.2, 0.1, 0.05])
+        q, _ = np.linalg.qr(gen.standard_normal((6, 6)))
+        x = gen.standard_normal((200, 6))
+        white, _ = np.linalg.qr(x - x.mean(axis=0))  # centered, orthonormal columns
+        data = (white * np.sqrt(199 * lam)) @ q.T
+        comps, ev = pca_fit(data, 3)
+        np.testing.assert_allclose(ev, lam[:3], rtol=1e-9)
+        np.testing.assert_allclose(np.abs(comps.T @ q[:, :3]), np.eye(3), atol=1e-6)
+
     def test_r_out_of_range(self):
         data = np.eye(3)
         with pytest.raises(InvalidArgument):
