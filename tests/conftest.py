@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from orderlab.corpus import Corpus, SynthConfig, synth_corpus
+from orderlab.dualview import DualViewConfig, DualViewModel
 from orderlab.numkit import SeededRng
 from orderlab.semantics import synth_semantics
 
@@ -26,3 +27,16 @@ def toy_corpus(sequences, n_items):
     users = [f"u{i}" for i in range(len(sequences))]
     items = [f"i{j}" for j in range(n_items)]
     return Corpus(users, [np.asarray(s, dtype=np.int64) for s in sequences], items)
+
+
+def tiny_dualview(vocab=10, sem_dim=12, hidden=8, seed=3, scale=0.3):
+    gen = SeededRng(seed).gen
+    sem = gen.standard_normal((vocab, sem_dim))
+    reduced = gen.standard_normal((vocab, hidden))
+    model = DualViewModel(
+        DualViewConfig(vocab=vocab, sem_dim=sem_dim, hidden=hidden, max_len=64, init_scale=scale),
+        sem,
+        reduced,
+    )
+    params = model.init_params(SeededRng(seed + 1))
+    return model, params

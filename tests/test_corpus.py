@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,6 +115,31 @@ class TestBuildCorpus:
         for i in [0, 3, corpus.n_items - 1]:
             row = [np.exp(corpus.bigram_logprob(i, j)) for j in range(corpus.n_items)]
             assert abs(sum(row) - 1.0) < 1e-9
+
+    def test_stats_equal_counter_reference(self, small_synth):
+        corpus = small_synth[0]
+        v = corpus.n_items
+        items, pairs, outgoing = Counter(), Counter(), Counter()
+        for seq in corpus.sequences:
+            prefix = [int(i) for i in seq[:-2]]
+            items.update(prefix)
+            pairs.update(zip(prefix[:-1], prefix[1:]))
+            outgoing.update(prefix[:-1])
+        np.testing.assert_array_equal(corpus.counts, [items[i] for i in range(v)])
+        np.testing.assert_array_equal(corpus.bigram_totals, [outgoing[i] for i in range(v)])
+        got = [corpus.bigram_logprob(i, j) for i in range(v) for j in range(v)]
+        expected = [
+            np.log(pairs[i, j] + 1) - np.log(outgoing[i] + v) for i in range(v) for j in range(v)
+        ]
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
+
+    def test_no_transitions(self):
+        # every train prefix has length <= 1: no pair is counted
+        corpus = toy_corpus([[0, 1, 2], [3, 4, 5], [1, 2]], n_items=6)
+        np.testing.assert_array_equal(corpus.counts, [1, 0, 0, 1, 0, 0])
+        np.testing.assert_array_equal(corpus.bigram_totals, 0)
+        assert corpus.bigram_logprob(0, 3) == pytest.approx(-np.log(6), rel=1e-15)
+        assert corpus.bigram_logprob(5, 5) == pytest.approx(-np.log(6), rel=1e-15)
 
     def test_stats_from_train_prefix_only(self):
         # the held-out validation/test items never enter counts or bigrams

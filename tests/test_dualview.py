@@ -8,20 +8,7 @@ from orderlab.errors import DegenerateVector, InvalidArgument
 from orderlab.numkit import SeededRng, fd_gradient_check
 from orderlab.params import ParamVector, TrainConfig
 
-from conftest import toy_corpus
-
-
-def tiny_dualview(vocab=10, sem_dim=12, hidden=8, seed=3, scale=0.3):
-    gen = SeededRng(seed).gen
-    sem = gen.standard_normal((vocab, sem_dim))
-    reduced = gen.standard_normal((vocab, hidden))
-    model = DualViewModel(
-        DualViewConfig(vocab=vocab, sem_dim=sem_dim, hidden=hidden, max_len=64, init_scale=scale),
-        sem,
-        reduced,
-    )
-    params = model.init_params(SeededRng(seed + 1))
-    return model, params
+from conftest import tiny_dualview, toy_corpus
 
 
 class TestRegistry:
