@@ -5,12 +5,16 @@ vocabulary, plus the popularity and bigram-transition statistics the
 detector consumes. Statistics are computed from leave-one-out train
 prefixes only (the last two positions of every sequence are held out), so
 validation/test targets never leak into detection features.
+
+Transition counts are stored as arrays: every observed pair (i, j) is the
+integer key i * V + j, kept sorted with its count, and a transition
+probability is looked up by binary search. `Corpus.bigram_logprob` works
+elementwise, so a whole batch of transitions is scored in one call.
 """
 from __future__ import annotations
 
 import json
 import logging
-import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -31,8 +35,10 @@ class Corpus:
     sequences: list[np.ndarray]  # dense item indices, chronological
     item_ids: list[str]
     counts: np.ndarray = field(default=None, repr=False)  # train-prefix popularity
-    bigram: dict = field(default=None, repr=False)  # i -> {j: transition count}
-    bigram_totals: np.ndarray = field(default=None, repr=False)
+    # sorted pair keys i * V + j, ending in the sentinel V * V with count 0
+    bigram_keys: np.ndarray = field(default=None, repr=False)
+    bigram_counts: np.ndarray = field(default=None, repr=False)
+    bigram_totals: np.ndarray = field(default=None, repr=False)  # transitions out of i
 
     def __post_init__(self):
         if self.counts is None:
@@ -56,25 +62,26 @@ class Corpus:
 
     def _recompute_stats(self) -> None:
         v = self.n_items
-        counts = np.zeros(v, dtype=np.int64)
-        bigram: dict[int, dict[int, int]] = {}
-        totals = np.zeros(v, dtype=np.int64)
-        for seq in self.sequences:
-            prefix = seq[:-2]
-            if prefix.size:
-                np.add.at(counts, prefix, 1)
-            for a, b in zip(prefix[:-1], prefix[1:]):
-                row = bigram.setdefault(int(a), {})
-                row[int(b)] = row.get(int(b), 0) + 1
-                totals[a] += 1
-        self.counts = counts
-        self.bigram = bigram
-        self.bigram_totals = totals
+        lengths = np.fromiter(map(len, self.sequences), np.int64, self.n_users)
+        flat = np.concatenate(self.sequences)
+        pos = np.arange(flat.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        in_prefix = pos < np.repeat(lengths - 2, lengths)
+        # a pair ends at every prefix item that has a predecessor in the same prefix
+        ends = in_prefix[1:] & (pos[1:] > 0)
+        pair_keys = flat[:-1][ends] * v + flat[1:][ends]
+        keys, pair_counts = np.unique(pair_keys, return_counts=True)
+        self.counts = np.bincount(flat[in_prefix], minlength=v)
+        self.bigram_keys = np.append(keys, v * v)
+        self.bigram_counts = np.append(pair_counts, 0)
+        self.bigram_totals = np.bincount(pair_keys // v, minlength=v)
 
-    def bigram_logprob(self, i: int, j: int) -> float:
-        """Laplace-smoothed transition log-probability log P(j | i)."""
-        cnt = self.bigram.get(int(i), {}).get(int(j), 0)
-        return math.log(cnt + 1) - math.log(int(self.bigram_totals[i]) + self.n_items)
+    def bigram_logprob(self, i, j):
+        """Laplace-smoothed transition log-probability log P(j | i), elementwise."""
+        i = np.asarray(i, dtype=np.int64)
+        key = i * self.n_items + np.asarray(j, dtype=np.int64)
+        at = np.searchsorted(self.bigram_keys, key)
+        cnt = np.where(self.bigram_keys[at] == key, self.bigram_counts[at], 0)
+        return np.log(cnt + 1) - np.log(self.bigram_totals[i] + self.n_items)
 
     def with_sequences(self, sequences: list[np.ndarray]) -> "Corpus":
         """Same vocabulary, new sequences, statistics recomputed."""

@@ -11,11 +11,17 @@ Four signals per train-prefix position k:
                       transitions into and out of position k (one-sided at
                       sequence edges).
 
+Features are computed for a batch of users at once from the padded item
+matrix the dual-view encoder returns: popularity deviation from masked row
+moments, context disruption from one elementwise `Corpus.bigram_logprob`
+call over every transition of the batch. No Python loop runs per user or
+per position.
+
 Signals are z-normalized over all scored positions, combined by a weight
-vector, temporally smoothed, and thresholded. Weights and the threshold
-are fitted on a calibration slice carrying a secondary injection with
-known labels; without calibration the detector falls back to uniform
-weights and a percentile threshold.
+vector, smoothed over each user's neighbouring positions, and
+thresholded. Weights and the threshold are fitted on a calibration slice
+carrying a secondary injection with known labels; without calibration the
+detector falls back to uniform weights and a percentile threshold.
 """
 from __future__ import annotations
 
@@ -164,11 +170,9 @@ def features(
     positions: list[np.ndarray] = []
     for start in range(0, len(prefixes), batch_users):
         batch = prefixes[start : start + batch_users]
-        if not batch:
-            continue
         states, probs = [], []
         for view in ENCODERS:
-            view_states, _, lengths, table, _ = model.batch_view_states(
+            view_states, items, lengths, table, _ = model.batch_view_states(
                 params, view, batch, tables=tables
             )
             # no prefix predicts position 0: both views call it uniform
@@ -179,40 +183,34 @@ def features(
         jsd = _jsd_rows(*probs)
         disagreement = (1.0 - _cosine_rows(*states)) / 2.0
 
-        for j, seq in enumerate(batch):
-            ln = int(lengths[j])
-            x = log_pop[seq]
-            mu = float(x.mean())
-            sigma = float(x.std())
-            pop_dev = np.abs(x - mu) / (sigma + 1e-8)
+        valid = np.arange(items.shape[1]) < lengths[:, None]
+        x = log_pop[items]
+        mu = x.mean(axis=1, where=valid, keepdims=True)
+        sigma = x.std(axis=1, where=valid, keepdims=True)
+        pop_dev = np.abs(x - mu) / (sigma + 1e-8)
 
-            context = np.empty(ln)
-            for k in range(ln):
-                terms = []
-                if k >= 1:
-                    terms.append(corpus.bigram_logprob(seq[k - 1], seq[k]))
-                if k <= ln - 2:
-                    terms.append(corpus.bigram_logprob(seq[k], seq[k + 1]))
-                context[k] = -float(np.mean(terms)) if terms else 0.0
+        # terms[:, k] is -log P of the step from k-1 into k; both ends stay 0
+        step = valid[:, 1:]
+        terms = np.zeros((len(batch), items.shape[1] + 1))
+        terms[:, 1:-1][step] = -corpus.bigram_logprob(items[:, :-1][step], items[:, 1:][step])
+        n_terms = np.zeros(terms.shape)
+        n_terms[:, 1:-1] = step
+        context = (terms[:, :-1] + terms[:, 1:]) / np.maximum(n_terms[:, :-1] + n_terms[:, 1:], 1)
 
-            row = np.column_stack(
-                [jsd[j, :ln], disagreement[j, :ln], pop_dev, context]
-            )
-            feats.append(row)
-            users.append(np.full(ln, start + j, dtype=np.int64))
-            positions.append(np.arange(ln, dtype=np.int64))
+        rows, cols = np.nonzero(valid)
+        feats.append(np.stack([jsd, disagreement, pop_dev, context], axis=-1)[valid])
+        users.append(start + rows)
+        positions.append(cols)
     if not feats:
         raise InvalidArgument("no positions to score")
     return np.concatenate(feats), np.concatenate(users), np.concatenate(positions)
 
 
-def unified_score(feats: np.ndarray, weights, stats: FeatureStats | None = None) -> np.ndarray:
+def unified_score(feats: np.ndarray, weights, stats: FeatureStats) -> np.ndarray:
     """Weighted sum of z-normalized features."""
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (feats.shape[1],):
         raise InvalidArgument(f"need {feats.shape[1]} weights, got {w.shape}")
-    if stats is None:
-        stats = FeatureStats.fit(feats)
     return stats.apply(feats) @ w
 
 
@@ -247,29 +245,20 @@ def fit_weights(norm_feats: np.ndarray, labels: np.ndarray, cfg: DetectorConfig)
     return w / total
 
 
-def smooth(raw: np.ndarray, rho: float) -> np.ndarray:
-    """U(k) = (1-rho) u(k) + rho * mean(available neighbours)."""
+def smooth_by_user(raw: np.ndarray, users: np.ndarray, rho: float) -> np.ndarray:
+    """U(k) = (1-rho) u(k) + rho * mean of the neighbours k-1, k+1 of the same user.
+
+    Each user's positions are contiguous in `raw`; a user with a single
+    position keeps its raw score.
+    """
     if not (0.0 <= rho < 1.0):
         raise InvalidArgument("smoothing factor must lie in [0, 1)")
-    n = raw.size
-    if n <= 1 or rho == 0.0:
-        return raw.copy()
-    neighbor = np.empty(n)
-    neighbor[0] = raw[1]
-    neighbor[-1] = raw[-2]
-    if n > 2:
-        neighbor[1:-1] = 0.5 * (raw[:-2] + raw[2:])
-    return (1.0 - rho) * raw + rho * neighbor
-
-
-def smooth_by_user(raw: np.ndarray, users: np.ndarray, rho: float) -> np.ndarray:
-    out = np.empty_like(raw)
-    boundaries = np.flatnonzero(np.diff(users)) + 1
-    for lo, hi in zip(
-        np.concatenate([[0], boundaries]), np.concatenate([boundaries, [raw.size]])
-    ):
-        out[lo:hi] = smooth(raw[lo:hi], rho)
-    return out
+    same = users[1:] == users[:-1]
+    left = np.concatenate([[False], same])
+    right = np.concatenate([same, [False]])
+    before, after = np.roll(raw, 1), np.roll(raw, -1)
+    neighbour = np.where(left & right, (before + after) / 2, np.where(left, before, after))
+    return np.where(left | right, (1.0 - rho) * raw + rho * neighbour, raw)
 
 
 def fbeta(precision: float, recall: float, beta: float) -> float:

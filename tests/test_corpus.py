@@ -132,6 +132,8 @@ class TestBuildCorpus:
             np.log(pairs[i, j] + 1) - np.log(outgoing[i] + v) for i in range(v) for j in range(v)
         ]
         np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
+        i, j = np.divmod(np.arange(v * v), v)
+        np.testing.assert_array_equal(corpus.bigram_logprob(i, j), got)  # elementwise
 
     def test_no_transitions(self):
         # every train prefix has length <= 1: no pair is counted
