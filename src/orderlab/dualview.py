@@ -46,12 +46,11 @@ class LossConfig:
     view_blend: float = 0.5  # weight of the semantic view's recommendation loss
     contrastive_weight: float = 0.1
     temperature: float = 0.1
-    batch_size: int = 32
 
     def validate(self) -> None:
         if not (0.0 <= self.view_blend <= 1.0):
             raise InvalidArgument("view_blend must lie in [0, 1]")
-        if self.contrastive_weight < 0.0 or self.temperature <= 0.0 or self.batch_size < 1:
+        if self.contrastive_weight < 0.0 or self.temperature <= 0.0:
             raise InvalidArgument("bad loss config")
 
 

@@ -259,11 +259,9 @@ class Pipeline:
         def fit():
             init = model.init_params(self.root.child("dualview-init"))
             prefixes = [corpus.train_prefix(u) for u in range(corpus.n_users)]
-            train_cfg = dataclasses.replace(
-                cfg.dualview_train, batch_size=cfg.dualview_loss.batch_size
-            )
             params, trace = model.train(
-                init, prefixes, cfg.dualview_loss, train_cfg, self.root.child("dualview-train")
+                init, prefixes, cfg.dualview_loss, cfg.dualview_train,
+                self.root.child("dualview-train"),
             )
             return params, {"trace": trace}
 

@@ -236,7 +236,7 @@ class TestTrainDualView:
         )
         params = model.init_params(SeededRng(2))
         prefixes = [corpus.train_prefix(u) for u in range(corpus.n_users)]
-        loss_cfg = LossConfig(batch_size=16)
+        loss_cfg = LossConfig()
         trained, trace = model.train(
             params, prefixes, loss_cfg, TrainConfig(epochs=3, batch_size=16, early_stop=False),
             SeededRng(3),
@@ -250,7 +250,7 @@ class TestTrainDualView:
         model, params = tiny_dualview()
         seqs = [SeededRng(4).gen.integers(0, 10, size=6) for _ in range(12)]
         cfg = TrainConfig(epochs=2, batch_size=4, early_stop=False)
-        a, ta = model.train(params, seqs, LossConfig(batch_size=4), cfg, SeededRng(9))
-        b, tb = model.train(params, seqs, LossConfig(batch_size=4), cfg, SeededRng(9))
+        a, ta = model.train(params, seqs, LossConfig(), cfg, SeededRng(9))
+        b, tb = model.train(params, seqs, LossConfig(), cfg, SeededRng(9))
         assert ta == tb
         np.testing.assert_array_equal(a.flat, b.flat)
