@@ -6,8 +6,10 @@ randomness from a fixed label off the root seed and keeps its results in
 files written atomically. On --resume a stage reloads a group of files
 when every file of the group exists, and otherwise recomputes and rewrites
 the group (`Pipeline.artifacts`); a resumed run therefore produces
-byte-identical reports. Wall-clock timings go to a separate timings.json,
-keeping metrics.json deterministic.
+byte-identical reports. A resume whose config differs from the saved
+config.json is refused, and a checkpoint of another architecture fails to
+load, so no stage reuses files computed under other settings. Wall-clock
+timings go to a separate timings.json, keeping metrics.json deterministic.
 
 The clean and poisoned target models share initialization and training
 randomness (labels "target-init"/"target-train"), so a zero-injection run
@@ -29,7 +31,7 @@ from .. import detector, injector, rectifier, semantics as semantics_mod
 from ..checkpoint import load_checkpoint, save_checkpoint
 from ..corpus import Corpus, build_corpus, leave_one_out, load_interactions, synth_corpus
 from ..dualview import DualViewConfig, DualViewModel
-from ..errors import InvalidArgument
+from ..errors import FormatError, InvalidArgument
 from ..numkit import SeededRng
 from ..params import ParamVector
 from ..seqrec import ModelConfig, SeqRecModel
@@ -89,10 +91,14 @@ def file_digest(path: str) -> str:
 
 def _checkpoint(model, config: dict):
     """Save/load pair of a model's parameters, with `config` in the file header."""
-    return (
-        lambda path, params: save_checkpoint(path, model.ARCH, config, params.flat),
-        lambda path: ParamVector(model.registry, load_checkpoint(path)[2]),
-    )
+
+    def load(path):
+        arch, _, flat = load_checkpoint(path)
+        if arch != model.ARCH:
+            raise FormatError(f"{path}: architecture {arch!r}, expected {model.ARCH!r}")
+        return ParamVector(model.registry, flat)
+
+    return lambda path, params: save_checkpoint(path, model.ARCH, config, params.flat), load
 
 
 JSON = (write_json, read_json)
@@ -436,7 +442,13 @@ class Pipeline:
     def run(self, stop_after: str = "final") -> dict:
         if stop_after not in STAGES:
             raise InvalidArgument(f"unknown stage {stop_after!r}")
-        self.cfg.save(self.path("config.json"))
+        config_path = self.path("config.json")
+        if self.resume and os.path.exists(config_path):
+            if read_json(config_path) != _jsonable(self.cfg.to_dict()):
+                raise InvalidArgument(
+                    f"{config_path} holds another config; resume with the config the run began with"
+                )
+        self.cfg.save(config_path)
         for name in STAGES:
             start = time.perf_counter()
             try:

@@ -3,7 +3,11 @@ import json
 
 import pytest
 
+from orderlab.checkpoint import load_checkpoint, save_checkpoint
+from orderlab.errors import FormatError
 from orderlab.harness.cli import main
+from orderlab.harness.pipeline import _checkpoint
+from orderlab.seqrec import ModelConfig, SeqRecModel
 
 TINY = {
     "seed": 3,
@@ -65,3 +69,23 @@ def test_cli_exit_codes(tmp_path, doc, code):
     out = tmp_path / "out"
     assert main(["synth", "--config", str(config), "--out", str(out)]) == code
     assert (out / "corpus_clean.json").exists() == (code == 0)
+
+
+def test_resume_with_another_config_is_refused(fresh, tmp_path):
+    _, out, _ = fresh
+    metrics = (out / "metrics.json").read_bytes()
+    changed = dict(TINY, target_train={"epochs": 5}, model={"hidden": 8, "init_scale": 0.3})
+    config = write_config(tmp_path / "changed.json", changed)
+    assert main(["pipeline", "--config", config, "--out", str(out), "--resume"]) == 2
+    assert (out / "metrics.json").read_bytes() == metrics
+    assert json.loads((out / "config.json").read_text())["target_train"]["epochs"] == 2
+
+
+def test_checkpoint_of_another_architecture_is_refused(tmp_path):
+    model = SeqRecModel(ModelConfig(vocab=5, hidden=8))
+    _, load = _checkpoint(model, {})
+    path = str(tmp_path / "other.ckpt")
+    save_checkpoint(path, "dualview-gru/1", {}, model.zero_params().flat)
+    assert load_checkpoint(path)[0] == "dualview-gru/1"
+    with pytest.raises(FormatError):
+        load(path)
