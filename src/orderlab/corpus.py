@@ -52,10 +52,6 @@ class Corpus:
     def n_items(self) -> int:
         return len(self.item_ids)
 
-    @property
-    def n_interactions(self) -> int:
-        return int(sum(len(s) for s in self.sequences))
-
     def train_prefix(self, user: int) -> np.ndarray:
         """Leave-one-out training portion: everything but the last two items."""
         return self.sequences[user][:-2]

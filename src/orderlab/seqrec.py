@@ -83,14 +83,6 @@ class SeqRecModel(BlockModel):
             grad.view(f"enc.{name}")[...] = val
         return loss, grad
 
-    def sequence_loss(self, params: ParamVector, seq):
-        """Mean next-item loss over one sequence (exact gradient)."""
-        items = self._check_items(seq)
-        if items.size < 2:
-            raise InvalidArgument("sequence_loss needs length >= 2")
-        w = np.full(items.size - 1, 1.0 / (items.size - 1))
-        return self.batch_term_loss(params, [items], [w])
-
     def sample_term_loss(self, params: ParamVector, prefix, target: int):
         """The single cross-entropy term predicting `target` after `prefix`."""
         seq = np.append(self._check_items(prefix), np.int64(target))

@@ -181,7 +181,7 @@ class TestLeaveOneOut:
     def test_conservation(self, small_synth):
         corpus = small_synth[0]
         split = leave_one_out(corpus)
-        assert sum(len(p) + 2 for p in split.prefixes) == corpus.n_interactions
+        assert sum(len(p) + 2 for p in split.prefixes) == sum(map(len, corpus.sequences))
 
 
 class TestSampleNegatives:

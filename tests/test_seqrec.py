@@ -15,6 +15,12 @@ def tiny_model(vocab=12, hidden=8, scale=0.3, seed=3):
     return model, params
 
 
+def sequence_loss(model, params, seq):
+    """Mean next-item loss over one sequence: uniform term weights on the batched path."""
+    seq = np.asarray(seq)
+    return model.batch_term_loss(params, [seq], [np.full(seq.size - 1, 1.0 / (seq.size - 1))])
+
+
 def last_step_dist(model, params, prefix):
     """The next-item distribution after `prefix`, as evaluation scores it."""
     final = model.final_states(params, [np.asarray(prefix)])
@@ -29,7 +35,7 @@ class TestForward:
         states, _, _ = model.batch_states(zero, [seq])
         np.testing.assert_array_equal(states @ zero.view("item_embeddings").T, 0.0)
         np.testing.assert_allclose(last_step_dist(model, zero, seq), 1.0 / 12, atol=1e-15)
-        loss, _ = model.sequence_loss(zero, seq)
+        loss, _ = sequence_loss(model, zero, seq)
         assert loss == pytest.approx(np.log(12), abs=1e-12)
 
     def test_causality(self):
@@ -68,10 +74,10 @@ class TestGradients:
             model = SeqRecModel(ModelConfig(vocab=vocab, hidden=8, max_len=50, init_scale=0.3))
             params = model.init_params(r.child("init"))
             seq = r.gen.integers(0, vocab, size=t_len)
-            _, grad = model.sequence_loss(params, seq)
+            _, grad = sequence_loss(model, params, seq)
 
             def f(x):
-                return model.sequence_loss(ParamVector(model.registry, x), seq)[0]
+                return sequence_loss(model, ParamVector(model.registry, x), seq)[0]
 
             worst = max(worst, fd_gradient_check(f, grad.flat, params.flat, 1e-5, directions=24))
         assert worst < 1e-4
@@ -80,7 +86,7 @@ class TestGradients:
         # absolute agreement on every coordinate of one fixed tiny config
         model, params = tiny_model(vocab=6, hidden=8, seed=11)
         seq = np.array([0, 3, 1, 5, 2])
-        _, grad = model.sequence_loss(params, seq)
+        _, grad = sequence_loss(model, params, seq)
         eps = 1e-5
         worst_abs = 0.0
         for i in range(params.size):
@@ -88,15 +94,15 @@ class TestGradients:
             xp[i] += eps
             xm = params.flat.copy()
             xm[i] -= eps
-            fp = model.sequence_loss(ParamVector(model.registry, xp), seq)[0]
-            fm = model.sequence_loss(ParamVector(model.registry, xm), seq)[0]
+            fp = sequence_loss(model, ParamVector(model.registry, xp), seq)[0]
+            fm = sequence_loss(model, ParamVector(model.registry, xm), seq)[0]
             worst_abs = max(worst_abs, abs((fp - fm) / (2 * eps) - grad.flat[i]))
         assert worst_abs < 1e-9
 
     def test_loss_decomposition(self):
         model, params = tiny_model()
         seq = np.array([1, 4, 2, 7, 3, 0])
-        total, _ = model.sequence_loss(params, seq)
+        total, _ = sequence_loss(model, params, seq)
         terms = [
             model.sample_term_loss(params, seq[:k], int(seq[k]))[0]
             for k in range(1, len(seq))
@@ -108,7 +114,7 @@ class TestGradients:
         model, params = tiny_model()
         seq = np.array([1, 4, 2, 7, 3, 0])
         cfg = TrainConfig(epochs=1, early_stop=False)
-        full, _ = model.sequence_loss(params, seq)
+        full, _ = sequence_loss(model, params, seq)
         _, excl = model.train(params, [seq], cfg, SeededRng(1), exclude={0: {3}})
         term, _ = model.sample_term_loss(params, seq[:3], int(seq[3]))
         assert excl[0] == pytest.approx(full - term / (len(seq) - 1), abs=1e-12)
