@@ -363,9 +363,19 @@ def _replan_swap(seq, p, q, taken, window):
 def inject(
     corpus: Corpus, semantics: SemanticTable, cfg: InjectionConfig, rng: SeededRng
 ) -> tuple[Corpus, FakeOrderManifest]:
-    """Plan and apply in one step (shared rng, deterministic)."""
+    """Plan and apply in one step (shared rng, deterministic).
+
+    Warns for each type that has a positive `type_mix` share but no planted
+    position, such as swaps when every budget is below two positions.
+    """
     plan = plan_allocation(corpus, cfg, rng.child("plan"))
-    return apply_plan(corpus, plan, semantics, cfg, rng.child("apply"))
+    compromised, manifest = apply_plan(corpus, plan, semantics, cfg, rng.child("apply"))
+    planted = {e.kind for e in manifest.entries}
+    for kind, share in zip(TYPES, cfg.type_mix):
+        if share > 0 and kind not in planted:
+            log.warning("type_mix gives %s a %.3g share, but no %s position was planted",
+                        kind, share, kind)
+    return compromised, manifest
 
 
 def restore(corpus: Corpus, manifest: FakeOrderManifest) -> Corpus:

@@ -212,6 +212,17 @@ class TestApplyPlan:
             assert abs(kinds.count(kind) / total - 1 / 3) < 0.15
             assert kinds.count(kind) / total > 0.15
 
+    def test_warns_for_a_type_that_planted_nothing(self, caplog):
+        # prefixes of 8 at intensity 0.25: a budget of 2 splits 1/1/0, no room for a swap
+        gen = SeededRng(6).gen
+        corpus = toy_corpus([gen.permutation(12)[:10] for _ in range(20)], n_items=12)
+        table, _ = two_category_semantics(12)
+        with caplog.at_level("WARNING", logger="orderlab.injector"):
+            _, manifest = inject(corpus, table, InjectionConfig(1.0, 0.25), SeededRng(8))
+        assert {e.kind for e in manifest.entries} == {"repetitive", "semantic"}
+        warned = [r.getMessage() for r in caplog.records if "was planted" in r.getMessage()]
+        assert len(warned) == 1 and "no sequential position" in warned[0]
+
     def test_manifest_json_roundtrip(self, tmp_path, small_synth):
         corpus, _, table = small_synth
         _, manifest = inject(corpus, table, InjectionConfig(0.3, 0.3), SeededRng(25))
