@@ -6,10 +6,10 @@ randomness from a fixed label off the root seed and keeps its results in
 files written atomically. On --resume a stage reloads a group of files
 when every file of the group exists, and otherwise recomputes and rewrites
 the group (`Pipeline.artifacts`); a resumed run therefore produces
-byte-identical reports. A resume whose config differs from the saved
-config.json is refused, and a checkpoint of another architecture fails to
-load, so no stage reuses files computed under other settings. Wall-clock
-timings go to a separate timings.json, keeping metrics.json deterministic.
+byte-identical reports. It refuses a config other than the saved
+config.json, and a checkpoint of another architecture fails to load.
+Wall-clock timings go to a separate timings.json, keeping metrics.json
+deterministic.
 
 The clean and poisoned target models share initialization and training
 randomness (labels "target-init"/"target-train"), so a zero-injection run
@@ -442,13 +442,10 @@ class Pipeline:
     def run(self, stop_after: str = "final") -> dict:
         if stop_after not in STAGES:
             raise InvalidArgument(f"unknown stage {stop_after!r}")
-        config_path = self.path("config.json")
-        if self.resume and os.path.exists(config_path):
-            if read_json(config_path) != _jsonable(self.cfg.to_dict()):
-                raise InvalidArgument(
-                    f"{config_path} holds another config; resume with the config the run began with"
-                )
-        self.cfg.save(config_path)
+        saved, current = self.path("config.json"), _jsonable(self.cfg.to_dict())
+        if self.resume and os.path.exists(saved) and read_json(saved) != current:
+            raise InvalidArgument(f"{saved} holds another config; resume needs the run's own")
+        self.cfg.save(saved)
         for name in STAGES:
             start = time.perf_counter()
             try:

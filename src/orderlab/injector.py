@@ -363,18 +363,14 @@ def _replan_swap(seq, p, q, taken, window):
 def inject(
     corpus: Corpus, semantics: SemanticTable, cfg: InjectionConfig, rng: SeededRng
 ) -> tuple[Corpus, FakeOrderManifest]:
-    """Plan and apply in one step (shared rng, deterministic).
-
-    Warns for each type that has a positive `type_mix` share but no planted
-    position, such as swaps when every budget is below two positions.
-    """
+    """Plan and apply in one step (shared rng, deterministic); warns for
+    each type with a positive `type_mix` share that planted no position."""
     plan = plan_allocation(corpus, cfg, rng.child("plan"))
     compromised, manifest = apply_plan(corpus, plan, semantics, cfg, rng.child("apply"))
     planted = {e.kind for e in manifest.entries}
     for kind, share in zip(TYPES, cfg.type_mix):
         if share > 0 and kind not in planted:
-            log.warning("type_mix gives %s a %.3g share, but no %s position was planted",
-                        kind, share, kind)
+            log.warning("type_mix gives %s a %.3g share, but none was planted", kind, share)
     return compromised, manifest
 
 

@@ -221,7 +221,7 @@ class TestApplyPlan:
             _, manifest = inject(corpus, table, InjectionConfig(1.0, 0.25), SeededRng(8))
         assert {e.kind for e in manifest.entries} == {"repetitive", "semantic"}
         warned = [r.getMessage() for r in caplog.records if "was planted" in r.getMessage()]
-        assert len(warned) == 1 and "no sequential position" in warned[0]
+        assert len(warned) == 1 and "gives sequential" in warned[0]
 
     def test_manifest_json_roundtrip(self, tmp_path, small_synth):
         corpus, _, table = small_synth
