@@ -53,6 +53,15 @@ class EvalConfig:
     negatives: int = 100
     ks: tuple[int, ...] = (10, 20)
 
+    def __post_init__(self):
+        if not isinstance(self.negatives, int) or self.negatives < 1:
+            raise InvalidArgument(f"eval.negatives must be an integer >= 1, got {self.negatives!r}")
+        if not isinstance(self.ks, (list, tuple)) or not self.ks or any(
+            not isinstance(k, int) or k < 1 for k in self.ks
+        ):
+            raise InvalidArgument(f"eval.ks must be a non-empty list of integers >= 1, got {self.ks!r}")
+        self.ks = tuple(self.ks)  # JSON has no tuples
+
 
 @dataclass
 class ExperimentConfig:
@@ -75,6 +84,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         def build(klass, sub):
+            if not isinstance(sub, dict):
+                raise InvalidArgument(f"config section for {klass.__name__} must be an object")
             fields = {f.name: f for f in dataclasses.fields(klass)}
             kwargs = {}
             for key, value in sub.items():
@@ -83,7 +94,8 @@ class ExperimentConfig:
                 kwargs[key] = value
             return klass(**kwargs)
 
-        doc = dict(doc)
+        if not isinstance(doc, dict):
+            raise InvalidArgument("a config must be a JSON object")
         nested = {  # section name -> its config class
             f.name: type(f.default_factory())
             for f in dataclasses.fields(cls)
@@ -92,9 +104,11 @@ class ExperimentConfig:
         kwargs = {}
         for key, value in doc.items():
             if key == "seed":
-                kwargs["seed"] = int(value)
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise InvalidArgument(f"seed must be an integer, got {value!r}")
+                kwargs["seed"] = value
             elif key in nested:
-                if key == "data" and isinstance(value.get("synth"), dict):
+                if key == "data" and isinstance(value, dict) and "synth" in value:
                     value = dict(value)
                     value["synth"] = build(SynthConfig, value["synth"])
                 kwargs[key] = build(nested[key], value)
@@ -104,7 +118,6 @@ class ExperimentConfig:
         # JSON has no tuples; restore the tuple-typed fields
         cfg.injection.type_mix = tuple(cfg.injection.type_mix)
         cfg.detector.weights = tuple(cfg.detector.weights)
-        cfg.eval.ks = tuple(cfg.eval.ks)
         return cfg
 
     def save(self, path: str) -> None:
@@ -117,7 +130,11 @@ class ExperimentConfig:
     @classmethod
     def load(cls, path: str) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise InvalidArgument(f"{path} is not JSON: {exc}") from exc
+        return cls.from_dict(doc)
 
     def hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")

@@ -1,4 +1,11 @@
-"""Ranking metrics under the sampled-negative leave-one-out protocol."""
+"""Ranking metrics under the sampled-negative leave-one-out protocol.
+
+Each user's positive item is ranked among itself and `negatives` items the
+user never interacted with. The negatives of a user depend only on the
+corpus, the mode and the labelled RNG path, so the target-first candidate
+matrix of one (corpus, mode) is drawn once (`draw_candidates`) and every
+later evaluation of that split reuses it.
+"""
 from __future__ import annotations
 
 import math
@@ -12,9 +19,14 @@ from ..params import ParamVector
 from ..seqrec import SeqRecModel
 
 
-def rank_of_positive(pos_score: float, neg_scores: np.ndarray) -> int:
-    """1-based rank with ties broken against the positive (pessimistic)."""
-    return 1 + int((neg_scores > pos_score).sum()) + int((neg_scores == pos_score).sum())
+def _check_mode(mode: str) -> None:
+    if mode not in ("valid", "test"):
+        raise InvalidArgument("mode must be 'valid' or 'test'")
+
+
+def rank_of_positive(scores: np.ndarray) -> np.ndarray:
+    """1-based rank of column 0 in each row, ties broken against it (pessimistic)."""
+    return 1 + (scores[:, 1:] >= scores[:, :1]).sum(axis=1)
 
 
 def hit_rate(ranks: np.ndarray, k: int) -> float:
@@ -24,6 +36,26 @@ def hit_rate(ranks: np.ndarray, k: int) -> float:
 def ndcg(ranks: np.ndarray, k: int) -> float:
     gains = np.where(ranks <= k, 1.0 / np.log2(ranks + 1.0), 0.0)
     return float(gains.mean())
+
+
+def draw_candidates(
+    corpus: Corpus, split: LooSplit, mode: str, negatives: int, rng: SeededRng
+) -> np.ndarray:
+    """Target-first (users, 1 + negatives) item matrix, one row per split user.
+
+    Column 0 holds the user's validation ("valid") or test ("test") target,
+    the rest `negatives` items outside the user's full sequence, drawn from
+    the child `neg-{mode}-{user id}` of `rng`. The draws depend only on that
+    path, so a matrix drawn once serves every evaluation of the split.
+    """
+    _check_mode(mode)
+    targets = split.test_targets if mode == "test" else split.valid_targets
+    out = np.empty((len(split.users), 1 + negatives), dtype=np.int64)
+    out[:, 0] = targets
+    for i, user in enumerate(split.users):
+        user_rng = rng.child(f"neg-{mode}-{corpus.user_ids[user]}")
+        out[i, 1:] = sample_negatives(corpus, user, negatives, user_rng)
+    return out
 
 
 def evaluate_topk(
@@ -36,38 +68,39 @@ def evaluate_topk(
     ks=(10, 20),
     rng: SeededRng | None = None,
     batch_users: int = 64,
+    candidates: np.ndarray | None = None,
 ) -> dict:
     """HR@k / NDCG@k of the positive item among itself plus seeded negatives.
 
     mode "valid" scores the validation target given the train prefix;
     mode "test" scores the test target given prefix + validation item.
-    Negatives are drawn per user from items outside the user's full
-    sequence, deterministically from a per-user child of `rng`.
+    `candidates` is the split's matrix from `draw_candidates` for this
+    corpus and mode; without it the negatives are drawn here from `rng`.
+    Negatives are drawn once per (corpus, mode): a caller that evaluates a
+    split repeatedly passes the same matrix each time. Each batch of users
+    is scored with one gather and one batched product.
     """
-    if mode not in ("valid", "test"):
-        raise InvalidArgument("mode must be 'valid' or 'test'")
-    if rng is None:
-        raise InvalidArgument("evaluate_topk needs a SeededRng")
+    _check_mode(mode)
+    if candidates is None:
+        if rng is None:
+            raise InvalidArgument("evaluate_topk needs a SeededRng or a candidate matrix")
+        candidates = draw_candidates(corpus, split, mode, negatives, rng)
+    elif candidates.shape != (len(split.users), 1 + negatives):
+        raise InvalidArgument(
+            f"candidates of shape {candidates.shape}, expected {(len(split.users), 1 + negatives)}"
+        )
     table = params.view("item_embeddings")
     ranks = np.empty(len(split.users), dtype=np.int64)
     # length-sorted batches bound the padding waste; ranks scatter back per user
-    order = sorted(range(len(split.users)), key=lambda i: len(split.prefixes[i]))
+    order = np.argsort([len(p) for p in split.prefixes], kind="stable")
     for start in range(0, len(order), batch_users):
         part = order[start : start + batch_users]
-        inputs = []
-        for i in part:
-            prefix = split.prefixes[i]
-            if mode == "test":
-                prefix = np.append(prefix, split.valid_targets[i])
-            inputs.append(prefix)
+        inputs = [split.prefixes[i] for i in part]
+        if mode == "test":
+            inputs = [np.append(p, split.valid_targets[i]) for p, i in zip(inputs, part)]
         finals = model.final_states(params, inputs)
-        for j, i in enumerate(part):
-            user = split.users[i]
-            target = int(split.test_targets[i] if mode == "test" else split.valid_targets[i])
-            user_rng = rng.child(f"neg-{mode}-{corpus.user_ids[user]}")
-            negs = sample_negatives(corpus, user, negatives, user_rng)
-            scores = table[np.concatenate([[target], negs])] @ finals[j]
-            ranks[i] = rank_of_positive(float(scores[0]), scores[1:])
+        scores = np.matmul(table[candidates[part]], finals[:, :, None])[:, :, 0]
+        ranks[part] = rank_of_positive(scores)
     report = {"users_evaluated": int(ranks.size), "negatives": int(negatives)}
     for k in ks:
         report[f"HR@{k}"] = hit_rate(ranks, k)

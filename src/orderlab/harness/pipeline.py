@@ -36,7 +36,7 @@ from ..numkit import SeededRng
 from ..params import ParamVector
 from ..seqrec import ModelConfig, SeqRecModel
 from .config import ExperimentConfig
-from .metrics import convergence_report, evaluate_topk
+from .metrics import convergence_report, draw_candidates, evaluate_topk
 
 log = logging.getLogger(__name__)
 
@@ -53,6 +53,8 @@ STAGES = (
 )
 
 SWEEP_VARIANTS = ("clean", "repetitive", "semantic", "sequential")
+
+SPLIT_OF = {"corpus": "split", "poisoned": "poisoned_split"}  # ctx keys: corpus -> its split
 
 
 def _jsonable(obj):
@@ -149,6 +151,17 @@ class Pipeline:
         for p, (save, _), value in zip(paths, files.values(), values):
             save(p, value)
         return list(values)
+
+    def candidates(self, corpus_key: str, mode: str) -> np.ndarray:
+        """The evaluation candidate matrix of ctx corpus `corpus_key` ("corpus" or
+        "poisoned") in `mode`, drawn on first use and kept in ctx for the process."""
+        key = f"candidates_{corpus_key}_{mode}"
+        if key not in self.ctx:
+            self.ctx[key] = draw_candidates(
+                self.ctx[corpus_key], self.ctx[SPLIT_OF[corpus_key]], mode,
+                self.cfg.eval.negatives, self.root.child("eval"),
+            )
+        return self.ctx[key]
 
     # -- stages --------------------------------------------------------------
 
@@ -353,12 +366,12 @@ class Pipeline:
                 for p in range(1, len(prefixes[u]))
                 if (u, p) not in flagged
             ]
-            eval_rng = self.root.child("eval")
+            candidates = self.candidates("poisoned", "valid")
 
             def eval_fn(params):
                 rep = evaluate_topk(
                     model, params, corpus, split, mode="valid",
-                    negatives=self.cfg.eval.negatives, ks=(10,), rng=eval_rng,
+                    negatives=self.cfg.eval.negatives, ks=(10,), candidates=candidates,
                 )
                 return rep["NDCG@10"]
 
@@ -382,19 +395,18 @@ class Pipeline:
     def _metrics(self) -> dict:
         cfg = self.cfg
         model = self.ctx["target_model"]
-        eval_rng = self.root.child("eval")
 
-        def both_modes(params, corpus, split):
+        def both_modes(params, corpus_key):
+            corpus, split = self.ctx[corpus_key], self.ctx[SPLIT_OF[corpus_key]]
             return {
                 mode: evaluate_topk(
                     model, params, corpus, split, mode=mode,
-                    negatives=cfg.eval.negatives, ks=cfg.eval.ks, rng=eval_rng,
+                    negatives=cfg.eval.negatives, ks=cfg.eval.ks,
+                    candidates=self.candidates(corpus_key, mode),
                 )
                 for mode in ("valid", "test")
             }
 
-        clean_split = self.ctx["split"]
-        poisoned_split = self.ctx["poisoned_split"]
         traces = {
             "target_clean": self.ctx["clean_trace"],
             "target_poisoned": self.ctx["poisoned_trace"],
@@ -403,9 +415,9 @@ class Pipeline:
         metrics = {
             "config_hash": cfg.hash(),
             "seed": cfg.seed,
-            "clean": both_modes(self.ctx["clean_params"], self.ctx["corpus"], clean_split),
-            "compromised": both_modes(self.ctx["poisoned_params"], self.ctx["poisoned"], poisoned_split),
-            "rectified": both_modes(self.ctx["rectified_params"], self.ctx["poisoned"], poisoned_split),
+            "clean": both_modes(self.ctx["clean_params"], "corpus"),
+            "compromised": both_modes(self.ctx["poisoned_params"], "poisoned"),
+            "rectified": both_modes(self.ctx["rectified_params"], "poisoned"),
             "convergence": convergence_report(traces),
             "rectify": {
                 "rounds_used": len(self.ctx["rectify_trace"]["rounds"]),

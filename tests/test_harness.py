@@ -5,8 +5,10 @@ import pytest
 
 from orderlab.checkpoint import load_checkpoint, save_checkpoint
 from orderlab.errors import FormatError
+from orderlab.harness import metrics
 from orderlab.harness.cli import main
-from orderlab.harness.pipeline import _checkpoint
+from orderlab.harness.config import ExperimentConfig
+from orderlab.harness.pipeline import _checkpoint, run_pipeline
 from orderlab.seqrec import ModelConfig, SeqRecModel
 
 TINY = {
@@ -61,6 +63,7 @@ def test_resume_recomputes_missing_artifacts_identically(fresh):
     ({"seed": 1, "no_such_key": 1}, 2),  # InvalidArgument
     (None, 3),  # missing config file: OSError
     (TINY, 0),
+    ({"seed": 1, "data": 5}, 2),  # a malformed section: InvalidArgument, not a traceback
 ])
 def test_cli_exit_codes(tmp_path, doc, code):
     config = tmp_path / "config.json"
@@ -69,6 +72,31 @@ def test_cli_exit_codes(tmp_path, doc, code):
     out = tmp_path / "out"
     assert main(["synth", "--config", str(config), "--out", str(out)]) == code
     assert (out / "corpus_clean.json").exists() == (code == 0)
+
+
+def test_each_negative_set_is_drawn_once_per_process(tmp_path, monkeypatch):
+    """Clean and poisoned corpora, valid and test mode: 4 draws per user in a
+    fresh run (3 rectify evaluations, 6 final) and again in a resumed final."""
+    calls = []
+
+    def counted(corpus, user, n, rng):
+        calls.append(user)
+        return draw(corpus, user, n, rng)
+
+    draw = metrics.sample_negatives
+    monkeypatch.setattr(metrics, "sample_negatives", counted)
+    cfg = ExperimentConfig.from_dict(dict(TINY, rectify={"max_rounds": 2}))
+    users = TINY["data"]["synth"]["users"]
+    ctx = run_pipeline(cfg, str(tmp_path))
+    assert len(ctx["rectify_trace"]["rounds"]) == 2
+    assert len(calls) == 4 * users
+    metrics_json = (tmp_path / "metrics.json").read_bytes()
+
+    calls.clear()
+    (tmp_path / "metrics.json").unlink()
+    run_pipeline(cfg, str(tmp_path), resume=True)
+    assert len(calls) == 4 * users
+    assert (tmp_path / "metrics.json").read_bytes() == metrics_json
 
 
 def test_resume_with_another_config_is_refused(fresh, tmp_path):

@@ -1,0 +1,163 @@
+"""Sampled-negative top-k evaluation and the small metric helpers."""
+import math
+
+import numpy as np
+import pytest
+
+from orderlab.corpus import SynthConfig, leave_one_out, sample_negatives, synth_corpus
+from orderlab.errors import InvalidArgument
+from orderlab.harness.metrics import (
+    convergence_report,
+    draw_candidates,
+    evaluate_topk,
+    hit_rate,
+    ndcg,
+    rank_of_positive,
+    round_up_to_cadence,
+)
+from orderlab.numkit import SeededRng
+from orderlab.seqrec import ModelConfig, SeqRecModel
+
+from conftest import toy_corpus
+
+NEGATIVES = 12
+KS = (1, 5, 10)
+
+
+def reference_topk(model, params, corpus, split, mode, negatives, ks, rng, batch_users=64):
+    """The per-user loop that evaluate_topk replaced: one draw, one product and
+    one scalar pessimistic rank per user."""
+    table = params.view("item_embeddings")
+    ranks = np.empty(len(split.users), dtype=np.int64)
+    order = sorted(range(len(split.users)), key=lambda i: len(split.prefixes[i]))
+    for start in range(0, len(order), batch_users):
+        part = order[start : start + batch_users]
+        inputs = []
+        for i in part:
+            prefix = split.prefixes[i]
+            if mode == "test":
+                prefix = np.append(prefix, split.valid_targets[i])
+            inputs.append(prefix)
+        finals = model.final_states(params, inputs)
+        for j, i in enumerate(part):
+            user = split.users[i]
+            target = int(split.test_targets[i] if mode == "test" else split.valid_targets[i])
+            user_rng = rng.child(f"neg-{mode}-{corpus.user_ids[user]}")
+            negs = sample_negatives(corpus, user, negatives, user_rng)
+            scores = table[np.concatenate([[target], negs])] @ finals[j]
+            pos, neg = float(scores[0]), scores[1:]
+            ranks[i] = 1 + int((neg > pos).sum()) + int((neg == pos).sum())
+    report = {"users_evaluated": int(ranks.size), "negatives": int(negatives)}
+    for k in ks:
+        report[f"HR@{k}"] = hit_rate(ranks, k)
+        report[f"NDCG@{k}"] = ndcg(ranks, k)
+    return report
+
+
+@pytest.fixture(scope="module")
+def setup():
+    """70 synthetic users of ragged length plus one too short to evaluate, and a model."""
+    cfg = SynthConfig(users=70, items=50, categories=4, mean_length=8, max_length=14)
+    synth, _ = synth_corpus(cfg, SeededRng(5).child("synth"))
+    corpus = toy_corpus([*synth.sequences[:30], [1, 2], *synth.sequences[30:]], synth.n_items)
+    split = leave_one_out(corpus)
+    assert split.skipped == [30]
+    model = SeqRecModel(ModelConfig(vocab=corpus.n_items, hidden=8))
+    params = model.init_params(SeededRng(6))
+    return model, params, corpus, split
+
+
+class TestEvaluateTopk:
+    @pytest.mark.parametrize("mode", ["valid", "test"])
+    @pytest.mark.parametrize("batch_users", [16, 64])
+    def test_equals_per_user_reference(self, setup, mode, batch_users):
+        model, params, corpus, split = setup
+        got = evaluate_topk(model, params, corpus, split, mode, NEGATIVES, KS, SeededRng(8),
+                            batch_users=batch_users)
+        want = reference_topk(model, params, corpus, split, mode, NEGATIVES, KS, SeededRng(8),
+                              batch_users=batch_users)
+        assert got == want
+        assert 0.0 < got["HR@10"] < 1.0
+
+    @pytest.mark.parametrize("mode", ["valid", "test"])
+    def test_reused_matrix_equals_fresh_draws(self, setup, mode):
+        model, params, corpus, split = setup
+        fresh = evaluate_topk(model, params, corpus, split, mode, NEGATIVES, KS, SeededRng(8))
+        candidates = draw_candidates(corpus, split, mode, NEGATIVES, SeededRng(8))
+        for _ in range(2):
+            reused = evaluate_topk(model, params, corpus, split, mode, NEGATIVES, KS,
+                                   candidates=candidates)
+            assert reused == fresh
+
+    def test_candidate_rows_follow_the_split(self, setup):
+        _, _, corpus, split = setup
+        candidates = draw_candidates(corpus, split, "test", NEGATIVES, SeededRng(8))
+        assert candidates.shape == (len(split.users), 1 + NEGATIVES)
+        assert np.array_equal(candidates[:, 0], split.test_targets)
+        for row, user in zip(candidates, split.users):
+            assert len(set(row[1:])) == NEGATIVES
+            assert not set(row[1:]) & set(corpus.sequences[user].tolist())
+
+    def test_ties_count_against_the_positive(self, setup):
+        model, _, corpus, split = setup
+        flat = model.zero_params()  # every item scores 0: the positive ties all negatives
+        report = evaluate_topk(model, flat, corpus, split, "test", NEGATIVES, (NEGATIVES, 13),
+                               SeededRng(8))
+        assert report[f"HR@{NEGATIVES}"] == 0.0
+        assert report["HR@13"] == 1.0
+        assert report["NDCG@13"] == pytest.approx(1.0 / math.log2(14.0))
+
+    def test_bad_mode(self, setup):
+        model, params, corpus, split = setup
+        with pytest.raises(InvalidArgument):
+            evaluate_topk(model, params, corpus, split, "train", NEGATIVES, KS, SeededRng(8))
+        with pytest.raises(InvalidArgument):
+            draw_candidates(corpus, split, "train", NEGATIVES, SeededRng(8))
+
+    def test_missing_rng(self, setup):
+        model, params, corpus, split = setup
+        with pytest.raises(InvalidArgument):
+            evaluate_topk(model, params, corpus, split, "valid", NEGATIVES, KS)
+
+    def test_candidates_of_another_shape(self, setup):
+        model, params, corpus, split = setup
+        candidates = draw_candidates(corpus, split, "valid", NEGATIVES, SeededRng(8))
+        with pytest.raises(InvalidArgument):
+            evaluate_topk(model, params, corpus, split, "valid", NEGATIVES + 1, KS,
+                          candidates=candidates)
+
+
+def test_rank_of_positive_row_wise():
+    scores = np.array([
+        [3.0, 1.0, 2.0, 0.5],  # the best: rank 1
+        [1.0, 1.0, 2.0, 0.5],  # one above, one tied: rank 3
+        [0.0, 1.0, 2.0, 3.0],  # the worst: rank 4
+        [2.0, 2.0, 2.0, 2.0],  # all tied: rank 4
+    ])
+    assert rank_of_positive(scores).tolist() == [1, 3, 4, 4]
+
+
+def test_hit_rate_and_ndcg():
+    ranks = np.array([1, 2, 10, 11])
+    assert hit_rate(ranks, 10) == 0.75
+    assert hit_rate(ranks, 1) == 0.25
+    assert ndcg(ranks, 10) == pytest.approx((1.0 + 1.0 / math.log2(3.0) + 1.0 / math.log2(11.0)) / 4)
+    assert ndcg(ranks, 1) == 0.25
+    assert ndcg(np.array([5, 6]), 4) == 0.0
+
+
+@pytest.mark.parametrize("epoch, cadence, want", [(0, 5, 0), (1, 5, 5), (5, 5, 5), (6, 5, 10),
+                                                  (7, 1, 7)])
+def test_round_up_to_cadence(epoch, cadence, want):
+    assert round_up_to_cadence(epoch, cadence) == want
+
+
+def test_convergence_report():
+    report = convergence_report({
+        "flat": [10.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0],  # converges at epoch 5
+        "falling": [3.0, 2.0, 1.0],
+        "empty": [],
+    }, cadence=5)
+    assert report["flat"] == {"epochs": 5, "reported": 5, "converged": True}
+    assert report["falling"] == {"epochs": 3, "reported": 5, "converged": False}
+    assert report["empty"] == {"epochs": 0, "reported": 5, "converged": False}
