@@ -10,6 +10,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import types
+import typing
 from dataclasses import dataclass, field
 
 from ..corpus import SynthConfig
@@ -19,6 +21,35 @@ from ..errors import InvalidArgument
 from ..injector import InjectionConfig
 from ..params import TrainConfig
 from ..rectifier import InfluenceConfig, RectifyConfig
+
+
+def _fits(value, hint) -> bool:
+    """Whether a value parsed from JSON fits a config field's annotation.
+
+    An int field takes no bool, float or str; a float field also takes an
+    int; a tuple field takes a JSON list of fitting entries.
+    """
+    origin = typing.get_origin(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_fits(value, arm) for arm in typing.get_args(hint))
+    if origin is tuple:
+        args = typing.get_args(hint)
+        if not isinstance(value, (list, tuple)):
+            return False
+        if len(args) == 2 and args[1] is Ellipsis:
+            return all(_fits(v, args[0]) for v in value)
+        return len(value) == len(args) and all(_fits(v, arm) for v, arm in zip(value, args))
+    if hint is type(None):
+        return value is None
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, hint)
+
+
+def _type_name(hint) -> str:
+    return hint.__name__ if isinstance(hint, type) else str(hint)
 
 
 @dataclass
@@ -46,6 +77,10 @@ class ModelSpec:
     max_len: int = 200
     init_scale: float = 0.1
     residual_coef: float = 0.5  # dual-view semantic residual only
+
+    def validate(self) -> None:
+        if self.hidden < 8 or self.max_len < 2:
+            raise InvalidArgument("model needs hidden >= 8 and max_len >= 2")
 
 
 @dataclass
@@ -86,13 +121,15 @@ class ExperimentConfig:
         def build(klass, sub):
             if not isinstance(sub, dict):
                 raise InvalidArgument(f"config section for {klass.__name__} must be an object")
-            fields = {f.name: f for f in dataclasses.fields(klass)}
-            kwargs = {}
+            hints = typing.get_type_hints(klass)
             for key, value in sub.items():
-                if key not in fields:
+                if key not in hints:
                     raise InvalidArgument(f"unknown config key {key!r} for {klass.__name__}")
-                kwargs[key] = value
-            return klass(**kwargs)
+                if not _fits(value, hints[key]):
+                    raise InvalidArgument(
+                        f"{klass.__name__}.{key} must be {_type_name(hints[key])}, got {value!r}"
+                    )
+            return klass(**sub)
 
         if not isinstance(doc, dict):
             raise InvalidArgument("a config must be a JSON object")
@@ -118,6 +155,10 @@ class ExperimentConfig:
         # JSON has no tuples; restore the tuple-typed fields
         cfg.injection.type_mix = tuple(cfg.injection.type_mix)
         cfg.detector.weights = tuple(cfg.detector.weights)
+        for section in nested:
+            validate = getattr(getattr(cfg, section), "validate", None)
+            if validate is not None:
+                validate()
         return cfg
 
     def save(self, path: str) -> None:

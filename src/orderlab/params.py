@@ -101,6 +101,12 @@ class TrainConfig:
     patience: int = 3
     sort_window: int = 8  # batches per length-sorted window (0 disables bucketing)
 
+    def validate(self) -> None:
+        if self.epochs < 0 or self.batch_size < 1 or self.patience < 1 or self.sort_window < 0:
+            raise InvalidArgument("need epochs >= 0, batch_size >= 1, patience >= 1, sort_window >= 0")
+        if not (self.learning_rate > 0.0 and 0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise InvalidArgument("need learning_rate > 0 and beta1, beta2 in [0, 1)")
+
 
 class Adam:
     """Adaptive-moment optimizer over a flat parameter array."""

@@ -57,10 +57,42 @@ def test_partial_document_keeps_defaults():
     {"eval": {"ks": ["10"]}},
     {"eval": {"negatives": 0}},
     {"eval": {"negatives": "100"}},
+    {"model": {"hidden": "x"}},
+    {"model": {"hidden": 2.5}},
+    {"model": {"hidden": True}},
+    {"model": {"hidden": 4}},
+    {"model": {"max_len": 1}},
+    {"model": {"init_scale": "0.1"}},
+    {"target_train": {"epochs": -3, "batch_size": 0}},
+    {"target_train": {"batch_size": 0}},
+    {"target_train": {"learning_rate": 0.0}},
+    {"target_train": {"beta1": 1.0}},
+    {"target_train": {"beta2": -0.1}},
+    {"target_train": {"patience": 0}},
+    {"target_train": {"sort_window": -1}},
+    {"dualview_train": {"epochs": 2.0}},
+    {"target_train": {"early_stop": 1}},
+    {"data": {"synth": {"users": 1.5}}},
+    {"injection": {"type_mix": [0.5, 0.5]}},
+    {"detector": {"weights": [1, 1, 1, "1"]}},
+    {"influence": {"scale": "auto"}},
+    {"rectify": {"max_rounds": 0}},
 ])
 def test_malformed_document_is_rejected(doc):
     with pytest.raises(InvalidArgument):
         ExperimentConfig.from_dict(doc)
+
+
+def test_field_types_follow_the_annotations():
+    cfg = ExperimentConfig.from_dict({
+        "target_train": {"learning_rate": 1, "epochs": 0},
+        "influence": {"scale": None, "batch_users": None},
+        "detector": {"weights": [1, 0, 0, 0]},
+    })
+    assert cfg.target_train.learning_rate == 1
+    assert cfg.target_train.epochs == 0
+    assert cfg.influence.scale is None and cfg.influence.batch_users is None
+    assert cfg.detector.weights == (1, 0, 0, 0)
 
 
 def test_file_that_is_not_json_is_rejected(tmp_path):

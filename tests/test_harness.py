@@ -64,6 +64,7 @@ def test_resume_recomputes_missing_artifacts_identically(fresh):
     (None, 3),  # missing config file: OSError
     (TINY, 0),
     ({"seed": 1, "data": 5}, 2),  # a malformed section: InvalidArgument, not a traceback
+    ({"seed": 1, "model": {"hidden": "x"}}, 2),  # a mistyped field fails at load time
 ])
 def test_cli_exit_codes(tmp_path, doc, code):
     config = tmp_path / "config.json"
@@ -72,6 +73,18 @@ def test_cli_exit_codes(tmp_path, doc, code):
     out = tmp_path / "out"
     assert main(["synth", "--config", str(config), "--out", str(out)]) == code
     assert (out / "corpus_clean.json").exists() == (code == 0)
+
+
+@pytest.mark.parametrize("section", [
+    {"model": {"hidden": "x"}},
+    {"model": {"hidden": 2.5}},
+    {"target_train": {"epochs": -3, "batch_size": 0}},
+])
+def test_invalid_config_writes_no_file(tmp_path, section):
+    config = write_config(tmp_path / "config.json", dict(TINY, **section))
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", config, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_each_negative_set_is_drawn_once_per_process(tmp_path, monkeypatch):
