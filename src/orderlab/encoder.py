@@ -10,6 +10,24 @@ Cell, per step t (h_0 = 0):
     r_t = sigmoid(W_r x_t + U_r h_{t-1} + b_r)
     c_t = tanh(W_h x_t + U_h (r_t * h_{t-1}) + b_h)
     h_t = (1 - z_t) * h_{t-1} + z_t * c_t
+
+Weights stay 9 blocks (`encoder_shapes`); the kernels stack them per call.
+
+Forward, fused and time-major:
+- One product of x with the stacked input weights [W_z; W_r; W_h] gives
+  the pre-activations of every gate and step in a (T, B, 3 d_h) buffer.
+- Step t runs one product h_{t-1} @ [U_z; U_r]^T and one (r_t * h_{t-1})
+  @ U_h^T, and overwrites gates[t] with its activations z | r | c.
+- The cache holds `x`, `hs` (T+1, B, d_h) with hs[0] = h_0 = 0 and
+  hs[t+1] = h_t, and the views `zr` (T, B, 2 d_h) and `c` (T, B, d_h) of
+  the gate buffer. The states returned are the view hs[1:] as (B, T, d_h).
+
+Backward:
+- The loop keeps only the two products that carry the recurrence,
+  dpc @ U_h and [dpz, dpr] @ [U_z; U_r], and fills one (T, B, 3 d_h)
+  buffer with the pre-activation gradients of every step.
+- The weight gradients, the bias gradients and d_x are products over all
+  steps at once, taken from that buffer after the loop.
 """
 from __future__ import annotations
 
@@ -30,10 +48,21 @@ def encoder_shapes(d_in: int, d_h: int) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows; both branches share it
-    t = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function in its tanh form, 0.5 * (1 + tanh(x / 2)).
+
+    tanh saturates instead of overflowing, so every finite input gives a
+    finite result in [0, 1]. Pass `out=x` to apply it in place.
+    """
+    out = np.tanh(np.multiply(x, 0.5, out=out), out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
+def _stacked(w, kind: str) -> np.ndarray:
+    """The three gates' blocks of one kind, stacked along the first axis."""
+    return np.concatenate([w[f"{gate}_{kind}"] for gate in GATE_NAMES])
 
 
 def gru_forward(w, x: np.ndarray):
@@ -44,24 +73,34 @@ def gru_forward(w, x: np.ndarray):
     """
     b, t_len, _ = x.shape
     d_h = w["update_bias"].shape[0]
-    flat = x.reshape(b * t_len, -1)
-    pre_z = (flat @ w["update_in"].T).reshape(b, t_len, d_h) + w["update_bias"]
-    pre_r = (flat @ w["reset_in"].T).reshape(b, t_len, d_h) + w["reset_bias"]
-    pre_c = (flat @ w["cand_in"].T).reshape(b, t_len, d_h) + w["cand_bias"]
+    # pre-activations of all gates and steps in one product, time-major;
+    # step t overwrites gates[t] with its activations z | r | c
+    gates = np.matmul(x.transpose(1, 0, 2), _stacked(w, "in").T)
+    gates += _stacked(w, "bias")
+    # small products run faster on contiguous right operands than on transposed views
+    rec_zr = np.ascontiguousarray(np.concatenate([w["update_rec"], w["reset_rec"]]).T)
+    rec_c = np.ascontiguousarray(w["cand_rec"].T)
 
-    states = np.empty((b, t_len, d_h))
-    zs = np.empty_like(states)
-    rs = np.empty_like(states)
-    cs = np.empty_like(states)
-    h = np.zeros((b, d_h))
+    hs = np.empty((t_len + 1, b, d_h))
+    hs[0] = 0.0
+    zr_rec = np.empty((b, 2 * d_h))
+    c_rec = np.empty((b, d_h))
+    rh = np.empty((b, d_h))
     for t in range(t_len):
-        z = sigmoid(pre_z[:, t] + h @ w["update_rec"].T)
-        r = sigmoid(pre_r[:, t] + h @ w["reset_rec"].T)
-        c = np.tanh(pre_c[:, t] + (r * h) @ w["cand_rec"].T)
-        h = (1.0 - z) * h + z * c
-        zs[:, t], rs[:, t], cs[:, t], states[:, t] = z, r, c, h
-    cache = {"x": x, "states": states, "z": zs, "r": rs, "c": cs}
-    return states, cache
+        h, h_next = hs[t], hs[t + 1]
+        zr, c = gates[t, :, : 2 * d_h], gates[t, :, 2 * d_h :]
+        np.matmul(h, rec_zr, out=zr_rec)
+        zr += zr_rec
+        sigmoid(zr, out=zr)
+        np.multiply(zr[:, d_h:], h, out=rh)
+        np.matmul(rh, rec_c, out=c_rec)
+        c += c_rec
+        np.tanh(c, out=c)
+        np.subtract(c, h, out=h_next)
+        h_next *= zr[:, :d_h]
+        h_next += h
+    cache = {"x": x, "hs": hs, "zr": gates[..., : 2 * d_h], "c": gates[..., 2 * d_h :]}
+    return hs[1:].transpose(1, 0, 2), cache
 
 
 def gru_backward(w, cache, d_states: np.ndarray):
@@ -70,59 +109,54 @@ def gru_backward(w, cache, d_states: np.ndarray):
     d_states is dLoss/d(states) accumulated from every consumer of the
     hidden states. Returns (d_weights, d_x) with d_x of shape (B, T, d_in).
     """
-    x, states = cache["x"], cache["states"]
-    zs, rs, cs = cache["z"], cache["r"], cache["c"]
-    b, t_len, d_h = states.shape
+    x, hs, cs = cache["x"], cache["hs"], cache["c"]
+    t_len, b, d_h = cs.shape
+    h_prev, z, r = hs[:-1], cache["zr"][..., :d_h], cache["zr"][..., d_h:]
+    rec_zr = np.concatenate([w["update_rec"], w["reset_rec"]])
+    rec_c = w["cand_rec"]
 
-    d_pz = np.empty_like(states)
-    d_pr = np.empty_like(states)
-    d_pc = np.empty_like(states)
-    d_urec = np.zeros_like(w["update_rec"])
-    d_rrec = np.zeros_like(w["reset_rec"])
-    d_crec = np.zeros_like(w["cand_rec"])
+    # d_pre[t] = dLoss/d(pre-activations) of step t, gates side by side.
+    # Each slot first holds its step-local factor; the loop scales it.
+    d_pre = np.empty((t_len, b, 3 * d_h))
+    f_z, f_r, f_c = d_pre[..., :d_h], d_pre[..., d_h : 2 * d_h], d_pre[..., 2 * d_h :]
+    np.subtract(hs[1:], h_prev, out=f_z)  # z (c - h_prev)
+    np.subtract(1.0, r, out=f_r)
+    f_r *= h_prev  # (1 - r) h_prev
+    np.multiply(cs, cs, out=f_c)
+    np.subtract(1.0, f_c, out=f_c)
+    f_c *= z  # z (1 - c^2)
+
+    d_s = d_states.transpose(1, 0, 2)
+    dh = np.empty((b, d_h))
+    dz_h = np.empty((b, d_h))  # dh * (1 - z): the direct path to h_prev
+    dr_h = np.empty((b, d_h))  # d(r * h_prev) * r: the reset path to h_prev
     carry = np.zeros((b, d_h))
     for t in range(t_len - 1, -1, -1):
-        h_prev = states[:, t - 1] if t > 0 else np.zeros((b, d_h))
-        dh = d_states[:, t] + carry
-        z, r, c = zs[:, t], rs[:, t], cs[:, t]
+        g = d_pre[t]
+        np.add(d_s[t], carry, out=dh)
+        np.subtract(1.0, z[t], out=dz_h)
+        dz_h *= dh
+        g[:, :d_h] *= dz_h
+        g[:, 2 * d_h :] *= dh
+        np.matmul(g[:, 2 * d_h :], rec_c, out=dr_h)
+        dr_h *= r[t]
+        g[:, d_h : 2 * d_h] *= dr_h
+        np.matmul(g[:, : 2 * d_h], rec_zr, out=carry)
+        carry += dz_h
+        carry += dr_h
 
-        dz = dh * (c - h_prev)
-        dc = dh * z
-        d_hprev = dh * (1.0 - z)
-
-        dpc = dc * (1.0 - c * c)
-        d_crec += dpc.T @ (r * h_prev)
-        drh = dpc @ w["cand_rec"]
-        dr = drh * h_prev
-        d_hprev += drh * r
-
-        dpr = dr * r * (1.0 - r)
-        d_rrec += dpr.T @ h_prev
-        d_hprev += dpr @ w["reset_rec"]
-
-        dpz = dz * z * (1.0 - z)
-        d_urec += dpz.T @ h_prev
-        d_hprev += dpz @ w["update_rec"]
-
-        d_pz[:, t], d_pr[:, t], d_pc[:, t] = dpz, dpr, dpc
-        carry = d_hprev
-
-    flat_x = x.reshape(b * t_len, -1)
-    fz = d_pz.reshape(b * t_len, d_h)
-    fr = d_pr.reshape(b * t_len, d_h)
-    fc = d_pc.reshape(b * t_len, d_h)
-    d_weights = {
-        "update_in": fz.T @ flat_x,
-        "update_rec": d_urec,
-        "update_bias": fz.sum(axis=0),
-        "reset_in": fr.T @ flat_x,
-        "reset_rec": d_rrec,
-        "reset_bias": fr.sum(axis=0),
-        "cand_in": fc.T @ flat_x,
-        "cand_rec": d_crec,
-        "cand_bias": fc.sum(axis=0),
-    }
-    d_x = (fz @ w["update_in"] + fr @ w["reset_in"] + fc @ w["cand_in"]).reshape(x.shape)
+    flat = d_pre.reshape(t_len * b, 3 * d_h)
+    d_rec_zr = flat[:, : 2 * d_h].T @ h_prev.reshape(t_len * b, d_h)
+    d_rec_c = flat[:, 2 * d_h :].T @ np.multiply(r, h_prev).reshape(t_len * b, d_h)
+    d_in = flat.T @ x.transpose(1, 0, 2).reshape(t_len * b, -1)
+    d_bias = flat.sum(axis=0)
+    d_x = np.matmul(d_pre.transpose(1, 0, 2), _stacked(w, "in"))
+    d_weights = {}
+    for k, gate in enumerate(GATE_NAMES):
+        rows = slice(k * d_h, (k + 1) * d_h)
+        d_weights[f"{gate}_in"] = d_in[rows]
+        d_weights[f"{gate}_rec"] = d_rec_zr[rows] if k < 2 else d_rec_c
+        d_weights[f"{gate}_bias"] = d_bias[rows]
     return d_weights, d_x
 
 
@@ -179,13 +213,10 @@ def tied_next_item_loss(states: np.ndarray, table: np.ndarray, items: np.ndarray
         loss += float((w_chunk * ce).sum())
 
         work *= (w_chunk / denom)[..., None]
-        np.add.at(
-            work.reshape(-1, v),
-            (np.arange(work.shape[0] * work.shape[1]), targets.ravel()),
-            -w_chunk.ravel(),
-        )
+        flat = work.reshape(-1, v)
+        flat[np.arange(flat.shape[0]), targets.ravel()] -= w_chunk.ravel()  # one per row
         d_states[:, start:stop] = work @ table
-        d_table += work.reshape(-1, v).T @ h_chunk.reshape(-1, d_h)
+        d_table += flat.T @ h_chunk.reshape(-1, d_h)
     return loss, d_states, d_table
 
 

@@ -1,0 +1,163 @@
+"""The fused recurrent cell against a plain per-gate reference, and the sigmoid."""
+import warnings
+
+import numpy as np
+import pytest
+
+from orderlab import encoder
+
+
+def reference_sigmoid(x):
+    t = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+
+
+def reference_forward(w, x):
+    """One product per gate and step, batch-major buffers."""
+    b, t_len, _ = x.shape
+    d_h = w["update_bias"].shape[0]
+    flat = x.reshape(b * t_len, -1)
+    pre_z = (flat @ w["update_in"].T).reshape(b, t_len, d_h) + w["update_bias"]
+    pre_r = (flat @ w["reset_in"].T).reshape(b, t_len, d_h) + w["reset_bias"]
+    pre_c = (flat @ w["cand_in"].T).reshape(b, t_len, d_h) + w["cand_bias"]
+
+    states = np.empty((b, t_len, d_h))
+    zs = np.empty_like(states)
+    rs = np.empty_like(states)
+    cs = np.empty_like(states)
+    h = np.zeros((b, d_h))
+    for t in range(t_len):
+        z = reference_sigmoid(pre_z[:, t] + h @ w["update_rec"].T)
+        r = reference_sigmoid(pre_r[:, t] + h @ w["reset_rec"].T)
+        c = np.tanh(pre_c[:, t] + (r * h) @ w["cand_rec"].T)
+        h = (1.0 - z) * h + z * c
+        zs[:, t], rs[:, t], cs[:, t], states[:, t] = z, r, c, h
+    return states, {"x": x, "states": states, "z": zs, "r": rs, "c": cs}
+
+
+def reference_backward(w, cache, d_states):
+    """Per-step backprop with the recurrent weight gradients summed in the loop."""
+    x, states = cache["x"], cache["states"]
+    zs, rs, cs = cache["z"], cache["r"], cache["c"]
+    b, t_len, d_h = states.shape
+
+    d_pz = np.empty_like(states)
+    d_pr = np.empty_like(states)
+    d_pc = np.empty_like(states)
+    d_urec = np.zeros_like(w["update_rec"])
+    d_rrec = np.zeros_like(w["reset_rec"])
+    d_crec = np.zeros_like(w["cand_rec"])
+    carry = np.zeros((b, d_h))
+    for t in range(t_len - 1, -1, -1):
+        h_prev = states[:, t - 1] if t > 0 else np.zeros((b, d_h))
+        dh = d_states[:, t] + carry
+        z, r, c = zs[:, t], rs[:, t], cs[:, t]
+
+        dz = dh * (c - h_prev)
+        dc = dh * z
+        d_hprev = dh * (1.0 - z)
+
+        dpc = dc * (1.0 - c * c)
+        d_crec += dpc.T @ (r * h_prev)
+        drh = dpc @ w["cand_rec"]
+        dr = drh * h_prev
+        d_hprev += drh * r
+
+        dpr = dr * r * (1.0 - r)
+        d_rrec += dpr.T @ h_prev
+        d_hprev += dpr @ w["reset_rec"]
+
+        dpz = dz * z * (1.0 - z)
+        d_urec += dpz.T @ h_prev
+        d_hprev += dpz @ w["update_rec"]
+
+        d_pz[:, t], d_pr[:, t], d_pc[:, t] = dpz, dpr, dpc
+        carry = d_hprev
+
+    flat_x = x.reshape(b * t_len, -1)
+    fz = d_pz.reshape(b * t_len, d_h)
+    fr = d_pr.reshape(b * t_len, d_h)
+    fc = d_pc.reshape(b * t_len, d_h)
+    d_weights = {
+        "update_in": fz.T @ flat_x,
+        "update_rec": d_urec,
+        "update_bias": fz.sum(axis=0),
+        "reset_in": fr.T @ flat_x,
+        "reset_rec": d_rrec,
+        "reset_bias": fr.sum(axis=0),
+        "cand_in": fc.T @ flat_x,
+        "cand_rec": d_crec,
+        "cand_bias": fc.sum(axis=0),
+    }
+    d_x = (fz @ w["update_in"] + fr @ w["reset_in"] + fc @ w["cand_in"]).reshape(x.shape)
+    return d_weights, d_x
+
+
+def random_cell(b, t_len, d_in, d_h, seed=0):
+    gen = np.random.default_rng(seed)
+    w = {name: gen.normal(0.0, 0.3, size=shape) for name, shape in encoder.encoder_shapes(d_in, d_h).items()}
+    return gen, w, gen.normal(size=(b, t_len, d_in))
+
+
+def assert_matches_reference(w, x, d_states):
+    states, cache = encoder.gru_forward(w, x)
+    ref_states, ref_cache = reference_forward(w, x)
+    np.testing.assert_allclose(states, ref_states, rtol=0, atol=1e-12)
+
+    d_weights, d_x = encoder.gru_backward(w, cache, d_states)
+    ref_weights, ref_d_x = reference_backward(w, ref_cache, d_states)
+    assert d_x.shape == x.shape
+    np.testing.assert_allclose(d_x, ref_d_x, rtol=0, atol=1e-12)
+    assert d_weights.keys() == ref_weights.keys() == w.keys()
+    for name, grad in d_weights.items():
+        assert grad.shape == w[name].shape
+        np.testing.assert_allclose(grad, ref_weights[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 4, 8), (1, 20, 48, 48), (5, 7, 3, 8), (64, 29, 48, 48)])
+def test_cell_matches_the_per_gate_reference(shape):
+    gen, w, x = random_cell(*shape)
+    assert_matches_reference(w, x, gen.normal(size=shape[:2] + (shape[3],)))
+
+
+@pytest.mark.parametrize("layout", ["time_major", "strided"])
+def test_backward_takes_a_non_contiguous_upstream_gradient(layout):
+    b, t_len, d_in, d_h = 6, 9, 5, 8
+    gen, w, x = random_cell(b, t_len, d_in, d_h, seed=1)
+    if layout == "time_major":
+        d_states = gen.normal(size=(t_len, b, d_h)).transpose(1, 0, 2)
+    else:
+        d_states = gen.normal(size=(b, t_len, 2 * d_h))[..., ::2]
+    assert not d_states.flags.c_contiguous
+    assert_matches_reference(w, x, d_states)
+
+
+def test_states_are_causal():
+    b, t_len = 4, 12
+    gen, w, x = random_cell(b, t_len, 6, 8, seed=2)
+    states, _ = encoder.gru_forward(w, x)
+    for t in range(t_len - 1):
+        changed = x.copy()
+        changed[:, t + 1 :] = gen.normal(size=changed[:, t + 1 :].shape)
+        moved, _ = encoder.gru_forward(w, changed)
+        np.testing.assert_array_equal(moved[:, : t + 1], states[:, : t + 1])
+        assert not np.allclose(moved[:, t + 1 :], states[:, t + 1 :])
+
+
+def test_sigmoid_is_finite_bounded_and_symmetric():
+    x = np.linspace(-800.0, 800.0, 4001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s, s_neg = encoder.sigmoid(x), encoder.sigmoid(-x)
+    assert np.isfinite(s).all()
+    assert s.min() >= 0.0 and s.max() <= 1.0
+    np.testing.assert_allclose(s_neg, 1.0 - s, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(s, reference_sigmoid(x), rtol=0, atol=1e-15)
+
+
+def test_sigmoid_in_place_matches_the_returned_copy():
+    x = np.linspace(-30.0, 30.0, 61)
+    expected = encoder.sigmoid(x)
+    buf = x.copy()
+    assert encoder.sigmoid(buf, out=buf) is buf
+    np.testing.assert_array_equal(buf, expected)
