@@ -128,15 +128,17 @@ class DetectionReport:
         os.replace(tmp, path)
 
 
+def _entropy_rows(x: np.ndarray) -> np.ndarray:
+    """Natural-log entropy along the last axis, with 0 log 0 = 0."""
+    log_x = np.log(x, out=np.zeros_like(x), where=x > 0.0)
+    return -np.einsum("...v,...v->...", x, log_x)
+
+
 def _jsd_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Vectorized natural-log JSD along the last axis."""
-
-    def ent(x):
-        safe = np.where(x > 0.0, x, 1.0)
-        return -(safe * np.log(safe) * (x > 0.0)).sum(axis=-1)
-
-    m = 0.5 * (p + q)
-    return np.maximum(ent(m) - 0.5 * (ent(p) + ent(q)), 0.0)
+    m = p + q
+    m *= 0.5
+    return np.maximum(_entropy_rows(m) - 0.5 * (_entropy_rows(p) + _entropy_rows(q)), 0.0)
 
 
 def _cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -175,12 +177,11 @@ def features(
             view_states, items, lengths, table, _ = model.batch_view_states(
                 params, view, batch, tables=tables
             )
-            # no prefix predicts position 0: both views call it uniform
-            view_probs = np.full(view_states.shape[:2] + (model.cfg.vocab,), 1.0 / model.cfg.vocab)
-            view_probs[:, 1:] = next_step_probs(view_states[:, :-1], table)
             states.append(view_states)
-            probs.append(view_probs)
-        jsd = _jsd_rows(*probs)
+            probs.append(next_step_probs(view_states[:, :-1], table))
+        # no prefix predicts position 0: both views call it uniform, a JSD of 0
+        jsd = np.zeros(items.shape)
+        jsd[:, 1:] = _jsd_rows(*probs)
         disagreement = (1.0 - _cosine_rows(*states)) / 2.0
 
         valid = np.arange(items.shape[1]) < lengths[:, None]

@@ -200,8 +200,7 @@ class DualViewModel(BlockModel):
         """
         if view not in ENCODERS:
             raise InvalidArgument(f"view must be one of {tuple(ENCODERS)}")
-        checked = [self._check_items(s) for s in seqs]
-        items, lengths = encoder.pad_sequences(checked)
+        items, lengths = self._padded(seqs)
         if tables is None:
             table_sem, table_col, _ = self.item_inputs(params)
         else:
@@ -223,11 +222,10 @@ class DualViewModel(BlockModel):
         loss_cfg.validate()
         if not seqs:
             raise InvalidArgument("joint_loss needs a non-empty batch")
-        checked = [self._check_items(s) for s in seqs]
-        if any(s.size < 2 for s in checked):
+        items, lengths = self._padded(seqs)
+        if lengths.min() < 2:
             raise InvalidArgument("joint_loss sequences need length >= 2")
         table_sem, table_col, in_cache = self.item_inputs(params)
-        items, lengths = encoder.pad_sequences(checked)
         b, t_len = items.shape
         weights = encoder.term_weight_matrix(lengths, t_len) / b
 

@@ -2,8 +2,10 @@
 
 Both the target recommender and the dual-view detection model run their
 sequences through this cell (with independent weights). Everything is
-batched over right-padded sequences; padded steps are computed but carry
-zero loss weight, so they contribute nothing to any gradient.
+batched over right-padded sequences. The recurrence runs over padded
+steps too; the tied next-item loss scores only the terms with a non-zero
+weight, so padded steps and unweighted terms cost no vocabulary product
+and contribute nothing to any gradient.
 
 Cell, per step t (h_0 = 0):
     z_t = sigmoid(W_z x_t + U_z h_{t-1} + b_z)
@@ -35,7 +37,7 @@ import numpy as np
 
 GATE_NAMES = ("update", "reset", "cand")
 
-_LOSS_TIME_CHUNK = 64  # bounds the (B, chunk, V) logit workspace
+_LOSS_ROWS = 4096  # bounds the (rows, V) logit workspace of the tied loss
 
 
 def encoder_shapes(d_in: int, d_h: int) -> dict[str, tuple[int, ...]]:
@@ -188,35 +190,37 @@ def tied_next_item_loss(states: np.ndarray, table: np.ndarray, items: np.ndarray
     """Weighted next-item cross-entropy with a tied output table.
 
     Step t scores softmax(states[:, t] @ table.T) against items[:, t+1],
-    weighted by term_weights[:, t]. Returns (loss, d_states, d_table); the
-    gradients are exact for the weighted sum of term losses.
+    weighted by term_weights[:, t]. Only terms with a non-zero weight are
+    scored: their states are gathered, in row-major order, into 2-D blocks
+    of at most `_LOSS_ROWS` rows. Returns (loss, d_states, d_table); the
+    gradients are exact for the weighted sum of term losses, and d_states
+    is 0 at every step whose term has weight 0.
     """
-    b, t_len, d_h = states.shape
-    v = table.shape[0]
     d_states = np.zeros_like(states)
     d_table = np.zeros_like(table)
     loss = 0.0
-    if t_len < 2:
-        return loss, d_states, d_table
-    for start in range(0, t_len - 1, _LOSS_TIME_CHUNK):
-        stop = min(start + _LOSS_TIME_CHUNK, t_len - 1)
-        h_chunk = states[:, start:stop]
-        w_chunk = term_weights[:, start:stop]
-        targets = items[:, start + 1 : stop + 1]
-        work = h_chunk @ table.T  # logits, then reused as exp / probs / d_logits
-        target_logit = np.take_along_axis(work, targets[..., None], axis=-1)[..., 0]
-        m = work.max(axis=-1)
-        np.subtract(work, m[..., None], out=work)
+    rows, cols = np.nonzero(term_weights)
+    for start in range(0, rows.size, _LOSS_ROWS):
+        r, c = rows[start : start + _LOSS_ROWS], cols[start : start + _LOSS_ROWS]
+        h = states[r, c]
+        w = term_weights[r, c]
+        targets = items[r, c + 1]
+        picked = np.arange(r.size)
+        work = h @ table.T  # logits, then reused as exp / probs / d_logits
+        target_logit = work[picked, targets]
+        m = work.max(axis=1)
+        work -= m[:, None]
         np.exp(work, out=work)
-        denom = work.sum(axis=-1)
+        denom = work.sum(axis=1)
         ce = -(target_logit - m - np.log(denom))
-        loss += float((w_chunk * ce).sum())
+        loss += float(w @ ce)
 
-        work *= (w_chunk / denom)[..., None]
-        flat = work.reshape(-1, v)
-        flat[np.arange(flat.shape[0]), targets.ravel()] -= w_chunk.ravel()  # one per row
-        d_states[:, start:stop] = work @ table
-        d_table += flat.T @ h_chunk.reshape(-1, d_h)
+        work *= (w / denom)[:, None]
+        work[picked, targets] -= w
+        d_table += work.T @ h
+        # h's buffer takes the state gradients: one fresh (n, d) temporary more made glibc
+        # trim and re-fault the heap on every training call. Each (r, c) pair appears once.
+        d_states[r, c] = np.matmul(work, table, out=h)
     return loss, d_states, d_table
 
 

@@ -373,10 +373,3 @@ def inject(
             log.warning("type_mix gives %s a %.3g share, but none was planted", kind, share)
     return compromised, manifest
 
-
-def restore(corpus: Corpus, manifest: FakeOrderManifest) -> Corpus:
-    """Undo every manifest entry, reproducing the clean corpus exactly."""
-    sequences = [s.copy() for s in corpus.sequences]
-    for e in manifest.entries:
-        sequences[e.user][e.position] = e.original_item
-    return corpus.with_sequences(sequences)

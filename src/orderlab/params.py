@@ -71,14 +71,24 @@ class BlockModel:
         return params
 
     def _check_items(self, seq) -> np.ndarray:
+        """One sequence as a 1-D int64 array; its item range is left to `_padded`."""
         arr = np.asarray(seq, dtype=np.int64)
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidArgument("item sequence must be non-empty and 1-D")
         if arr.size > self.cfg.max_len:
             raise InvalidArgument(f"sequence length {arr.size} exceeds max {self.cfg.max_len}")
-        if arr.min() < 0 or arr.max() >= self.cfg.vocab:
-            raise InvalidArgument("item index outside the vocabulary")
         return arr
+
+    def _padded(self, seqs) -> tuple[np.ndarray, np.ndarray]:
+        """Check each sequence's shape and length, pad the batch, and check its items once.
+
+        Returns (items (B, T), lengths (B,)). The padding item 0 lies in the
+        vocabulary, so checking the padded matrix checks every real item.
+        """
+        items, lengths = encoder.pad_sequences([self._check_items(s) for s in seqs])
+        if items.min() < 0 or items.max() >= self.cfg.vocab:
+            raise InvalidArgument("item index outside the vocabulary")
+        return items, lengths
 
     def _enc_weights(self, params: ParamVector, prefix: str) -> dict[str, np.ndarray]:
         """The 9 recurrent-encoder blocks stored under `prefix.`."""

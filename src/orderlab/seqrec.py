@@ -48,8 +48,7 @@ class SeqRecModel(BlockModel):
 
     def batch_states(self, params: ParamVector, seqs) -> tuple[np.ndarray, np.ndarray, dict]:
         """Padded batched forward: (states (B,T,d), items (B,T), cache)."""
-        checked = [self._check_items(s) for s in seqs]
-        items, lengths = encoder.pad_sequences(checked)
+        items, lengths = self._padded(seqs)
         table = params.view("item_embeddings")
         x = table[items]
         states, cache = encoder.gru_forward(self._enc_weights(params, "enc"), x)

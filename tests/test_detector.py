@@ -4,6 +4,7 @@ import pytest
 
 from orderlab.detector import (
     DetectorConfig,
+    _jsd_rows,
     features,
     fit_weights,
     smooth_by_user,
@@ -40,6 +41,17 @@ def reference_context(corpus, seq):
             terms.append(corpus.bigram_logprob(seq[k], seq[k + 1]))
         out.append(-sum(terms) / len(terms) if terms else 0.0)
     return out
+
+
+def reference_jsd(p, q):
+    """Natural-log JSD along the last axis, with the zero entries masked by copies."""
+
+    def ent(x):
+        safe = np.where(x > 0.0, x, 1.0)
+        return -(safe * np.log(safe) * (x > 0.0)).sum(axis=-1)
+
+    m = 0.5 * (p + q)
+    return np.maximum(ent(m) - 0.5 * (ent(p) + ent(q)), 0.0)
 
 
 def reference_smooth(raw, rho):
@@ -83,6 +95,32 @@ class TestFeatures:
         np.testing.assert_allclose(split[0], feats, rtol=1e-12, atol=1e-15)
         np.testing.assert_array_equal(split[1], users)
         np.testing.assert_array_equal(split[2], positions)
+
+
+    def test_no_prefix_means_no_divergence(self, ragged_features):
+        _, feats, _, positions = ragged_features
+        first = positions == 0
+        assert first.sum() == len(RAGGED)
+        np.testing.assert_array_equal(feats[first, 0], 0.0)
+        assert (feats[~first, 0] > 0.0).all()
+
+
+def test_jsd_matches_the_masked_reference():
+    gen = np.random.default_rng(5)
+    logits = gen.normal(0.0, 3.0, size=(2, 4, 6, 50))
+    p, q = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
+    p[0, :, :25] = 0.0  # exact zeros in one or both rows
+    q[0, :3, 10:40] = 0.0
+    p[2, 0] = q[2, 0] = 0.0
+    p[2, 0, 7] = q[2, 0, 9] = 1.0  # disjoint point masses: ln 2
+    p[3] = q[3]  # identical rows: 0
+    p /= p.sum(axis=-1, keepdims=True)
+    q /= q.sum(axis=-1, keepdims=True)
+    jsd = _jsd_rows(p, q)
+    assert jsd.shape == (4, 6)
+    np.testing.assert_allclose(jsd, reference_jsd(p, q), rtol=0, atol=1e-14)
+    assert jsd[2, 0] == pytest.approx(np.log(2.0), abs=1e-15)
+    np.testing.assert_array_equal(jsd[3], 0.0)
 
 
 class TestSmoothByUser:

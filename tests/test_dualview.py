@@ -160,6 +160,29 @@ class TestEncode:
             model.batch_view_states(params, "hybrid", [np.array([1])])
 
 
+# each replaces the second sequence of a valid batch; tiny_dualview has vocab 10 and max_len 64
+BAD_SEQUENCES = {
+    "item_equal_to_vocab": [1, 10, 2],
+    "negative_item": [1, -1, 2],
+    "empty": [],
+    "too_long": [1] * 65,
+}
+
+
+@pytest.mark.parametrize("bad", BAD_SEQUENCES.values(), ids=BAD_SEQUENCES.keys())
+class TestRejectedInputs:
+    def test_batch_view_states(self, bad):
+        model, params = tiny_dualview()
+        for view in ("semantic", "collaborative"):
+            with pytest.raises(InvalidArgument):
+                model.batch_view_states(params, view, [[3, 4, 5], bad])
+
+    def test_joint_loss(self, bad):
+        model, params = tiny_dualview()
+        with pytest.raises(InvalidArgument):
+            model.joint_loss(params, [[3, 4, 5], bad], LossConfig())
+
+
 class TestContrastive:
     def test_single_pair_zero(self):
         gen = SeededRng(5).gen

@@ -1,4 +1,4 @@
-"""The fused recurrent cell against a plain per-gate reference, and the sigmoid."""
+"""The fused recurrent cell and the tied loss against plain references, and the sigmoid."""
 import warnings
 
 import numpy as np
@@ -161,3 +161,100 @@ def test_sigmoid_in_place_matches_the_returned_copy():
     buf = x.copy()
     assert encoder.sigmoid(buf, out=buf) is buf
     np.testing.assert_array_equal(buf, expected)
+
+
+def reference_tied_loss(states, table, items, term_weights, time_chunk=64):
+    """Every (sequence, step) scored against the full table, in time chunks of 3-D products."""
+    b, t_len, d_h = states.shape
+    v = table.shape[0]
+    d_states = np.zeros_like(states)
+    d_table = np.zeros_like(table)
+    loss = 0.0
+    for start in range(0, t_len - 1, time_chunk):
+        stop = min(start + time_chunk, t_len - 1)
+        h_chunk = states[:, start:stop]
+        w_chunk = term_weights[:, start:stop]
+        targets = items[:, start + 1 : stop + 1]
+        work = h_chunk @ table.T
+        target_logit = np.take_along_axis(work, targets[..., None], axis=-1)[..., 0]
+        m = work.max(axis=-1)
+        work = np.exp(work - m[..., None])
+        denom = work.sum(axis=-1)
+        loss += float((w_chunk * -(target_logit - m - np.log(denom))).sum())
+        work *= (w_chunk / denom)[..., None]
+        flat = work.reshape(-1, v)
+        flat[np.arange(flat.shape[0]), targets.ravel()] -= w_chunk.ravel()
+        d_states[:, start:stop] = work @ table
+        d_table += flat.T @ h_chunk.reshape(-1, d_h)
+    return loss, d_states, d_table
+
+
+def tied_loss_inputs(b, t_len, d_h, v, seed=0):
+    gen = np.random.default_rng(seed)
+    states = gen.normal(size=(b, t_len, d_h))
+    table = gen.normal(0.0, 0.5, size=(v, d_h))
+    items = gen.integers(0, v, size=(b, t_len))
+    return gen, states, table, items
+
+
+def tied_loss_weights(case, gen, b, t_len):
+    if case == "all_weighted":
+        return gen.normal(size=(b, t_len - 1))  # signed, as in gradient ascent
+    if case == "last_term_only":
+        w = np.zeros((b, t_len - 1))
+        w[:, -1] = 1.0
+        return w
+    if case == "zero_row":
+        w = gen.uniform(0.1, 1.0, size=(b, t_len - 1))
+        w[1] = 0.0
+        return w
+    lengths = gen.integers(1, t_len + 1, size=b)  # "ragged": padded right
+    lengths[0], lengths[-1] = 1, t_len
+    return encoder.term_weight_matrix(lengths, t_len) / b
+
+
+@pytest.mark.parametrize(
+    "case, shape",
+    [
+        ("all_weighted", (5, 7, 8, 30)),
+        ("last_term_only", (5, 7, 8, 30)),
+        ("zero_row", (4, 9, 8, 30)),
+        ("ragged", (6, 12, 8, 40)),
+        ("ragged", (3, 70, 8, 20)),  # T > 64: the reference takes two time chunks
+        ("all_weighted", (2, 70, 8, 20)),
+    ],
+)
+def test_tied_loss_matches_the_dense_reference(case, shape):
+    b, t_len, d_h, v = shape
+    gen, states, table, items = tied_loss_inputs(*shape)
+    weights = tied_loss_weights(case, gen, b, t_len)
+    loss, d_states, d_table = encoder.tied_next_item_loss(states, table, items, weights)
+    ref_loss, ref_d_states, ref_d_table = reference_tied_loss(states, table, items, weights)
+    assert loss == pytest.approx(ref_loss, rel=0, abs=1e-12)
+    np.testing.assert_allclose(d_states, ref_d_states, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(d_table, ref_d_table, rtol=0, atol=1e-12)
+    # a step without a weighted term gets no gradient at all, the last step included
+    unweighted = np.ones((b, t_len), dtype=bool)
+    unweighted[:, :-1] = weights == 0.0
+    assert (d_states[unweighted] == 0.0).all()
+
+
+def test_tied_loss_splits_weighted_terms_into_row_blocks(monkeypatch):
+    b, t_len, d_h, v = 4, 9, 8, 30
+    gen, states, table, items = tied_loss_inputs(b, t_len, d_h, v, seed=3)
+    weights = tied_loss_weights("zero_row", gen, b, t_len)
+    monkeypatch.setattr(encoder, "_LOSS_ROWS", 5)  # 24 weighted terms: five blocks, the last partial
+    loss, d_states, d_table = encoder.tied_next_item_loss(states, table, items, weights)
+    ref_loss, ref_d_states, ref_d_table = reference_tied_loss(states, table, items, weights)
+    assert loss == pytest.approx(ref_loss, rel=0, abs=1e-12)
+    np.testing.assert_allclose(d_states, ref_d_states, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(d_table, ref_d_table, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("t_len", [1, 4])
+def test_tied_loss_without_weighted_terms_is_zero(t_len):
+    _, states, table, items = tied_loss_inputs(3, t_len, 8, 10)
+    loss, d_states, d_table = encoder.tied_next_item_loss(states, table, items, np.zeros((3, t_len - 1)))
+    assert loss == 0.0
+    assert not d_states.any() and not d_table.any()
+    assert d_states.shape == states.shape and d_table.shape == table.shape

@@ -12,7 +12,6 @@ from orderlab.injector import (
     inject_sequential,
     low_cosine_candidates,
     plan_allocation,
-    restore,
 )
 from orderlab.numkit import SeededRng
 from orderlab.semantics import SemanticTable, synth_semantics
@@ -25,6 +24,14 @@ def two_category_semantics(n_items):
     half = n_items // 2
     cats = np.array([0] * half + [1] * (n_items - half))
     return synth_semantics(cats, 16, 0.0, SeededRng(4)), cats
+
+
+def restore(corpus, manifest):
+    """Undo every manifest entry, reproducing the clean corpus exactly."""
+    sequences = [s.copy() for s in corpus.sequences]
+    for e in manifest.entries:
+        sequences[e.user][e.position] = e.original_item
+    return corpus.with_sequences(sequences)
 
 
 def planned_positions(plan):

@@ -62,6 +62,12 @@ class TestForward:
         with pytest.raises(InvalidArgument):
             model.batch_states(params, [np.zeros(65, dtype=np.int64)])
 
+    @pytest.mark.parametrize("prefix, target", [([1, -1], 2), ([1, 12], 2), ([1, 2], 12), ([1, 2], -1)])
+    def test_sample_term_checks_prefix_and_target(self, prefix, target):
+        model, params = tiny_model()
+        with pytest.raises(InvalidArgument):
+            model.sample_term_loss(params, prefix, target)
+
 
 class TestGradients:
     def test_fd_directional_sweep(self):
