@@ -25,7 +25,6 @@ detector falls back to uniform weights and a percentile threshold.
 """
 from __future__ import annotations
 
-import csv
 import logging
 import os
 from dataclasses import dataclass, field
@@ -44,6 +43,7 @@ from .semantics import SemanticTable
 log = logging.getLogger(__name__)
 
 FEATURE_NAMES = ("pred_divergence", "rep_disagreement", "pop_deviation", "context_disruption")
+_CSV_ROWS = 2048  # rows of detection.csv formatted and written at once
 
 
 @dataclass
@@ -68,6 +68,10 @@ class DetectorConfig:
             raise InvalidArgument("smoothing must lie in [0, 1)")
         if self.calibrate and not (0.0 < self.calib_frac < 1.0):
             raise InvalidArgument("calib_frac must lie in (0, 1)")
+        if not (0.0 <= self.default_percentile <= 100.0):
+            raise InvalidArgument("default_percentile must lie in [0, 100]")
+        if self.batch_users < 1:
+            raise InvalidArgument("batch_users must be >= 1")
 
 
 @dataclass
@@ -105,26 +109,28 @@ class DetectionReport:
         ]
 
     def to_csv(self, path: str, truth: dict | None = None) -> None:
+        """One row per scored position, floats as `repr`, lines ended by CR LF.
+
+        Written block by block from `.tolist()` columns. No field holds a
+        comma, quote or line break, so the bytes equal `csv.writer`'s.
+        """
         truth = truth or {}
+        header = ["user", "position", *FEATURE_NAMES, "raw_score", "smoothed_score", "flag", "truth_type"]
         tmp = f"{path}.tmp"
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["user", "position", *FEATURE_NAMES, "raw_score", "smoothed_score", "flag", "truth_type"]
-            )
-            for i in range(self.users.size):
-                key = (int(self.users[i]), int(self.positions[i]))
-                writer.writerow(
-                    [
-                        key[0],
-                        key[1],
-                        *[repr(float(v)) for v in self.features[i]],
-                        repr(float(self.raw_scores[i])),
-                        repr(float(self.smoothed_scores[i])),
-                        int(self.flags[i]),
-                        truth.get(key, ""),
-                    ]
-                )
+            fh.write(",".join(header) + "\r\n")
+            for start in range(0, self.users.size, _CSV_ROWS):
+                rows = slice(start, start + _CSV_ROWS)
+                users, positions = self.users[rows].tolist(), self.positions[rows].tolist()
+                scores = [*self.features[rows].T, self.raw_scores[rows], self.smoothed_scores[rows]]
+                columns = [
+                    map(str, users),
+                    map(str, positions),
+                    *(map(repr, column.tolist()) for column in scores),
+                    map(str, self.flags[rows].astype(np.int64).tolist()),
+                    (truth.get(key, "") for key in zip(users, positions)),
+                ]
+                fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
         os.replace(tmp, path)
 
 

@@ -4,7 +4,9 @@ Each user's positive item is ranked among itself and `negatives` items the
 user never interacted with. The negatives of a user depend only on the
 corpus, the mode and the labelled RNG path, so the target-first candidate
 matrix of one (corpus, mode) is drawn once (`draw_candidates`) and every
-later evaluation of that split reuses it.
+later evaluation of that split reuses it. One forward pass over prefix +
+validation item ranks both targets (`evaluate_topk`); `topk_report` turns
+a mode's ranks into HR@k / NDCG@k.
 """
 from __future__ import annotations
 
@@ -19,8 +21,11 @@ from ..params import ParamVector
 from ..seqrec import SeqRecModel
 
 
+MODES = ("valid", "test")
+
+
 def _check_mode(mode: str) -> None:
-    if mode not in ("valid", "test"):
+    if mode not in MODES:
         raise InvalidArgument("mode must be 'valid' or 'test'")
 
 
@@ -63,44 +68,64 @@ def evaluate_topk(
     params: ParamVector,
     corpus: Corpus,
     split: LooSplit,
-    mode: str = "test",
     negatives: int = 100,
-    ks=(10, 20),
     rng: SeededRng | None = None,
     batch_users: int = 64,
-    candidates: np.ndarray | None = None,
-) -> dict:
-    """HR@k / NDCG@k of the positive item among itself plus seeded negatives.
+    candidates: dict[str, np.ndarray] | None = None,
+) -> dict[str, np.ndarray]:
+    """Rank of each split user's validation and test target, from one forward pass.
 
-    mode "valid" scores the validation target given the train prefix;
-    mode "test" scores the test target given prefix + validation item.
-    `candidates` is the split's matrix from `draw_candidates` for this
-    corpus and mode; without it the negatives are drawn here from `rng`.
-    Negatives are drawn once per (corpus, mode): a caller that evaluates a
-    split repeatedly passes the same matrix each time. Each batch of users
-    is scored with one gather and one batched product.
+    Returns {"valid": ranks, "test": ranks}, 1-based pessimistic ranks in
+    split order; `topk_report` turns them into HR@k / NDCG@k. The encoder
+    runs once over prefix + validation item: its state at position L-2 (the
+    end of the train prefix) scores the validation target, its state at
+    L-1 the test target. The recurrence is causal, so these are the states
+    a separate pass over the prefix alone would give.
+
+    `candidates` maps each mode to the split's matrix from `draw_candidates`
+    for this corpus; without it both are drawn here from `rng`. Negatives
+    are drawn once per (corpus, mode): a caller that ranks a split
+    repeatedly passes the same matrices each time. Users go in length-sorted
+    batches, each scored with one gather and one batched product per mode.
     """
-    _check_mode(mode)
     if candidates is None:
         if rng is None:
-            raise InvalidArgument("evaluate_topk needs a SeededRng or a candidate matrix")
-        candidates = draw_candidates(corpus, split, mode, negatives, rng)
-    elif candidates.shape != (len(split.users), 1 + negatives):
-        raise InvalidArgument(
-            f"candidates of shape {candidates.shape}, expected {(len(split.users), 1 + negatives)}"
-        )
+            raise InvalidArgument("evaluate_topk needs a SeededRng or candidate matrices")
+        candidates = {mode: draw_candidates(corpus, split, mode, negatives, rng) for mode in MODES}
+    for mode in MODES:
+        shape = np.shape(candidates.get(mode))
+        if shape != (len(split.users), 1 + negatives):
+            raise InvalidArgument(
+                f"{mode} candidates of shape {shape}, expected {(len(split.users), 1 + negatives)}"
+            )
     table = params.view("item_embeddings")
-    ranks = np.empty(len(split.users), dtype=np.int64)
+    ranks = {mode: np.empty(len(split.users), dtype=np.int64) for mode in MODES}
     # length-sorted batches bound the padding waste; ranks scatter back per user
     order = np.argsort([len(p) for p in split.prefixes], kind="stable")
     for start in range(0, len(order), batch_users):
         part = order[start : start + batch_users]
-        inputs = [split.prefixes[i] for i in part]
-        if mode == "test":
-            inputs = [np.append(p, split.valid_targets[i]) for p, i in zip(inputs, part)]
-        finals = model.final_states(params, inputs)
-        scores = np.matmul(table[candidates[part]], finals[:, :, None])[:, :, 0]
-        ranks[part] = rank_of_positive(scores)
+        inputs = [np.append(split.prefixes[i], split.valid_targets[i]) for i in part]
+        for mode, finals in zip(MODES, _last_two_states(model, params, inputs)):
+            scores = np.matmul(table[candidates[mode][part]], finals[:, :, None])[:, :, 0]
+            ranks[mode][part] = rank_of_positive(scores)
+    return ranks
+
+
+def _last_two_states(
+    model: SeqRecModel, params: ParamVector, seqs
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each sequence's hidden state before and after its last item, (B, d_h) each.
+
+    The padded states and the forward cache are freed on return, before
+    the caller allocates its score blocks.
+    """
+    states, _, cache = model.batch_states(params, seqs)
+    rows, last = np.arange(len(seqs)), cache["lengths"] - 1
+    return states[rows, last - 1], states[rows, last]
+
+
+def topk_report(ranks: np.ndarray, negatives: int, ks) -> dict:
+    """HR@k and NDCG@k of one mode's ranks from `evaluate_topk`."""
     report = {"users_evaluated": int(ranks.size), "negatives": int(negatives)}
     for k in ks:
         report[f"HR@{k}"] = hit_rate(ranks, k)

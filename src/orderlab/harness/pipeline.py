@@ -15,6 +15,13 @@ The clean and poisoned target models share initialization and training
 randomness (labels "target-init"/"target-train"), so a zero-injection run
 yields bitwise-identical clean and compromised checkpoints and metrics,
 and injected runs differ only through the data.
+
+Each target model is ranked once per split (`Pipeline.ranks`): one
+`evaluate_topk` pass gives its validation and test ranks, kept under the
+corpus and a digest of the parameter bytes. The final stage reuses the
+ranks rectify took of the compromised model and of the kept round, so a
+fresh run's final stage ranks only the clean model, and a resumed one
+ranks a rectified model equal to the compromised one once.
 """
 from __future__ import annotations
 
@@ -36,7 +43,7 @@ from ..numkit import SeededRng
 from ..params import ParamVector
 from ..seqrec import ModelConfig, SeqRecModel
 from .config import ExperimentConfig
-from .metrics import convergence_report, draw_candidates, evaluate_topk
+from .metrics import MODES, convergence_report, draw_candidates, evaluate_topk, ndcg, topk_report
 
 log = logging.getLogger(__name__)
 
@@ -130,6 +137,7 @@ class Pipeline:
         self.root = SeededRng(cfg.seed)
         self.ctx: dict = {}
         self.timings: dict[str, float] = {}
+        self.rank_cache: dict[tuple[str, bytes], dict[str, np.ndarray]] = {}
         os.makedirs(out_dir, exist_ok=True)
 
     def path(self, name: str) -> str:
@@ -152,16 +160,31 @@ class Pipeline:
             save(p, value)
         return list(values)
 
-    def candidates(self, corpus_key: str, mode: str) -> np.ndarray:
-        """The evaluation candidate matrix of ctx corpus `corpus_key` ("corpus" or
-        "poisoned") in `mode`, drawn on first use and kept in ctx for the process."""
-        key = f"candidates_{corpus_key}_{mode}"
-        if key not in self.ctx:
-            self.ctx[key] = draw_candidates(
-                self.ctx[corpus_key], self.ctx[SPLIT_OF[corpus_key]], mode,
-                self.cfg.eval.negatives, self.root.child("eval"),
+    def ranks(self, params: ParamVector, corpus_key: str) -> dict[str, np.ndarray]:
+        """Valid and test ranks of the target model `params` on ctx corpus
+        `corpus_key` ("corpus" or "poisoned"), from `evaluate_topk`.
+
+        Ranks are kept for the process under the corpus and a digest of the
+        parameter bytes, never the object: rectify changes its parameters in
+        place between evaluations. So the final stage reuses what rectify
+        ranked, the compromised model and the kept round. The candidate
+        matrices of a corpus are drawn on first use and kept in ctx.
+        """
+        key = (corpus_key, hashlib.sha256(params.flat).digest())
+        if key not in self.rank_cache:
+            corpus, split = self.ctx[corpus_key], self.ctx[SPLIT_OF[corpus_key]]
+            negatives = self.cfg.eval.negatives
+            drawn = f"candidates_{corpus_key}"
+            if drawn not in self.ctx:
+                self.ctx[drawn] = {
+                    mode: draw_candidates(corpus, split, mode, negatives, self.root.child("eval"))
+                    for mode in MODES
+                }
+            self.rank_cache[key] = evaluate_topk(
+                self.ctx["target_model"], params, corpus, split,
+                negatives=negatives, candidates=self.ctx[drawn],
             )
-        return self.ctx[key]
+        return self.rank_cache[key]
 
     # -- stages --------------------------------------------------------------
 
@@ -355,7 +378,6 @@ class Pipeline:
     def stage_rectify(self) -> None:
         model = self.ctx["target_model"]
         corpus = self.ctx["poisoned"]
-        split = self.ctx["poisoned_split"]
 
         def ascend():
             prefixes = [corpus.train_prefix(u) for u in range(corpus.n_users)]
@@ -366,18 +388,10 @@ class Pipeline:
                 for p in range(1, len(prefixes[u]))
                 if (u, p) not in flagged
             ]
-            candidates = self.candidates("poisoned", "valid")
-
-            def eval_fn(params):
-                rep = evaluate_topk(
-                    model, params, corpus, split, mode="valid",
-                    negatives=self.cfg.eval.negatives, ks=(10,), candidates=candidates,
-                )
-                return rep["NDCG@10"]
-
             rectified, trace = rectifier.rectify(
                 model, self.ctx["poisoned_params"], prefixes, self.ctx["harmful"], clean_pool,
-                eval_fn, self.cfg.rectify, self.root.child("rectify"),
+                lambda params: ndcg(self.ranks(params, "poisoned")["valid"], 10),
+                self.cfg.rectify, self.root.child("rectify"),
             )
             return rectified, dataclasses.asdict(trace)
 
@@ -394,18 +408,10 @@ class Pipeline:
 
     def _metrics(self) -> dict:
         cfg = self.cfg
-        model = self.ctx["target_model"]
 
         def both_modes(params, corpus_key):
-            corpus, split = self.ctx[corpus_key], self.ctx[SPLIT_OF[corpus_key]]
-            return {
-                mode: evaluate_topk(
-                    model, params, corpus, split, mode=mode,
-                    negatives=cfg.eval.negatives, ks=cfg.eval.ks,
-                    candidates=self.candidates(corpus_key, mode),
-                )
-                for mode in ("valid", "test")
-            }
+            ranks = self.ranks(params, corpus_key)
+            return {mode: topk_report(ranks[mode], cfg.eval.negatives, cfg.eval.ks) for mode in MODES}
 
         traces = {
             "target_clean": self.ctx["clean_trace"],
@@ -523,10 +529,10 @@ def fake_order_effect_sweep(
             params, trace = pipe._train_target(
                 var_corpus, f"target_sweep_{variant}.ckpt", f"trace_sweep_{variant}.json"
             )
-        report = evaluate_topk(
-            model, params, var_corpus, var_split, mode="test",
-            negatives=cfg.eval.negatives, ks=cfg.eval.ks, rng=eval_rng,
+        ranks = evaluate_topk(
+            model, params, var_corpus, var_split, negatives=cfg.eval.negatives, rng=eval_rng
         )
+        report = topk_report(ranks["test"], cfg.eval.negatives, cfg.eval.ks)
         conv = convergence_report({"train": trace})["train"]
         row = {"variant": variant, "seed": cfg.seed, "convergence_epochs": conv["reported"]}
         row.update({k: v for k, v in report.items() if k.startswith(("HR@", "NDCG@"))})

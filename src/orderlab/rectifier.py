@@ -37,10 +37,14 @@ class InfluenceConfig:
     batch_users: int | None = 128  # minibatch per LiSSA iteration; None = full batch
 
     def validate(self) -> None:
-        if self.lissa_depth < 1 or self.repeats < 1:
-            raise InvalidArgument("lissa_depth and repeats must be >= 1")
+        if self.lissa_depth < 1 or self.repeats < 1 or self.scale_power_iters < 1:
+            raise InvalidArgument("lissa_depth, repeats and scale_power_iters must be >= 1")
         if self.damping < 0.0 or self.fd_step <= 0.0:
             raise InvalidArgument("damping must be >= 0 and fd_step > 0")
+        if (self.scale is not None and self.scale <= 0.0) or self.scale_margin <= 0.0:
+            raise InvalidArgument("scale (when given) and scale_margin must be > 0")
+        if self.batch_users is not None and self.batch_users < 1:
+            raise InvalidArgument("batch_users must be >= 1 or null")
 
 
 @dataclass
@@ -57,6 +61,8 @@ class RectifyConfig:
             raise InvalidArgument("max_rounds must be >= 1")
         if not (0.0 <= self.descent_rate < self.ascent_rate):
             raise InvalidArgument("need descent_rate < ascent_rate")
+        if self.ascent_clip <= 0.0 or self.clean_batch < 1:
+            raise InvalidArgument("need ascent_clip > 0 and clean_batch >= 1")
 
 
 # --- Hessian-vector machinery ----------------------------------------------

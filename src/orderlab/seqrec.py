@@ -89,12 +89,6 @@ class SeqRecModel(BlockModel):
         w[-1] = 1.0
         return self.batch_term_loss(params, [seq], [w])
 
-    def final_states(self, params: ParamVector, seqs) -> np.ndarray:
-        """Last hidden state per sequence, batched (B, d_h)."""
-        states, _, cache = self.batch_states(params, seqs)
-        lengths = cache["lengths"]
-        return states[np.arange(len(seqs)), lengths - 1]
-
     # -- training ------------------------------------------------------------
 
     def train(

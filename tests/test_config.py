@@ -77,6 +77,14 @@ def test_partial_document_keeps_defaults():
     {"detector": {"weights": [1, 1, 1, "1"]}},
     {"influence": {"scale": "auto"}},
     {"rectify": {"max_rounds": 0}},
+    {"influence": {"batch_users": 0}},
+    {"influence": {"scale": -1.0}},
+    {"influence": {"scale_margin": -2.0}},
+    {"influence": {"scale_power_iters": 0}},
+    {"rectify": {"ascent_clip": -1.0}},
+    {"rectify": {"clean_batch": 0}},
+    {"detector": {"default_percentile": 150}},
+    {"detector": {"batch_users": 0}},
 ])
 def test_malformed_document_is_rejected(doc):
     with pytest.raises(InvalidArgument):

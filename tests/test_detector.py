@@ -1,8 +1,13 @@
-"""Detector features, smoothing, weight fitting and threshold tuning."""
+"""Detector features, smoothing, weight fitting, threshold tuning and the CSV report."""
+import csv
+
 import numpy as np
 import pytest
 
+from orderlab import detector
 from orderlab.detector import (
+    FEATURE_NAMES,
+    DetectionReport,
     DetectorConfig,
     _jsd_rows,
     features,
@@ -175,3 +180,44 @@ class TestTuneThreshold:
         tau = tune_threshold(scores, labels, beta=2.0)
         assert tau == np.percentile(scores, 90)
         np.testing.assert_array_equal(scores > tau, labels)
+
+
+def reference_csv(report, path, truth):
+    """The csv.writer loop that DetectionReport.to_csv replaced."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["user", "position", *FEATURE_NAMES, "raw_score", "smoothed_score", "flag", "truth_type"]
+        )
+        for i in range(report.users.size):
+            key = (int(report.users[i]), int(report.positions[i]))
+            writer.writerow([
+                key[0],
+                key[1],
+                *[repr(float(v)) for v in report.features[i]],
+                repr(float(report.raw_scores[i])),
+                repr(float(report.smoothed_scores[i])),
+                int(report.flags[i]),
+                truth.get(key, ""),
+            ])
+
+
+@pytest.mark.parametrize("with_truth", [True, False])
+def test_csv_equals_the_csv_writer(tmp_path, monkeypatch, with_truth):
+    """Blocks of 7 rows over 40: the last block is partial; floats of every magnitude."""
+    monkeypatch.setattr(detector, "_CSV_ROWS", 7)
+    gen = np.random.default_rng(4)
+    n = 40
+    feats = gen.normal(size=(n, 4)) * 10.0 ** gen.integers(-300, 300, size=(n, 4))
+    feats[:4, 0] = [0.0, -0.0, 1.0, 1e-5]
+    users, positions = np.repeat(np.arange(8), 5), np.tile(np.arange(5), 8)
+    report = DetectionReport(
+        users, positions, feats, gen.normal(size=n), gen.normal(size=n), gen.random(n) > 0.7,
+        threshold=0.5, weights=np.full(4, 0.25),
+    )
+    truth = {(0, 1): "repetitive", (3, 4): "semantic", (7, 0): "sequential"} if with_truth else {}
+    report.to_csv(str(tmp_path / "got.csv"), truth if with_truth else None)
+    reference_csv(report, tmp_path / "want.csv", truth)
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert got.count(b"\r\n") == n + 1 and (b"semantic" in got) == with_truth

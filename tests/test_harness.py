@@ -1,14 +1,20 @@
 """The pipeline, its resume rule and the CLI, end to end on a tiny synthetic config."""
+import ctypes
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import orderlab
+from orderlab import rectifier
 from orderlab.checkpoint import load_checkpoint, save_checkpoint
 from orderlab.errors import FormatError
-from orderlab.harness import metrics
+from orderlab.harness import metrics, pipeline
 from orderlab.harness.cli import main
 from orderlab.harness.config import ExperimentConfig
-from orderlab.harness.pipeline import _checkpoint, run_pipeline
+from orderlab.harness.pipeline import SWEEP_VARIANTS, Pipeline, _checkpoint, run_pipeline
 from orderlab.seqrec import ModelConfig, SeqRecModel
 
 TINY = {
@@ -65,6 +71,13 @@ def test_resume_recomputes_missing_artifacts_identically(fresh):
     (TINY, 0),
     ({"seed": 1, "data": 5}, 2),  # a malformed section: InvalidArgument, not a traceback
     ({"seed": 1, "model": {"hidden": "x"}}, 2),  # a mistyped field fails at load time
+    # out-of-range fields fail at load time, not in the stage that uses them
+    ({"seed": 1, "influence": {"batch_users": 0}}, 2),
+    ({"seed": 1, "influence": {"scale": -1.0}}, 2),
+    ({"seed": 1, "influence": {"scale_margin": -2.0}}, 2),
+    ({"seed": 1, "rectify": {"ascent_clip": -1.0}}, 2),
+    ({"seed": 1, "rectify": {"clean_batch": 0}}, 2),
+    ({"seed": 1, "detector": {"default_percentile": 150}}, 2),
 ])
 def test_cli_exit_codes(tmp_path, doc, code):
     config = tmp_path / "config.json"
@@ -89,27 +102,93 @@ def test_invalid_config_writes_no_file(tmp_path, section):
 
 def test_each_negative_set_is_drawn_once_per_process(tmp_path, monkeypatch):
     """Clean and poisoned corpora, valid and test mode: 4 draws per user in a
-    fresh run (3 rectify evaluations, 6 final) and again in a resumed final."""
-    calls = []
+    fresh run and again in a resumed final. Each model is ranked once per
+    split: rectify ranks the compromised model and each round, and the
+    final stage reuses those ranks, so it ranks only the clean model; a
+    resumed final ranks the clean and the compromised model, which is also
+    the rectified one here (best round 0)."""
+    calls, passes, in_rectify = [], [], []
 
     def counted(corpus, user, n, rng):
         calls.append(user)
         return draw(corpus, user, n, rng)
 
-    draw = metrics.sample_negatives
+    def ranked(*args, **kwargs):
+        passes.append("rectify" if in_rectify else "final")
+        return rank(*args, **kwargs)
+
+    def rectifying(*args, **kwargs):
+        in_rectify.append(True)
+        try:
+            return rectify(*args, **kwargs)
+        finally:
+            in_rectify.clear()
+
+    draw, rank, rectify = metrics.sample_negatives, pipeline.evaluate_topk, rectifier.rectify
     monkeypatch.setattr(metrics, "sample_negatives", counted)
+    monkeypatch.setattr(pipeline, "evaluate_topk", ranked)
+    monkeypatch.setattr(rectifier, "rectify", rectifying)
     cfg = ExperimentConfig.from_dict(dict(TINY, rectify={"max_rounds": 2}))
     users = TINY["data"]["synth"]["users"]
     ctx = run_pipeline(cfg, str(tmp_path))
     assert len(ctx["rectify_trace"]["rounds"]) == 2
+    assert ctx["rectify_trace"]["best_round"] == 0
     assert len(calls) == 4 * users
+    assert passes == ["rectify"] * 3 + ["final"]
     metrics_json = (tmp_path / "metrics.json").read_bytes()
 
     calls.clear()
+    passes.clear()
     (tmp_path / "metrics.json").unlink()
     run_pipeline(cfg, str(tmp_path), resume=True)
     assert len(calls) == 4 * users
+    assert passes == ["final"] * 2
     assert (tmp_path / "metrics.json").read_bytes() == metrics_json
+
+
+def test_ranks_are_cached_by_parameter_content(tmp_path, monkeypatch):
+    """Rectify changes its parameters in place between evaluations, so the
+    cache must follow the bytes of the parameters, not the object."""
+    passes = []
+
+    def ranked(*args, **kwargs):
+        passes.append(args[2])
+        return rank(*args, **kwargs)
+
+    rank = pipeline.evaluate_topk
+    monkeypatch.setattr(pipeline, "evaluate_topk", ranked)
+    pipe = Pipeline(ExperimentConfig.from_dict(TINY), str(tmp_path))
+    pipe.run(stop_after="inject")
+    params = pipe.ctx["clean_params"]
+    original = params.flat.copy()
+    first = pipe.ranks(params, "corpus")
+    assert pipe.ranks(params, "corpus") is first
+    assert pipe.ranks(params.copy(), "corpus") is first
+    assert len(passes) == 1
+    params.flat *= 1.5  # in place: the object is the same, its content is not
+    pipe.ranks(params, "corpus")
+    assert len(passes) == 2
+    params.flat[...] = original
+    assert pipe.ranks(params, "corpus") is first
+    pipe.ranks(params, "poisoned")  # the same model on another corpus
+    assert passes == [pipe.ctx["corpus"], pipe.ctx["corpus"], pipe.ctx["poisoned"]]
+
+
+def test_effect_sweep_writes_one_row_per_variant(fresh, tmp_path):
+    config, _, metrics_json = fresh
+    outputs = []
+    for run in ("first", "second"):
+        out = tmp_path / run
+        assert main(["effect-sweep", "--config", config, "--out", str(out)]) == 0
+        outputs.append((out / "effects.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    header, *rows = outputs[0].decode("utf-8").splitlines()
+    assert header.split(",") == ["variant", "seed", "convergence_epochs", "HR@10", "NDCG@10",
+                                 "HR@20", "NDCG@20"]
+    assert [row.split(",")[0] for row in rows] == list(SWEEP_VARIANTS)
+    # the clean variant is the pipeline's clean baseline, ranked the same way
+    clean = dict(zip(header.split(","), rows[0].split(",")))
+    assert float(clean["NDCG@10"]) == json.loads(metrics_json)["clean"]["test"]["NDCG@10"]
 
 
 def test_resume_with_another_config_is_refused(fresh, tmp_path):
@@ -130,3 +209,79 @@ def test_checkpoint_of_another_architecture_is_refused(tmp_path):
     assert load_checkpoint(path)[0] == "dualview-gru/1"
     with pytest.raises(FormatError):
         load(path)
+
+
+class NoMallopt:
+    """A C library without mallopt, as on a host whose libc is not glibc."""
+
+    def __init__(self, name):
+        self.name = name
+
+
+class RefusingLibc(NoMallopt):
+    """A C library whose mallopt refuses every setting."""
+
+    def __init__(self, name):
+        super().__init__(name)
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return 0
+
+        self.mallopt = mallopt
+
+
+def no_libc(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("libc", [no_libc, NoMallopt, RefusingLibc])
+def test_cli_runs_without_the_allocator_setting(fresh, tmp_path, monkeypatch, libc):
+    """Where mallopt is missing or refuses, the CLI runs on and writes the same report."""
+    config, _, metrics_json = fresh
+    opened = []
+
+    def cdll(name):
+        opened.append(libc(name))
+        return opened[-1]
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", config, "--out", str(out)]) == 0
+    assert (out / "metrics.json").read_bytes() == metrics_json
+    if libc is RefusingLibc:
+        # glibc's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD, both asked for 32 MiB
+        assert [call for lib in opened for call in lib.calls] == [(-3, 32 << 20), (-1, 32 << 20)]
+
+
+IMPORT_CHECK = """
+import ctypes, importlib, pkgutil, sys
+calls = []
+
+class Libc:
+    def __init__(self, name):
+        pass
+
+    @property
+    def mallopt(self):
+        calls.append("mallopt")
+        return lambda param, value: 1
+
+ctypes.CDLL = Libc
+import orderlab
+for module in pkgutil.walk_packages(orderlab.__path__, "orderlab."):
+    if module.name != "orderlab.__main__":
+        importlib.import_module(module.name)
+assert calls == [], calls
+from orderlab.harness import cli
+cli.keep_freed_memory()
+assert calls == ["mallopt"], calls
+"""
+
+
+def test_importing_orderlab_leaves_the_allocator_alone():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orderlab.__file__)))
+    done = subprocess.run([sys.executable, "-c", IMPORT_CHECK], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -7,6 +7,7 @@ import pytest
 from orderlab.corpus import SynthConfig, leave_one_out, sample_negatives, synth_corpus
 from orderlab.errors import InvalidArgument
 from orderlab.harness.metrics import (
+    MODES,
     convergence_report,
     draw_candidates,
     evaluate_topk,
@@ -14,6 +15,7 @@ from orderlab.harness.metrics import (
     ndcg,
     rank_of_positive,
     round_up_to_cadence,
+    topk_report,
 )
 from orderlab.numkit import SeededRng
 from orderlab.seqrec import ModelConfig, SeqRecModel
@@ -24,9 +26,10 @@ NEGATIVES = 12
 KS = (1, 5, 10)
 
 
-def reference_topk(model, params, corpus, split, mode, negatives, ks, rng, batch_users=64):
-    """The per-user loop that evaluate_topk replaced: one draw, one product and
-    one scalar pessimistic rank per user."""
+def reference_ranks(model, params, corpus, split, mode, negatives, rng, batch_users=64):
+    """The per-mode, per-user loop that evaluate_topk replaced: a forward pass over
+    the train prefix ("valid") or prefix + validation item ("test"), then one
+    draw, one product and one scalar pessimistic rank per user."""
     table = params.view("item_embeddings")
     ranks = np.empty(len(split.users), dtype=np.int64)
     order = sorted(range(len(split.users)), key=lambda i: len(split.prefixes[i]))
@@ -38,20 +41,17 @@ def reference_topk(model, params, corpus, split, mode, negatives, ks, rng, batch
             if mode == "test":
                 prefix = np.append(prefix, split.valid_targets[i])
             inputs.append(prefix)
-        finals = model.final_states(params, inputs)
+        states, _, cache = model.batch_states(params, inputs)
         for j, i in enumerate(part):
+            final = states[j, cache["lengths"][j] - 1]
             user = split.users[i]
             target = int(split.test_targets[i] if mode == "test" else split.valid_targets[i])
             user_rng = rng.child(f"neg-{mode}-{corpus.user_ids[user]}")
             negs = sample_negatives(corpus, user, negatives, user_rng)
-            scores = table[np.concatenate([[target], negs])] @ finals[j]
+            scores = table[np.concatenate([[target], negs])] @ final
             pos, neg = float(scores[0]), scores[1:]
             ranks[i] = 1 + int((neg > pos).sum()) + int((neg == pos).sum())
-    report = {"users_evaluated": int(ranks.size), "negatives": int(negatives)}
-    for k in ks:
-        report[f"HR@{k}"] = hit_rate(ranks, k)
-        report[f"NDCG@{k}"] = ndcg(ranks, k)
-    return report
+    return ranks
 
 
 @pytest.fixture(scope="module")
@@ -67,27 +67,36 @@ def setup():
     return model, params, corpus, split
 
 
+def drawn(corpus, split, rng):
+    return {mode: draw_candidates(corpus, split, mode, NEGATIVES, rng) for mode in MODES}
+
+
 class TestEvaluateTopk:
     @pytest.mark.parametrize("mode", ["valid", "test"])
     @pytest.mark.parametrize("batch_users", [16, 64])
     def test_equals_per_user_reference(self, setup, mode, batch_users):
+        """One pass over prefix + validation item ranks both targets as a
+        separate pass per mode does."""
         model, params, corpus, split = setup
-        got = evaluate_topk(model, params, corpus, split, mode, NEGATIVES, KS, SeededRng(8),
+        got = evaluate_topk(model, params, corpus, split, NEGATIVES, SeededRng(8),
                             batch_users=batch_users)
-        want = reference_topk(model, params, corpus, split, mode, NEGATIVES, KS, SeededRng(8),
-                              batch_users=batch_users)
-        assert got == want
-        assert 0.0 < got["HR@10"] < 1.0
+        assert sorted(got) == ["test", "valid"]
+        want = reference_ranks(model, params, corpus, split, mode, NEGATIVES, SeededRng(8),
+                               batch_users=batch_users)
+        assert np.array_equal(got[mode], want)
+        report = topk_report(got[mode], NEGATIVES, KS)
+        assert report["users_evaluated"] == len(split.users) and report["negatives"] == NEGATIVES
+        assert 0.0 < report["HR@10"] < 1.0
+        assert report["NDCG@5"] == ndcg(want, 5)
 
     @pytest.mark.parametrize("mode", ["valid", "test"])
     def test_reused_matrix_equals_fresh_draws(self, setup, mode):
         model, params, corpus, split = setup
-        fresh = evaluate_topk(model, params, corpus, split, mode, NEGATIVES, KS, SeededRng(8))
-        candidates = draw_candidates(corpus, split, mode, NEGATIVES, SeededRng(8))
+        fresh = evaluate_topk(model, params, corpus, split, NEGATIVES, SeededRng(8))
+        candidates = drawn(corpus, split, SeededRng(8))
         for _ in range(2):
-            reused = evaluate_topk(model, params, corpus, split, mode, NEGATIVES, KS,
-                                   candidates=candidates)
-            assert reused == fresh
+            reused = evaluate_topk(model, params, corpus, split, NEGATIVES, candidates=candidates)
+            assert np.array_equal(reused[mode], fresh[mode])
 
     def test_candidate_rows_follow_the_split(self, setup):
         _, _, corpus, split = setup
@@ -101,30 +110,35 @@ class TestEvaluateTopk:
     def test_ties_count_against_the_positive(self, setup):
         model, _, corpus, split = setup
         flat = model.zero_params()  # every item scores 0: the positive ties all negatives
-        report = evaluate_topk(model, flat, corpus, split, "test", NEGATIVES, (NEGATIVES, 13),
-                               SeededRng(8))
-        assert report[f"HR@{NEGATIVES}"] == 0.0
-        assert report["HR@13"] == 1.0
-        assert report["NDCG@13"] == pytest.approx(1.0 / math.log2(14.0))
+        ranks = evaluate_topk(model, flat, corpus, split, NEGATIVES, SeededRng(8))
+        for mode in MODES:
+            report = topk_report(ranks[mode], NEGATIVES, (NEGATIVES, 13))
+            assert report[f"HR@{NEGATIVES}"] == 0.0
+            assert report["HR@13"] == 1.0
+            assert report["NDCG@13"] == pytest.approx(1.0 / math.log2(14.0))
 
     def test_bad_mode(self, setup):
         model, params, corpus, split = setup
         with pytest.raises(InvalidArgument):
-            evaluate_topk(model, params, corpus, split, "train", NEGATIVES, KS, SeededRng(8))
-        with pytest.raises(InvalidArgument):
             draw_candidates(corpus, split, "train", NEGATIVES, SeededRng(8))
+        candidates = drawn(corpus, split, SeededRng(8))
+        with pytest.raises(InvalidArgument):  # a mode without its matrix
+            evaluate_topk(model, params, corpus, split, NEGATIVES,
+                          candidates={"train": candidates["test"], "test": candidates["test"]})
 
     def test_missing_rng(self, setup):
         model, params, corpus, split = setup
         with pytest.raises(InvalidArgument):
-            evaluate_topk(model, params, corpus, split, "valid", NEGATIVES, KS)
+            evaluate_topk(model, params, corpus, split, NEGATIVES)
 
     def test_candidates_of_another_shape(self, setup):
         model, params, corpus, split = setup
-        candidates = draw_candidates(corpus, split, "valid", NEGATIVES, SeededRng(8))
+        candidates = drawn(corpus, split, SeededRng(8))
         with pytest.raises(InvalidArgument):
-            evaluate_topk(model, params, corpus, split, "valid", NEGATIVES + 1, KS,
-                          candidates=candidates)
+            evaluate_topk(model, params, corpus, split, NEGATIVES + 1, candidates=candidates)
+        with pytest.raises(InvalidArgument):
+            evaluate_topk(model, params, corpus, split, NEGATIVES,
+                          candidates=dict(candidates, valid=candidates["valid"][1:]))
 
 
 def test_rank_of_positive_row_wise():

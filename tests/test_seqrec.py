@@ -23,8 +23,8 @@ def sequence_loss(model, params, seq):
 
 def last_step_dist(model, params, prefix):
     """The next-item distribution after `prefix`, as evaluation scores it."""
-    final = model.final_states(params, [np.asarray(prefix)])
-    return next_step_probs(final, params.view("item_embeddings"))[0]
+    states, _, _ = model.batch_states(params, [np.asarray(prefix)])
+    return next_step_probs(states[:, -1], params.view("item_embeddings"))[0]
 
 
 class TestForward:
