@@ -44,6 +44,7 @@ log = logging.getLogger(__name__)
 
 FEATURE_NAMES = ("pred_divergence", "rep_disagreement", "pop_deviation", "context_disruption")
 _CSV_ROWS = 2048  # rows of detection.csv formatted and written at once
+_JSD_ROWS = 64  # rows of the JSD's (rows, V) mixture and log workspace
 
 
 @dataclass
@@ -134,17 +135,32 @@ class DetectionReport:
         os.replace(tmp, path)
 
 
-def _entropy_rows(x: np.ndarray) -> np.ndarray:
-    """Natural-log entropy along the last axis, with 0 log 0 = 0."""
-    log_x = np.log(x, out=np.zeros_like(x), where=x > 0.0)
+def _entropy_rows(x: np.ndarray, log_x: np.ndarray) -> np.ndarray:
+    """Natural-log entropy along the last axis, with 0 log 0 = 0; log_x is scratch of x's shape."""
+    log_x.fill(0.0)
+    np.log(x, out=log_x, where=x > 0.0)
     return -np.einsum("...v,...v->...", x, log_x)
 
 
 def _jsd_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Vectorized natural-log JSD along the last axis."""
-    m = p + q
-    m *= 0.5
-    return np.maximum(_entropy_rows(m) - 0.5 * (_entropy_rows(p) + _entropy_rows(q)), 0.0)
+    """Vectorized natural-log JSD along the last axis.
+
+    Rows go through in blocks of `_JSD_ROWS`, which share one mixture and
+    one log buffer, so the workspace stays small next to p and q.
+    """
+    shape, v = p.shape[:-1], p.shape[-1]
+    p, q = p.reshape(-1, v), q.reshape(-1, v)
+    out = np.empty(p.shape[0])
+    mix = np.empty((min(_JSD_ROWS, out.size), v))
+    log_buf = np.empty_like(mix)
+    for start in range(0, out.size, _JSD_ROWS):
+        rows = slice(start, min(start + _JSD_ROWS, out.size))
+        m, log_m = mix[: rows.stop - start], log_buf[: rows.stop - start]
+        np.add(p[rows], q[rows], out=m)
+        m *= 0.5
+        h_m = _entropy_rows(m, log_m)
+        out[rows] = h_m - 0.5 * (_entropy_rows(p[rows], log_m) + _entropy_rows(q[rows], log_m))
+    return np.maximum(out, 0.0, out=out).reshape(shape)
 
 
 def _cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -235,14 +235,15 @@ class DualViewModel(BlockModel):
         final_idx = (np.arange(b), lengths - 1)
         tables = {"semantic": table_sem, "collaborative": table_col}
         coefs = {"semantic": alpha, "collaborative": 1.0 - alpha}
-        losses, finals, backward = {}, {}, {}
+        losses, finals, backward, d_tables = {}, {}, {}, {}
         for view, table in tables.items():
             w_enc = self._enc_weights(params, ENCODERS[view])
             states, cache = encoder.gru_forward(w_enc, table[items])
             losses[view], d_states, d_table = encoder.tied_next_item_loss(
                 states, table, items, weights
             )
-            backward[view] = (cache, d_states * coefs[view], d_table * coefs[view])
+            backward[view] = (cache, d_states * coefs[view])
+            d_tables[view] = d_table * coefs[view]
             finals[view] = states[final_idx]
 
         c_loss, d_fin_sem, d_fin_col = contrastive_loss(
@@ -251,15 +252,17 @@ class DualViewModel(BlockModel):
         total = alpha * losses["semantic"] + (1.0 - alpha) * losses["collaborative"] + lam * c_loss
 
         for view, d_fin in (("semantic", d_fin_sem), ("collaborative", d_fin_col)):
-            cache, d_states, d_table = backward[view]
+            cache, d_states = backward[view]
             d_states[final_idx] += lam * d_fin
             prefix = ENCODERS[view]
             d_enc, d_x = encoder.gru_backward(self._enc_weights(params, prefix), cache, d_states)
             for name, val in d_enc.items():
                 grad.view(f"{prefix}.{name}")[...] = val
-            np.add.at(d_table, items.ravel(), d_x.reshape(-1, self.cfg.hidden))
+            # each input row's gradient at its item id, repeated items summed in
+            # row-major order after the tied-loss part (as np.add.at would)
+            d_tables[view] = encoder.scatter_rows(d_tables[view], items, d_x)
         self._item_inputs_backward(
-            params, in_cache, backward["semantic"][2], backward["collaborative"][2], grad
+            params, in_cache, d_tables["semantic"], d_tables["collaborative"], grad
         )
         parts = {
             "rec_semantic": losses["semantic"],

@@ -195,11 +195,23 @@ def lissa_ihvp(
 
 # --- influence -----------------------------------------------------------
 
+def _sample_sequence(sequences, user: int, pos: int):
+    """The sequence whose term `pos` a (user, position) sample names, checked."""
+    if not (0 <= user < len(sequences)):
+        raise InvalidArgument(f"sample user {user} is not in [0, {len(sequences)})")
+    seq = sequences[user]
+    if not (1 <= pos < len(seq)):
+        raise InvalidArgument(f"sample position {pos} needs a non-empty prefix")
+    return seq
+
+
 def validation_gradient(model: SeqRecModel, params: ParamVector, pairs) -> np.ndarray:
     """Mean sample-term gradient over (prefix, target) validation pairs."""
     pairs = list(pairs)
     if not pairs:
         raise EmptyCleanSet("no clean validation pairs")
+    if any(len(p) == 0 for p, _ in pairs):
+        raise InvalidArgument("sample position 0 needs a non-empty prefix")
     seqs = [np.append(np.asarray(p, dtype=np.int64), np.int64(t)) for p, t in pairs]
     weights = [np.concatenate([np.zeros(len(s) - 2), [1.0 / len(pairs)]]) for s in seqs]
     return model.weighted_gradient(params, seqs, weights)[1].flat
@@ -215,9 +227,7 @@ def influence_values(
     """Inf(sample) = -(H^{-1} g_v) . grad(sample term) for each (user, position)."""
     out = np.empty(len(samples))
     for i, (user, pos) in enumerate(samples):
-        seq = sequences[user]
-        if not (1 <= pos < len(seq)):
-            raise InvalidArgument(f"sample position {pos} needs a non-empty prefix")
+        seq = _sample_sequence(sequences, user, pos)
         _, grad = model.sample_term_loss(params, seq[:pos], int(seq[pos]))
         out[i] = -float(ihvp_of_validation @ grad.flat)
     return out
@@ -268,6 +278,7 @@ def term_sum_gradient(
     """Gradient of weight_each * sum of the samples' term losses (batched by user)."""
     by_user: dict[int, list[int]] = {}
     for user, pos in samples:
+        _sample_sequence(sequences, user, pos)
         by_user.setdefault(int(user), []).append(int(pos))
     users = sorted(by_user)
     seqs = [sequences[u] for u in users]

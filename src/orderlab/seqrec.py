@@ -75,9 +75,9 @@ class SeqRecModel(BlockModel):
         loss, d_states, d_table = encoder.tied_next_item_loss(states, table, items, weights)
         d_weights, d_x = encoder.gru_backward(self._enc_weights(params, "enc"), cache, d_states)
         grad = self.zero_params()
-        d_emb = grad.view("item_embeddings")
-        d_emb += d_table
-        np.add.at(d_emb, items.ravel(), d_x.reshape(-1, self.cfg.hidden))
+        # the table's gradient through the tied loss, then each input row's at its
+        # item id, repeated items summed in row-major order (as np.add.at would)
+        grad.view("item_embeddings")[...] = encoder.scatter_rows(d_table, items, d_x)
         for name, val in d_weights.items():
             grad.view(f"enc.{name}")[...] = val
         return loss, grad

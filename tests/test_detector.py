@@ -128,6 +128,37 @@ def test_jsd_matches_the_masked_reference():
     np.testing.assert_array_equal(jsd[3], 0.0)
 
 
+
+def whole_array_jsd(p, q):
+    """The JSD over all rows at once, each entropy with its own zeroed log buffer."""
+    def entropy(x):
+        return -np.einsum("...v,...v->...", x, np.log(x, out=np.zeros_like(x), where=x > 0.0))
+
+    m = (p + q) * 0.5
+    return np.maximum(entropy(m) - 0.5 * (entropy(p) + entropy(q)), 0.0)
+
+
+@pytest.mark.parametrize("block", [1, 5, 24, 64])
+def test_jsd_row_blocks_give_the_whole_array_bits(monkeypatch, block):
+    gen = np.random.default_rng(6)
+    logits = gen.normal(0.0, 3.0, size=(2, 3, 4, 40))  # 24 rows
+    p, q = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
+    p[1, :, :20] = 0.0  # exact zeros
+    p /= p.sum(axis=-1, keepdims=True)
+    p_in, q_in = p.copy(), q.copy()
+    monkeypatch.setattr(detector, "_JSD_ROWS", block)
+    jsd = _jsd_rows(p, q)
+    assert jsd.shape == (3, 4)
+    np.testing.assert_array_equal(jsd, whole_array_jsd(p, q))
+    np.testing.assert_array_equal(p, p_in)  # inputs are left as they were
+    np.testing.assert_array_equal(q, q_in)
+
+
+def test_entropy_ignores_what_its_scratch_buffer_held():
+    x = np.array([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
+    scratch = np.full_like(x, np.nan)
+    np.testing.assert_array_equal(detector._entropy_rows(x, scratch), [np.log(2.0), 0.0])
+
 class TestSmoothByUser:
     def test_equals_per_user_smoothing(self):
         raw = SeededRng(5).gen.standard_normal(10)

@@ -1,4 +1,5 @@
-"""The fused recurrent cell and the tied loss against plain references, and the sigmoid."""
+"""The fused recurrent cell, the embedding scatter and the tied loss against plain references,
+and the sigmoid."""
 import warnings
 
 import numpy as np
@@ -130,6 +131,173 @@ def test_backward_takes_a_non_contiguous_upstream_gradient(layout):
         d_states = gen.normal(size=(b, t_len, 2 * d_h))[..., ::2]
     assert not d_states.flags.c_contiguous
     assert_matches_reference(w, x, d_states)
+
+
+def single_buffer_forward(w, x):
+    """The fused cell on one (T, B, 3 d_h) gate buffer, sliced per gate at every step."""
+    b, t_len, _ = x.shape
+    d_h = w["update_bias"].shape[0]
+    stacked = lambda kind: np.concatenate([w[f"{g}_{kind}"] for g in encoder.GATE_NAMES])
+    gates = np.matmul(x.transpose(1, 0, 2), stacked("in").T)
+    gates += stacked("bias")
+    rec_zr = np.ascontiguousarray(np.concatenate([w["update_rec"], w["reset_rec"]]).T)
+    rec_c = np.ascontiguousarray(w["cand_rec"].T)
+    hs = np.zeros((t_len + 1, b, d_h))
+    for t in range(t_len):
+        h = hs[t]
+        zr, c = gates[t, :, : 2 * d_h], gates[t, :, 2 * d_h :]
+        zr += h @ rec_zr
+        encoder.sigmoid(zr, out=zr)
+        c += (zr[:, d_h:] * h) @ rec_c
+        np.tanh(c, out=c)
+        hs[t + 1] = (c - h) * zr[:, :d_h] + h
+    return hs[1:].transpose(1, 0, 2), {"x": x, "hs": hs, "gates": gates}
+
+
+def single_buffer_backward(w, cache, d_states):
+    """Backprop into one (T, B, 3 d_h) pre-activation gradient buffer, products after the loop."""
+    x, hs, gates = cache["x"], cache["hs"], cache["gates"]
+    t_len, b, three_d = gates.shape
+    d_h = three_d // 3
+    h_prev, z, r, cs = hs[:-1], gates[..., :d_h], gates[..., d_h : 2 * d_h], gates[..., 2 * d_h :]
+    rec_zr = np.concatenate([w["update_rec"], w["reset_rec"]])
+    d_pre = np.empty((t_len, b, 3 * d_h))
+    d_pre[..., :d_h] = hs[1:] - h_prev
+    d_pre[..., d_h : 2 * d_h] = (1.0 - r) * h_prev
+    d_pre[..., 2 * d_h :] = z * (1.0 - cs * cs)
+    carry = np.zeros((b, d_h))
+    for t in range(t_len - 1, -1, -1):
+        g = d_pre[t]
+        dh = d_states[:, t] + carry
+        dz_h = (1.0 - z[t]) * dh
+        g[:, :d_h] *= dz_h
+        g[:, 2 * d_h :] *= dh
+        dr_h = (g[:, 2 * d_h :] @ w["cand_rec"]) * r[t]
+        g[:, d_h : 2 * d_h] *= dr_h
+        carry = g[:, : 2 * d_h] @ rec_zr + dz_h + dr_h
+    flat = d_pre.reshape(t_len * b, 3 * d_h)
+    d_rec_zr = flat[:, : 2 * d_h].T @ h_prev.reshape(t_len * b, d_h)
+    d_in = flat.T @ x.transpose(1, 0, 2).reshape(t_len * b, -1)
+    d_bias = flat.sum(axis=0)
+    d_weights = {"cand_rec": flat[:, 2 * d_h :].T @ (r * h_prev).reshape(t_len * b, d_h)}
+    for k, gate in enumerate(encoder.GATE_NAMES):
+        rows = slice(k * d_h, (k + 1) * d_h)
+        d_weights[f"{gate}_in"] = d_in[rows]
+        d_weights[f"{gate}_bias"] = d_bias[rows]
+        if k < 2:
+            d_weights[f"{gate}_rec"] = d_rec_zr[rows]
+    stacked_in = np.concatenate([w[f"{g}_in"] for g in encoder.GATE_NAMES])
+    return d_weights, np.matmul(d_pre.transpose(1, 0, 2), stacked_in)
+
+
+def ragged_cell_inputs(b, t_len, d_h, v, seed):
+    """x gathered from an embedding table over right-padded items, d_states 0 past each length."""
+    gen = np.random.default_rng(seed)
+    w = {name: gen.normal(0.0, 0.3, size=shape) for name, shape in encoder.encoder_shapes(d_h, d_h).items()}
+    lengths = gen.integers(1, t_len + 1, size=b)
+    lengths[0], lengths[-1] = 1, t_len
+    items = np.where(np.arange(t_len) < lengths[:, None], gen.integers(0, v, size=(b, t_len)), 0)
+    x = gen.normal(size=(v, d_h))[items]
+    d_states = gen.normal(size=(b, t_len, d_h)) * (np.arange(t_len) < lengths[:, None])[..., None]
+    return w, x, d_states
+
+
+@pytest.mark.parametrize(
+    "case, shape",
+    [
+        ("dense", (1, 29, 48, 48)),  # one sequence, as per-sample influence runs it
+        ("dense", (17, 9, 16, 16)),  # a batch size that is not a multiple of any block
+        ("dense", (64, 28, 48, 48)),  # more rows than one block of _GATE_ROWS, both ways
+        ("dense", (6, 1, 5, 8)),  # T = 1
+        ("ragged", (17, 12, 8, 8)),
+        ("ragged", (40, 30, 16, 16)),
+    ],
+)
+def test_cell_matches_the_single_buffer_kernel(case, shape):
+    b, t_len, d_in, d_h = shape
+    if case == "ragged":
+        w, x, d_states = ragged_cell_inputs(b, t_len, d_h, 20, seed=4)
+    else:
+        gen, w, x = random_cell(*shape, seed=5)
+        d_states = gen.normal(size=(b, t_len, d_h))
+    states, cache = encoder.gru_forward(w, x)
+    ref_states, ref_cache = single_buffer_forward(w, x)
+    np.testing.assert_allclose(states, ref_states, rtol=0, atol=1e-12)
+    d_weights, d_x = encoder.gru_backward(w, cache, d_states)
+    ref_weights, ref_d_x = single_buffer_backward(w, ref_cache, d_states)
+    np.testing.assert_allclose(d_x, ref_d_x, rtol=0, atol=1e-12)
+    assert d_weights.keys() == ref_weights.keys()
+    for name, grad in d_weights.items():
+        np.testing.assert_allclose(grad, ref_weights[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 10**6])
+def test_block_size_changes_no_bit(monkeypatch, rows):
+    gen, w, x = random_cell(40, 30, 16, 16, seed=7)
+    d_states = gen.normal(size=(40, 30, 16))
+    states, cache = encoder.gru_forward(w, x)
+    d_weights, d_x = encoder.gru_backward(w, cache, d_states)
+    monkeypatch.setattr(encoder, "_GATE_ROWS", rows)
+    blocked_states, blocked_cache = encoder.gru_forward(w, x)
+    blocked_weights, blocked_d_x = encoder.gru_backward(w, blocked_cache, d_states)
+    np.testing.assert_array_equal(blocked_states, states)
+    np.testing.assert_array_equal(blocked_d_x, d_x)
+    for name, grad in d_weights.items():
+        np.testing.assert_array_equal(blocked_weights[name], grad, err_msg=name)
+
+
+def test_backward_leaves_the_cache_reusable():
+    gen, w, x = random_cell(9, 6, 5, 8, seed=6)
+    d_states = gen.normal(size=(9, 6, 8))
+    _, cache = encoder.gru_forward(w, x)
+    kept = {name: np.array(value, copy=True) for name, value in cache.items()}
+    first = encoder.gru_backward(w, cache, d_states)
+    second = encoder.gru_backward(w, cache, d_states)
+    for name, value in cache.items():
+        np.testing.assert_array_equal(value, kept[name], err_msg=name)
+    np.testing.assert_array_equal(first[1], second[1])
+    for name in first[0]:
+        np.testing.assert_array_equal(first[0][name], second[0][name], err_msg=name)
+
+
+def add_at_reference(d_table, items, d_x):
+    out = np.zeros_like(d_table)
+    out += d_table
+    np.add.at(out, items.ravel(), d_x.reshape(-1, d_table.shape[1]))
+    return out
+
+
+@pytest.mark.parametrize(
+    "case, b, t_len, v, d",
+    [
+        ("random", 32, 28, 150, 48),  # many repeated items
+        ("random", 5, 7, 400, 8),  # mostly distinct items
+        ("one_item", 6, 9, 30, 4),  # every row the same item
+        ("random", 1, 12, 30, 4),  # B = 1
+        ("random", 11, 1, 30, 4),  # T = 1
+        ("random", 9, 8, 2, 16),  # V = 2
+    ],
+)
+def test_scatter_rows_equals_add_at_bit_for_bit(case, b, t_len, v, d):
+    gen = np.random.default_rng(b * 1000 + t_len)
+    items = gen.integers(0, v, size=(b, t_len)) if case == "random" else np.full((b, t_len), v - 1)
+    # magnitudes over many decades, so that any other summation order shows in the bits
+    d_x = gen.normal(size=(b, t_len, d)) * 10.0 ** gen.integers(-8, 8, size=(b, t_len, d))
+    d_table = gen.normal(size=(v, d))
+    d_table[0, 0] = -0.0
+    out = encoder.scatter_rows(d_table, items, d_x)
+    expected = add_at_reference(d_table, items, d_x)
+    assert out.shape == d_table.shape
+    assert np.array_equal(out, expected)
+    assert np.array_equal(np.signbit(out), np.signbit(expected))
+
+
+def test_scatter_rows_sums_repeated_items_in_row_major_order():
+    # 1e16 + 1 - 1e16 is 0 in this order, 1 in others
+    items = np.array([[1, 1], [0, 1]])
+    d_x = np.array([[[1e16], [1.0]], [[5.0], [-1e16]]])
+    out = encoder.scatter_rows(np.zeros((2, 1)), items, d_x)
+    assert out[1, 0] == 0.0 and out[0, 0] == 5.0
 
 
 def test_states_are_causal():

@@ -265,3 +265,48 @@ class TestRectify:
         )
         assert trace.stopped_early
         np.testing.assert_array_equal(out.flat, params.flat)  # input was best
+
+
+class TestSampleChecks:
+    """(user, position) samples name term `position` of a user's sequence: 1 <= position < len."""
+
+    SEQS = [np.array([0, 1, 2, 3, 4]), np.array([5, 4, 3])]
+
+    def test_position_zero_is_rejected_not_wrapped_to_the_last_term(self):
+        model, params = tiny_model(vocab=6, hidden=8, seed=41)
+        with pytest.raises(InvalidArgument, match="position 0 needs a non-empty prefix"):
+            term_sum_gradient(model, params, self.SEQS, [(0, 0)], 1.0)
+
+    @pytest.mark.parametrize("pos", [-1, -4])
+    def test_negative_position_is_rejected(self, pos):
+        model, params = tiny_model(vocab=6, hidden=8, seed=41)
+        with pytest.raises(InvalidArgument, match="needs a non-empty prefix"):
+            term_sum_gradient(model, params, self.SEQS, [(0, 2), (1, pos)], 1.0)
+
+    @pytest.mark.parametrize("sample", [(0, 5), (1, 3), (1, 9)])
+    def test_position_past_the_end_is_rejected(self, sample):
+        model, params = tiny_model(vocab=6, hidden=8, seed=41)
+        with pytest.raises(InvalidArgument, match="needs a non-empty prefix"):
+            term_sum_gradient(model, params, self.SEQS, [sample], 1.0)
+
+    @pytest.mark.parametrize("user", [2, -1])
+    def test_user_out_of_range_is_rejected(self, user):
+        model, params = tiny_model(vocab=6, hidden=8, seed=41)
+        with pytest.raises(InvalidArgument, match=f"sample user {user} is not in"):
+            term_sum_gradient(model, params, self.SEQS, [(user, 1)], 1.0)
+        with pytest.raises(InvalidArgument, match=f"sample user {user} is not in"):
+            influence_values(model, params, self.SEQS, np.ones(params.size), [(user, 1)])
+
+    def test_valid_positions_still_sum_their_terms(self):
+        model, params = tiny_model(vocab=6, hidden=8, seed=41)
+        total = term_sum_gradient(model, params, self.SEQS, [(0, 1), (0, 4), (1, 2)], 0.5)
+        direct = sum(
+            model.sample_term_loss(params, self.SEQS[u][:k], int(self.SEQS[u][k]))[1].flat
+            for u, k in [(0, 1), (0, 4), (1, 2)]
+        )
+        np.testing.assert_allclose(total, 0.5 * direct, rtol=0, atol=1e-12)
+
+    def test_validation_pair_with_an_empty_prefix_is_rejected(self):
+        model, params = tiny_model(vocab=6, hidden=8, seed=41)
+        with pytest.raises(InvalidArgument, match="needs a non-empty prefix"):
+            validation_gradient(model, params, [(np.array([0, 1]), 2), (np.array([], dtype=np.int64), 3)])
