@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,6 +45,8 @@ log = logging.getLogger(__name__)
 FEATURE_NAMES = ("pred_divergence", "rep_disagreement", "pop_deviation", "context_disruption")
 _CSV_ROWS = 2048  # rows of detection.csv formatted and written at once
 _JSD_ROWS = 64  # rows of the JSD's (rows, V) mixture and log workspace
+# calibration weight fit: gradient-descent steps, step size and L2 penalty
+_FIT_STEPS, _FIT_RATE, _FIT_L2 = 500, 0.1, 1e-4
 
 
 @dataclass
@@ -56,11 +58,7 @@ class DetectorConfig:
     calib_frac: float = 0.15
     calib_user_ratio: float = 0.3
     calib_intensity: float = 0.3
-    fit_steps: int = 500
-    fit_rate: float = 0.1
-    fit_l2: float = 1e-4
     default_percentile: float = 95.0
-    batch_users: int = 32
 
     def validate(self) -> None:
         if len(self.weights) != 4 or any(w < 0 for w in self.weights):
@@ -71,8 +69,6 @@ class DetectorConfig:
             raise InvalidArgument("calib_frac must lie in (0, 1)")
         if not (0.0 <= self.default_percentile <= 100.0):
             raise InvalidArgument("default_percentile must lie in [0, 100]")
-        if self.batch_users < 1:
-            raise InvalidArgument("batch_users must be >= 1")
 
 
 @dataclass
@@ -237,7 +233,7 @@ def unified_score(feats: np.ndarray, weights, stats: FeatureStats) -> np.ndarray
     return stats.apply(feats) @ w
 
 
-def fit_weights(norm_feats: np.ndarray, labels: np.ndarray, cfg: DetectorConfig) -> np.ndarray:
+def fit_weights(norm_feats: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Logistic-regression feature weights from labeled calibration positions.
 
     Batch gradient descent; negative coefficients are clipped to zero and
@@ -253,13 +249,13 @@ def fit_weights(norm_feats: np.ndarray, labels: np.ndarray, cfg: DetectorConfig)
     theta = np.zeros(norm_feats.shape[1])
     bias = 0.0
     n = y.size
-    for _ in range(cfg.fit_steps):
+    for _ in range(_FIT_STEPS):
         z = norm_feats @ theta + bias
         p = sigmoid(z)
         err = p - y
-        grad = norm_feats.T @ err / n + cfg.fit_l2 * theta
-        theta -= cfg.fit_rate * grad
-        bias -= cfg.fit_rate * float(err.mean())
+        grad = norm_feats.T @ err / n + _FIT_L2 * theta
+        theta -= _FIT_RATE * grad
+        bias -= _FIT_RATE * float(err.mean())
     w = np.clip(theta, 0.0, None)
     total = float(w.sum())
     if total <= 0.0:
@@ -336,7 +332,7 @@ def detect(
     overall and per fake-order type.
     """
     cfg.validate()
-    feats, users, positions = features(model, params, corpus, batch_users=cfg.batch_users)
+    feats, users, positions = features(model, params, corpus)
     stats = FeatureStats.fit(feats)
 
     weights = np.asarray(cfg.weights, dtype=np.float64)
@@ -352,26 +348,17 @@ def detect(
             [corpus.sequences[u].copy() for u in cal_users],
             list(corpus.item_ids),
         )
-        cal_inj = injector.InjectionConfig(
-            user_ratio=cfg.calib_user_ratio,
-            intensity=cfg.calib_intensity,
-            type_mix=inj_cfg.type_mix,
-            repeat_len=inj_cfg.repeat_len,
-            swap_window=inj_cfg.swap_window,
-            semantic_cos_max=inj_cfg.semantic_cos_max,
-        )
+        cal_inj = replace(inj_cfg, user_ratio=cfg.calib_user_ratio, intensity=cfg.calib_intensity)
         cal_poisoned, cal_manifest = injector.inject(
             cal_corpus, semantics, cal_inj, rng.child("calib-inject")
         )
         cal_prefixes = [cal_poisoned.train_prefix(u) for u in range(cal_poisoned.n_users)]
-        cal_feats, cal_u, cal_p = features(
-            model, params, corpus, prefixes=cal_prefixes, batch_users=cfg.batch_users
-        )
+        cal_feats, cal_u, cal_p = features(model, params, corpus, prefixes=cal_prefixes)
         marked = cal_manifest.truth()
         labels = np.asarray(
             [(int(u), int(p)) in marked for u, p in zip(cal_u, cal_p)], dtype=bool
         )
-        weights = fit_weights(stats.apply(cal_feats), labels, cfg)
+        weights = fit_weights(stats.apply(cal_feats), labels)
         cal_raw = unified_score(cal_feats, weights, stats)
         cal_smooth = smooth_by_user(cal_raw, cal_u, cfg.smoothing)
         threshold = tune_threshold(

@@ -17,7 +17,7 @@ import numpy as np
 from ..corpus import Corpus, LooSplit, sample_negatives
 from ..errors import InvalidArgument
 from ..numkit import SeededRng
-from ..params import ParamVector
+from ..params import ParamVector, convergence_epoch
 from ..seqrec import SeqRecModel
 
 
@@ -137,16 +137,14 @@ def round_up_to_cadence(epoch: int, cadence: int) -> int:
     return int(math.ceil(epoch / cadence) * cadence)
 
 
-def convergence_report(traces: dict[str, list[float]], cadence: int = 5, rel_tol: float = 1e-3,
-                       patience: int = 3) -> dict:
+def convergence_report(traces: dict[str, list[float]], cadence: int = 5) -> dict:
     """Epochs-to-converge per stage, rounded up to the evaluation cadence.
 
+    The rule is `params.convergence_epoch`, the one early stopping reads.
     Never-converged traces report their full length, flagged."""
-    from ..params import convergence_epoch
-
     out = {}
     for name, trace in traces.items():
-        epoch = convergence_epoch(trace, rel_tol, patience)
+        epoch = convergence_epoch(trace)
         if epoch is None:
             out[name] = {
                 "epochs": len(trace),

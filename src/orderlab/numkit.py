@@ -1,4 +1,4 @@
-"""Seeded random streams, PCA and a finite-difference gradient check.
+"""Seeded random streams and PCA.
 
 Every stochastic routine in the toolkit draws from a SeededRng so that a
 single root seed reproduces a whole experiment. Dense matrices are plain
@@ -7,13 +7,11 @@ float64 numpy arrays throughout the package.
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidArgument, NumericalFailure
-
-_DIRECTIONAL_FD_DIM = 2000  # above this, fd_gradient_check probes random directions
+from .errors import InvalidArgument
 
 
 class SeededRng:
@@ -78,52 +76,3 @@ def pca_project(data, components) -> np.ndarray:
             f"column mismatch: data has {x.shape[1]} columns, components expect {c.shape[0]}"
         )
     return (x - x.mean(axis=0)) @ c
-
-
-def fd_gradient_check(
-    f: Callable[[np.ndarray], float],
-    analytic_grad,
-    x,
-    eps: float,
-    directions: Optional[int] = None,
-) -> float:
-    """Max relative error between an analytic gradient and central differences.
-
-    Per-coordinate probes by default; when the dimension exceeds 2000 (or
-    `directions` is given) the check uses that many random unit directions
-    instead. Relative error uses denominator max(|analytic|, |numeric|, 1e-8).
-    """
-    xv = np.asarray(x, dtype=np.float64).ravel()
-    g = np.asarray(analytic_grad, dtype=np.float64).ravel()
-    if xv.size != g.size:
-        raise InvalidArgument(f"gradient size {g.size} != point size {xv.size}")
-    if not eps > 0.0:
-        raise InvalidArgument("eps must be positive")
-    if directions is None and xv.size > _DIRECTIONAL_FD_DIM:
-        directions = 200
-
-    def probe(direction: np.ndarray) -> float:
-        fp = float(f(xv + eps * direction))
-        fm = float(f(xv - eps * direction))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NumericalFailure("objective returned a non-finite value")
-        return (fp - fm) / (2.0 * eps)
-
-    worst = 0.0
-    if directions is None:
-        for i in range(xv.size):
-            e = np.zeros(xv.size)
-            e[i] = 1.0
-            num = probe(e)
-            denom = max(abs(num), abs(g[i]), 1e-8)
-            worst = max(worst, abs(num - g[i]) / denom)
-    else:
-        rng = np.random.Generator(np.random.PCG64(0xD1FF))
-        for _ in range(int(directions)):
-            v = rng.standard_normal(xv.size)
-            v /= np.linalg.norm(v)
-            num = probe(v)
-            ana = float(g @ v)
-            denom = max(abs(num), abs(ana), 1e-8)
-            worst = max(worst, abs(num - ana) / denom)
-    return worst

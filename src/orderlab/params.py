@@ -95,6 +95,13 @@ class BlockModel:
         return {name: params.view(f"{prefix}.{name}") for name in encoder.encoder_shapes(1, 1)}
 
 
+# Adam's moment decays and denominator guard
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+# the convergence rule: `_PATIENCE` epochs in a row each improving the loss by less than `_REL_TOL`
+_REL_TOL, _PATIENCE = 1e-3, 3
+_SORT_WINDOW = 8  # batches per length-sorted window of a shuffled epoch
+
+
 @dataclass
 class TrainConfig:
     """First-order training knobs shared by the recommender and detector models."""
@@ -102,39 +109,30 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 32
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     clip_norm: float = 5.0
     early_stop: bool = True
-    rel_tol: float = 1e-3
-    patience: int = 3
-    sort_window: int = 8  # batches per length-sorted window (0 disables bucketing)
 
     def validate(self) -> None:
-        if self.epochs < 0 or self.batch_size < 1 or self.patience < 1 or self.sort_window < 0:
-            raise InvalidArgument("need epochs >= 0, batch_size >= 1, patience >= 1, sort_window >= 0")
-        if not (self.learning_rate > 0.0 and 0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise InvalidArgument("need learning_rate > 0 and beta1, beta2 in [0, 1)")
+        if self.epochs < 0 or self.batch_size < 1 or not self.learning_rate > 0.0:
+            raise InvalidArgument("need epochs >= 0, batch_size >= 1 and learning_rate > 0")
 
 
 class Adam:
     """Adaptive-moment optimizer over a flat parameter array."""
 
-    def __init__(self, size: int, cfg: TrainConfig):
-        self.cfg = cfg
+    def __init__(self, size: int, learning_rate: float):
+        self.learning_rate = learning_rate
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
 
     def step(self, flat_params: np.ndarray, grad: np.ndarray) -> None:
-        c = self.cfg
         self.t += 1
-        self.m = c.beta1 * self.m + (1.0 - c.beta1) * grad
-        self.v = c.beta2 * self.v + (1.0 - c.beta2) * grad * grad
-        mhat = self.m / (1.0 - c.beta1**self.t)
-        vhat = self.v / (1.0 - c.beta2**self.t)
-        flat_params -= c.learning_rate * mhat / (np.sqrt(vhat) + c.adam_eps)
+        self.m = _BETA1 * self.m + (1.0 - _BETA1) * grad
+        self.v = _BETA2 * self.v + (1.0 - _BETA2) * grad * grad
+        mhat = self.m / (1.0 - _BETA1**self.t)
+        vhat = self.v / (1.0 - _BETA2**self.t)
+        flat_params -= self.learning_rate * mhat / (np.sqrt(vhat) + _ADAM_EPS)
 
 
 def clip_to_norm(vec: np.ndarray, max_norm: float) -> np.ndarray:
@@ -144,15 +142,18 @@ def clip_to_norm(vec: np.ndarray, max_norm: float) -> np.ndarray:
     return vec
 
 
-def convergence_epoch(trace, rel_tol: float = 1e-3, patience: int = 3) -> int | None:
-    """First epoch (1-based) closing a run of `patience` consecutive epochs
-    whose relative loss improvement stays below `rel_tol`. None if never."""
+def convergence_epoch(trace) -> int | None:
+    """First epoch (1-based) closing a run of `_PATIENCE` consecutive epochs
+    whose relative loss improvement stays below `_REL_TOL`. None if never.
+
+    Early stopping and the reported convergence of a run both read this rule.
+    """
     run = 0
     for i in range(1, len(trace)):
         prev = trace[i - 1]
         improvement = (prev - trace[i]) / max(abs(prev), 1e-12)
-        run = run + 1 if improvement < rel_tol else 0
-        if run >= patience:
+        run = run + 1 if improvement < _REL_TOL else 0
+        if run >= _PATIENCE:
             return i + 1
     return None
 
@@ -163,7 +164,7 @@ def run_training(
     n_examples: int,
     cfg: TrainConfig,
     rng: SeededRng,
-    example_size_fn=None,
+    example_size_fn,
 ) -> list[float]:
     """Generic shuffled-minibatch Adam loop.
 
@@ -172,23 +173,21 @@ def run_training(
     (mean of batch losses weighted by batch size). Stops early once the
     convergence rule fires when `cfg.early_stop` is set.
 
-    When `example_size_fn` is given, the shuffled order is re-sorted by
-    example size inside windows of `sort_window` batches, which bounds the
-    padding waste of variable-length batches without giving up shuffling.
+    Each epoch's shuffled order is re-sorted by `example_size_fn` inside
+    windows of `_SORT_WINDOW` batches, which bounds the padding waste of
+    variable-length batches without giving up shuffling.
     """
     if n_examples == 0:
         raise InvalidArgument("cannot train on an empty example set")
-    opt = Adam(params.size, cfg)
+    opt = Adam(params.size, cfg.learning_rate)
     trace: list[float] = []
-    window = cfg.batch_size * max(cfg.sort_window, 0)
+    window = cfg.batch_size * _SORT_WINDOW
     for epoch in range(1, cfg.epochs + 1):
         order = rng.gen.permutation(n_examples)
-        if example_size_fn is not None and window > 0:
-            regrouped = []
-            for start in range(0, n_examples, window):
-                chunk = sorted(order[start : start + window], key=example_size_fn)
-                regrouped.extend(chunk)
-            order = np.asarray(regrouped)
+        regrouped = []
+        for start in range(0, n_examples, window):
+            regrouped.extend(sorted(order[start : start + window], key=example_size_fn))
+        order = np.asarray(regrouped)
         total = 0.0
         for start in range(0, n_examples, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
@@ -198,6 +197,6 @@ def run_training(
             total += loss * len(batch)
             opt.step(params.flat, clip_to_norm(grad.flat, cfg.clip_norm))
         trace.append(total / n_examples)
-        if cfg.early_stop and convergence_epoch(trace, cfg.rel_tol, cfg.patience) is not None:
+        if cfg.early_stop and convergence_epoch(trace) is not None:
             break
     return trace

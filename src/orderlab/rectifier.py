@@ -5,9 +5,12 @@ where g_v is the mean gradient over clean validation pairs and H the
 Hessian of the training objective at the compromised parameters. One
 inverse-Hessian-vector product on g_v (LiSSA recursion over
 finite-difference Hessian-vector products) serves every sample via the
-symmetry of H. Samples with positive influence are harmful: ascent on
-their summed gradients, alternated with small descent steps on clean
-data, produces the rectified checkpoint.
+symmetry of H. Each product is `hvp`'s central difference with step 1e-3,
+on a minibatch of 128 users (all users when there are fewer). The LiSSA
+scale is always estimated, by power iteration on one such minibatch.
+Samples with positive influence are harmful: ascent on their summed
+gradients, alternated with small descent steps on clean data, produces
+the rectified checkpoint.
 """
 from __future__ import annotations
 
@@ -24,27 +27,31 @@ from .seqrec import SeqRecModel
 log = logging.getLogger(__name__)
 
 
+_SCALE_MARGIN = 1.5  # the LiSSA scale is this times the power-iteration eigenvalue estimate
+_BATCH_USERS = 128  # users per Hessian minibatch (all of them when there are fewer)
+
+
 @dataclass
 class InfluenceConfig:
+    """LiSSA and influence-threshold knobs.
+
+    The LiSSA scale is always estimated: 1.5x a power-iteration estimate of
+    the top eigenvalue on one minibatch of 128 users (all users when there
+    are fewer). Every Hessian-vector product takes `hvp`'s finite-difference
+    step of 1e-3.
+    """
+
     lissa_depth: int = 100
     damping: float = 0.01
-    scale: float | None = None  # None: 1.5x a power-iteration top-eigenvalue estimate
     scale_power_iters: int = 20
-    scale_margin: float = 1.5
     repeats: int = 2
-    fd_step: float = 1e-3
     threshold: float = 0.0
-    batch_users: int | None = 128  # minibatch per LiSSA iteration; None = full batch
 
     def validate(self) -> None:
         if self.lissa_depth < 1 or self.repeats < 1 or self.scale_power_iters < 1:
             raise InvalidArgument("lissa_depth, repeats and scale_power_iters must be >= 1")
-        if self.damping < 0.0 or self.fd_step <= 0.0:
-            raise InvalidArgument("damping must be >= 0 and fd_step > 0")
-        if (self.scale is not None and self.scale <= 0.0) or self.scale_margin <= 0.0:
-            raise InvalidArgument("scale (when given) and scale_margin must be > 0")
-        if self.batch_users is not None and self.batch_users < 1:
-            raise InvalidArgument("batch_users must be >= 1 or null")
+        if self.damping < 0.0:
+            raise InvalidArgument("damping must be >= 0")
 
 
 @dataclass
@@ -145,52 +152,41 @@ def lissa_ihvp(
     if not seqs:
         raise InvalidArgument("no sequences to form the training Hessian")
     n = len(seqs)
-    batch = n if cfg.batch_users is None else min(cfg.batch_users, n)
-
-    def grad_on(idx, x_flat):
-        chosen = [seqs[i] for i in idx]
-        return model.dataset_loss(ParamVector(model.registry, x_flat), chosen)[1].flat
-
     full_idx = np.arange(n)
 
-    def full_hvp(h):
-        return hvp(lambda x: grad_on(full_idx, x), params.flat, h, cfg.fd_step)
+    def minibatch(gen):
+        if n <= _BATCH_USERS:
+            return full_idx
+        return np.sort(gen.choice(n, size=_BATCH_USERS, replace=False))
 
-    scale = cfg.scale
-    if scale is None:
-        scale_rng = rng.child("scale")
-        if batch < n:
-            idx = np.sort(scale_rng.gen.choice(n, size=batch, replace=False))
-            scale_op = lambda h: hvp(lambda x: grad_on(idx, x), params.flat, h, cfg.fd_step)
-        else:
-            scale_op = full_hvp
-        scale = estimate_scale(
-            scale_op, params.size, cfg.scale_power_iters, cfg.scale_margin, scale_rng
-        )
+    def hvp_on(idx, h):
+        def grad_at(x_flat):
+            chosen = [seqs[i] for i in idx]
+            return model.dataset_loss(ParamVector(model.registry, x_flat), chosen)[1].flat
 
+        return hvp(grad_at, params.flat, h)
+
+    scale_rng = rng.child("scale")
+    scale_idx = minibatch(scale_rng.gen)
+    scale = estimate_scale(
+        lambda h: hvp_on(scale_idx, h), params.size, cfg.scale_power_iters, _SCALE_MARGIN, scale_rng
+    )
     estimates = []
     for r in range(cfg.repeats):
         rep_rng = rng.child(f"repeat-{r}")
-
-        def apply(h, j):
-            if batch < n:
-                idx = np.sort(rep_rng.gen.choice(n, size=batch, replace=False))
-            else:
-                idx = full_idx
-            return hvp(lambda x: grad_on(idx, x), params.flat, h, cfg.fd_step)
-
+        apply = lambda h, j: hvp_on(minibatch(rep_rng.gen), h)
         est = lissa_solve(apply, np.asarray(v, dtype=np.float64), cfg.lissa_depth, cfg.damping, scale)
         estimates.append(est)
     estimate = np.mean(estimates, axis=0)
     if float(np.linalg.norm(v)) > 0.0:
         residual = float(
-            np.linalg.norm(full_hvp(estimate) + cfg.damping * estimate - v)
+            np.linalg.norm(hvp_on(full_idx, estimate) + cfg.damping * estimate - v)
             / np.linalg.norm(v)
         )
     else:
         residual = 0.0
     log.info("lissa: scale=%.4g residual=%.4g", scale, residual)
-    return IhvpResult(estimate, float(scale), residual)
+    return IhvpResult(estimate, scale, residual)
 
 
 # --- influence -----------------------------------------------------------

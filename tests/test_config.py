@@ -1,10 +1,14 @@
 """Experiment configs: the file round trip, the hash and the rejection of malformed input."""
+from pathlib import Path
+
 import pytest
 
 from orderlab.corpus import SynthConfig
 from orderlab.errors import InvalidArgument
 from orderlab.harness.config import DataConfig, EvalConfig, ExperimentConfig
 from orderlab.injector import InjectionConfig
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 
 
 def custom_config():
@@ -66,40 +70,63 @@ def test_partial_document_keeps_defaults():
     {"target_train": {"epochs": -3, "batch_size": 0}},
     {"target_train": {"batch_size": 0}},
     {"target_train": {"learning_rate": 0.0}},
-    {"target_train": {"beta1": 1.0}},
-    {"target_train": {"beta2": -0.1}},
-    {"target_train": {"patience": 0}},
-    {"target_train": {"sort_window": -1}},
+    {"injection": {"user_ratio": 0.0}},
+    {"injection": {"swap_window": 1}},
+    {"detector": {"calib_frac": 1.0}},
+    {"injection": {"repeat_len": 0}},
     {"dualview_train": {"epochs": 2.0}},
     {"target_train": {"early_stop": 1}},
     {"data": {"synth": {"users": 1.5}}},
     {"injection": {"type_mix": [0.5, 0.5]}},
     {"detector": {"weights": [1, 1, 1, "1"]}},
-    {"influence": {"scale": "auto"}},
+    {"data": {"path": 3}},
     {"rectify": {"max_rounds": 0}},
-    {"influence": {"batch_users": 0}},
-    {"influence": {"scale": -1.0}},
-    {"influence": {"scale_margin": -2.0}},
+    {"influence": {"lissa_depth": 0}},
+    {"influence": {"damping": -1.0}},
+    {"rectify": {"descent_rate": 1.0}},
     {"influence": {"scale_power_iters": 0}},
     {"rectify": {"ascent_clip": -1.0}},
     {"rectify": {"clean_batch": 0}},
     {"detector": {"default_percentile": 150}},
-    {"detector": {"batch_users": 0}},
+    {"detector": {"smoothing": 1.0}},
 ])
 def test_malformed_document_is_rejected(doc):
     with pytest.raises(InvalidArgument):
         ExperimentConfig.from_dict(doc)
 
 
+# settings held as module constants, each at its one value in use
+REMOVED_KEYS = [
+    *((section, key) for section in ("target_train", "dualview_train")
+      for key in ("beta1", "beta2", "adam_eps", "rel_tol", "patience", "sort_window")),
+    *(("influence", key) for key in ("scale", "scale_margin", "fd_step", "batch_users")),
+    *(("detector", key) for key in ("fit_steps", "fit_rate", "fit_l2", "batch_users")),
+]
+
+
+@pytest.mark.parametrize("section, key", REMOVED_KEYS, ids=[".".join(k) for k in REMOVED_KEYS])
+def test_removed_key_is_rejected_by_name(section, key):
+    assert key not in ExperimentConfig().to_dict()[section]
+    with pytest.raises(InvalidArgument, match=f"unknown config key '{key}'"):
+        ExperimentConfig.from_dict({section: {key: 1}})
+
+
+def test_bench_workloads_load():
+    paths = sorted(WORKLOADS.glob("*.json"))
+    assert paths
+    for path in paths:
+        ExperimentConfig.load(str(path))
+
+
 def test_field_types_follow_the_annotations():
     cfg = ExperimentConfig.from_dict({
         "target_train": {"learning_rate": 1, "epochs": 0},
-        "influence": {"scale": None, "batch_users": None},
+        "data": {"path": None},
         "detector": {"weights": [1, 0, 0, 0]},
     })
     assert cfg.target_train.learning_rate == 1
     assert cfg.target_train.epochs == 0
-    assert cfg.influence.scale is None and cfg.influence.batch_users is None
+    assert cfg.data.path is None
     assert cfg.detector.weights == (1, 0, 0, 0)
 
 

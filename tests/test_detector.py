@@ -8,7 +8,6 @@ from orderlab import detector
 from orderlab.detector import (
     FEATURE_NAMES,
     DetectionReport,
-    DetectorConfig,
     _jsd_rows,
     features,
     fit_weights,
@@ -186,14 +185,14 @@ class TestSmoothByUser:
 class TestFitWeights:
     def test_one_class_labels_give_uniform_weights(self):
         feats = SeededRng(2).gen.standard_normal((40, 4))
-        w = fit_weights(feats, np.zeros(40, dtype=bool), DetectorConfig())
+        w = fit_weights(feats, np.zeros(40, dtype=bool))
         np.testing.assert_array_equal(w, 0.25)
 
     def test_weight_goes_to_the_informative_feature(self):
         gen = SeededRng(3).gen
         feats = gen.standard_normal((400, 4))
         labels = feats[:, 2] > 0.5
-        w = fit_weights(feats, labels, DetectorConfig())
+        w = fit_weights(feats, labels)
         assert w.sum() == pytest.approx(1.0)
         assert (w >= 0).all()
         assert int(np.argmax(w)) == 2 and w[2] > 0.8

@@ -5,10 +5,10 @@ from orderlab.detector import features
 from orderlab.dualview import DualViewConfig, DualViewModel, LossConfig, contrastive_loss
 from orderlab.encoder import next_step_probs
 from orderlab.errors import DegenerateVector, InvalidArgument
-from orderlab.numkit import SeededRng, fd_gradient_check
+from orderlab.numkit import SeededRng
 from orderlab.params import ParamVector, TrainConfig
 
-from conftest import tiny_dualview, toy_corpus
+from conftest import fd_gradient_check, tiny_dualview, toy_corpus
 
 
 class TestRegistry:

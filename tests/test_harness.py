@@ -72,9 +72,9 @@ def test_resume_recomputes_missing_artifacts_identically(fresh):
     ({"seed": 1, "data": 5}, 2),  # a malformed section: InvalidArgument, not a traceback
     ({"seed": 1, "model": {"hidden": "x"}}, 2),  # a mistyped field fails at load time
     # out-of-range fields fail at load time, not in the stage that uses them
-    ({"seed": 1, "influence": {"batch_users": 0}}, 2),
-    ({"seed": 1, "influence": {"scale": -1.0}}, 2),
-    ({"seed": 1, "influence": {"scale_margin": -2.0}}, 2),
+    ({"seed": 1, "influence": {"lissa_depth": 0}}, 2),
+    ({"seed": 1, "influence": {"damping": -1.0}}, 2),
+    ({"seed": 1, "influence": {"repeats": 0}}, 2),
     ({"seed": 1, "rectify": {"ascent_clip": -1.0}}, 2),
     ({"seed": 1, "rectify": {"clean_batch": 0}}, 2),
     ({"seed": 1, "detector": {"default_percentile": 150}}, 2),
@@ -92,6 +92,7 @@ def test_cli_exit_codes(tmp_path, doc, code):
     {"model": {"hidden": "x"}},
     {"model": {"hidden": 2.5}},
     {"target_train": {"epochs": -3, "batch_size": 0}},
+    {"target_train": {"patience": 3}},  # a removed setting is an unknown key
 ])
 def test_invalid_config_writes_no_file(tmp_path, section):
     config = write_config(tmp_path / "config.json", dict(TINY, **section))

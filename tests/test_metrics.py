@@ -18,6 +18,7 @@ from orderlab.harness.metrics import (
     topk_report,
 )
 from orderlab.numkit import SeededRng
+from orderlab.params import ParamVector, TrainConfig, convergence_epoch, run_training
 from orderlab.seqrec import ModelConfig, SeqRecModel
 
 from conftest import toy_corpus
@@ -175,3 +176,30 @@ def test_convergence_report():
     assert report["flat"] == {"epochs": 5, "reported": 5, "converged": True}
     assert report["falling"] == {"epochs": 3, "reported": 5, "converged": False}
     assert report["empty"] == {"epochs": 0, "reported": 5, "converged": False}
+
+
+def train_on(losses):
+    """`run_training` with early stopping over a loss that follows `losses`, one epoch each."""
+    per_epoch = iter(losses)
+    params, zero_grad = ParamVector({"w": (2,)}), ParamVector({"w": (2,)})
+    cfg = TrainConfig(epochs=len(losses), batch_size=4, early_stop=True)
+    return run_training(lambda p, batch: (next(per_epoch), zero_grad), params, 4, cfg,
+                        SeededRng(0), example_size_fn=lambda i: 1)
+
+
+def test_an_early_stopped_run_is_reported_converged():
+    trace = train_on([10.0] + [5.0] * 9)
+    assert len(trace) == 5
+    assert convergence_report({"train": trace})["train"] == {
+        "epochs": len(trace), "reported": 5, "converged": True,
+    }
+
+
+def test_a_slow_run_neither_stops_nor_converges():
+    """0.5% better every epoch: above the 1e-3 rule, so training runs to its limit."""
+    trace = train_on([0.995 ** epoch for epoch in range(12)])
+    assert len(trace) == 12
+    assert convergence_epoch(trace) is None
+    assert convergence_report({"train": trace})["train"] == {
+        "epochs": 12, "reported": 15, "converged": False,
+    }

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from orderlab.detector import _cosine_rows, _jsd_rows
 from orderlab.encoder import next_step_probs
 from orderlab.errors import InvalidArgument, NumericalFailure
-from orderlab.numkit import SeededRng, fd_gradient_check, pca_fit, pca_project
+from orderlab.numkit import SeededRng, pca_fit, pca_project
+
+from conftest import fd_gradient_check
 
 LN2 = float(np.log(2.0))
 

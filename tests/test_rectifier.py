@@ -182,7 +182,7 @@ class TestLissaOnModel:
             params, seqs, TrainConfig(epochs=800, batch_size=4, early_stop=False), SeededRng(25)
         )
         v = gen.standard_normal(trained.size)
-        cfg = InfluenceConfig(lissa_depth=300, batch_users=None, repeats=1, damping=0.2)
+        cfg = InfluenceConfig(lissa_depth=300, repeats=1, damping=0.2)  # 12 users: full-batch HVPs
         res = lissa_ihvp(model, trained, seqs, v, cfg, SeededRng(26))
         assert res.residual < 0.01
 

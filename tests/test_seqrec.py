@@ -4,9 +4,11 @@ import pytest
 from orderlab.checkpoint import load_checkpoint, save_checkpoint
 from orderlab.encoder import next_step_probs
 from orderlab.errors import FormatError, InvalidArgument
-from orderlab.numkit import SeededRng, fd_gradient_check
+from orderlab.numkit import SeededRng
 from orderlab.params import ParamVector, TrainConfig
 from orderlab.seqrec import ModelConfig, SeqRecModel
+
+from conftest import fd_gradient_check
 
 
 def tiny_model(vocab=12, hidden=8, scale=0.3, seed=3):
