@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, reading
 
 MAGIC = b"ORLCKPT1"
 FORMAT_VERSION = 1
@@ -38,17 +38,16 @@ def save_checkpoint(path: str, architecture: str, config: dict, flat_params: np.
 
 def load_checkpoint(path: str) -> tuple[str, dict, np.ndarray]:
     """Returns (architecture, config, flat_params)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != MAGIC:
-            raise FormatError(f"{path}: not a checkpoint file")
+    with open(path, "rb") as fh, reading(path):
+        if fh.read(8) != MAGIC:
+            raise FormatError("not a checkpoint file")
         (header_len,) = struct.unpack("<I", fh.read(4))
         header = json.loads(fh.read(header_len).decode("utf-8"))
         if header.get("format_version") != FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported format version {header.get('format_version')}")
+            raise FormatError(f"unsupported format version {header.get('format_version')}")
         count = int(header["param_count"])
         raw = fh.read(count * 8)
         if len(raw) != count * 8:
-            raise FormatError(f"{path}: truncated parameter payload")
+            raise FormatError("truncated parameter payload")
         params = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return header["architecture"], header["config"], params
+        return header["architecture"], header["config"], params

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyCorpus, FormatError, InvalidArgument
+from .errors import EmptyCorpus, FormatError, InvalidArgument, reading
 from .numkit import SeededRng
 
 log = logging.getLogger(__name__)
@@ -109,7 +109,7 @@ class Corpus:
 
     @classmethod
     def load(cls, path: str) -> "Corpus":
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh, reading(path):
             return cls.from_snapshot(json.load(fh))
 
 

@@ -94,8 +94,6 @@ class DetectionReport:
     raw_scores: np.ndarray  # (N,) u
     smoothed_scores: np.ndarray  # (N,) U
     flags: np.ndarray  # (N,) bool
-    threshold: float
-    weights: np.ndarray
     summary: dict = field(default_factory=dict)
 
     @property
@@ -407,6 +405,4 @@ def detect(
                 "recall": k_tp / max(k_total, 1),
             }
         summary["per_type"] = per_type
-    return DetectionReport(
-        users, positions, feats, raw, smoothed, flags, float(threshold), weights, summary
-    )
+    return DetectionReport(users, positions, feats, raw, smoothed, flags, summary)

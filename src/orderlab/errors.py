@@ -2,6 +2,8 @@
 
 Each family maps to a distinct CLI exit code (see harness.cli).
 """
+import contextlib
+import struct
 
 
 class OrderlabError(Exception):
@@ -34,3 +36,16 @@ class EmptyCorpus(OrderlabError):
 
 class EmptyCleanSet(OrderlabError):
     """No clean validation/training samples remain."""
+
+
+@contextlib.contextmanager
+def reading(path: str):
+    """Report what goes wrong while a file's contents are parsed as a
+    FormatError naming `path`: truncation, a parse failure, a missing key
+    or a mistyped value."""
+    try:
+        yield
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError, struct.error) as exc:
+        raise FormatError(f"{path}: {type(exc).__name__}: {exc}") from exc

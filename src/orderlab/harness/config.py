@@ -21,6 +21,9 @@ from ..errors import InvalidArgument
 from ..injector import InjectionConfig
 from ..params import TrainConfig
 from ..rectifier import InfluenceConfig, RectifyConfig
+from ..semantics import MIN_DIM
+
+SOURCES = ("synth", "tsv")  # where the corpus and the semantic table come from
 
 
 def _fits(value, hint) -> bool:
@@ -54,19 +57,29 @@ def _type_name(hint) -> str:
 
 @dataclass
 class DataConfig:
-    source: str = "synth"  # "synth" or "tsv"
+    source: str = "synth"  # one of SOURCES
     path: str | None = None
     min_user: int = 5
     min_item: int = 5
     synth: SynthConfig = field(default_factory=SynthConfig)
 
+    def validate(self) -> None:
+        if self.source not in SOURCES:
+            raise InvalidArgument(f"data.source must be one of {SOURCES}, got {self.source!r}")
+
 
 @dataclass
 class SemanticsConfig:
-    source: str = "synth"  # "synth" or "tsv"
+    source: str = "synth"  # one of SOURCES
     path: str | None = None
     dim: int = 96
     noise_sigma: float = 0.1
+
+    def validate(self) -> None:
+        if self.source not in SOURCES:
+            raise InvalidArgument(f"semantics.source must be one of {SOURCES}, got {self.source!r}")
+        if self.source == "synth" and self.dim < MIN_DIM:
+            raise InvalidArgument(f"synthetic semantics.dim must be >= {MIN_DIM}, got {self.dim}")
 
 
 @dataclass

@@ -38,7 +38,7 @@ from .. import detector, injector, rectifier, semantics as semantics_mod
 from ..checkpoint import load_checkpoint, save_checkpoint
 from ..corpus import Corpus, build_corpus, leave_one_out, load_interactions, synth_corpus
 from ..dualview import DualViewConfig, DualViewModel
-from ..errors import FormatError, InvalidArgument
+from ..errors import FormatError, InvalidArgument, reading
 from ..numkit import SeededRng
 from ..params import ParamVector
 from ..seqrec import ModelConfig, SeqRecModel
@@ -87,7 +87,7 @@ def write_json(path: str, obj) -> None:
 
 
 def read_json(path: str):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, reading(path):
         return json.load(fh)
 
 

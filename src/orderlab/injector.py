@@ -9,20 +9,32 @@ position:
   threshold (an out-of-context item).
 * sequential - two non-adjacent items inside a window swap places.
 
-Every realized manipulation is recorded in a manifest that allows exact
-restoration of the clean corpus.
+`inject` works in one pass. It draws the affected users from its "plan"
+stream; then, user by user in index order, `_plan_user` draws that user's
+positions from the same stream, and the ops are applied at once: swaps,
+then runs, then substitutes, whose items come from the "apply" stream.
+
+Every realized manipulation is recorded in a manifest, which holds:
+
+* every entry lies in its user's train prefix at a position >= 1, so
+  position 0 and the last two positions (the validation and test
+  targets) stay genuine;
+* the anchor of a repetitive run is never an entry;
+* each (user, position) pair appears once;
+* sequence lengths are unchanged, and undoing the entries restores the
+  clean corpus exactly.
 """
 from __future__ import annotations
 
 import json
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .corpus import Corpus
-from .errors import InvalidArgument
+from .errors import FormatError, InvalidArgument, reading
 from .numkit import SeededRng
 from .semantics import SemanticTable
 
@@ -88,6 +100,8 @@ class FakeOrderManifest:
 
     @classmethod
     def from_json(cls, doc: dict) -> "FakeOrderManifest":
+        if doc.get("format") != MANIFEST_FORMAT:
+            raise FormatError(f"unexpected manifest format {doc.get('format')!r}")
         entries = [
             ManifestEntry(d["user"], d["position"], d["type"], d["original_item"], d["injected_item"])
             for d in doc["entries"]
@@ -102,142 +116,102 @@ class FakeOrderManifest:
 
     @classmethod
     def load(cls, path: str) -> "FakeOrderManifest":
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh, reading(path):
             return cls.from_json(json.load(fh))
 
 
 # --- planning -------------------------------------------------------------
 
-@dataclass
-class PlannedOp:
-    kind: str
-    positions: tuple[int, ...]  # manipulated positions, in apply order
-    anchor: int | None = None  # repetitive only
-
-
-@dataclass
-class InjectionPlan:
-    ops: dict[int, list[PlannedOp]]  # user index -> ordered ops
-    budgets: dict[int, int]
-    truncated_users: list[int] = field(default_factory=list)
-
-    def affected_users(self) -> list[int]:
-        return sorted(self.ops)
-
-    def size(self) -> int:
-        return sum(len(op.positions) for ops in self.ops.values() for op in ops)
-
-
-def _split_budget(budget: int, mix, rng: SeededRng) -> tuple[int, int, int]:
+def _split_budget(budget: int, mix) -> tuple[int, int, int]:
     """Integer split of the per-user budget across types, largest-remainder."""
     raw = np.asarray(mix, dtype=np.float64) * budget
     base = np.floor(raw).astype(int)
-    rest = budget - int(base.sum())
-    if rest:
-        order = np.argsort(-(raw - base), kind="stable")
-        for i in order[:rest]:
-            base[i] += 1
+    base[np.argsort(-(raw - base), kind="stable")[: budget - int(base.sum())]] += 1
     return int(base[0]), int(base[1]), int(base[2])
 
 
-def plan_allocation(
-    corpus: Corpus, cfg: InjectionConfig, rng: SeededRng
-) -> InjectionPlan:
-    """Choose affected users and assign mutually exclusive positions.
+def _partners(p: int, free: np.ndarray, window: int) -> list[int]:
+    """Free positions 2..window away from p, in index order."""
+    lo, hi = max(1, p - window), min(len(free) - 1, p + window)
+    return [q for q in range(lo, hi + 1) if abs(q - p) >= 2 and free[q]]
 
-    Positions come from train-prefix indices 1..L-1 (every manipulated
-    position keeps a left neighbour). Repetitive runs also reserve their
-    anchor so no later op rewrites the item a run copies. Per-user budget
-    is round(intensity * prefix length); infeasible remainders are
-    truncated and reported.
+
+def _plan_user(
+    user: int, prefix: np.ndarray, budget: int, cfg: InjectionConfig, gen: np.random.Generator
+) -> list[tuple]:
+    """One user's ops in apply order: ("sequential", p, q) swaps, then
+    ("repetitive", anchor, k) runs, then ("semantic", p) substitutes.
+
+    Positions are mutually exclusive train-prefix indices >= 1 (every
+    manipulated position keeps a left neighbour). A run also reserves its
+    anchor, so no other op rewrites the item it copies. Odd or unplaceable
+    swap slots fall back to substitutes; what finds no room is left out.
     """
-    cfg.validate()
-    gen = rng.gen
-    n_affected = int(round(cfg.user_ratio * corpus.n_users))
-    n_affected = max(1, min(n_affected, corpus.n_users))
-    users = np.sort(gen.choice(corpus.n_users, size=n_affected, replace=False))
+    free = np.zeros(len(prefix), dtype=bool)
+    free[1:] = True  # position 0 never manipulated
+    n_rep, n_sem, n_seq = _split_budget(budget, cfg.type_mix)
 
-    ops: dict[int, list[PlannedOp]] = {}
-    budgets: dict[int, int] = {}
-    truncated: list[int] = []
-    for user in users.tolist():
-        prefix_len = len(corpus.train_prefix(user))
-        budget = int(round(cfg.intensity * prefix_len))
-        if budget <= 0 or prefix_len < 3:
-            continue
-        budgets[user] = budget
-        free = np.zeros(prefix_len, dtype=bool)
-        free[1:] = True  # position 0 never manipulated
-        user_ops: list[PlannedOp] = []
-        n_rep, n_sem, n_seq = _split_budget(budget, cfg.type_mix, rng)
-
-        # sequential swaps go first: they need pairs of free positions within
-        # a window, which repetitive runs would otherwise fragment
-        seq_remaining = n_seq
-        while seq_remaining >= 2:
-            candidates = np.flatnonzero(free)
-            gen_order = gen.permutation(candidates) if candidates.size else candidates
-            placed = False
-            for p in gen_order.tolist():
-                lo = max(1, p - cfg.swap_window)
-                hi = min(prefix_len - 1, p + cfg.swap_window)
-                partners = [
-                    q for q in range(lo, hi + 1) if abs(q - p) >= 2 and free[q]
-                ]
-                if partners:
-                    q = int(partners[int(gen.integers(len(partners)))])
-                    lo_p, hi_p = min(p, q), max(p, q)
-                    user_ops.append(PlannedOp("sequential", (lo_p, hi_p)))
-                    free[lo_p] = free[hi_p] = False
-                    seq_remaining -= 2
-                    placed = True
-                    break
-            if not placed:
+    # sequential swaps go first: they need pairs of free positions within
+    # a window, which repetitive runs would otherwise fragment
+    swaps = []
+    while n_seq >= 2:
+        candidates = np.flatnonzero(free)
+        gen_order = gen.permutation(candidates) if candidates.size else candidates
+        for p in gen_order.tolist():
+            partners = _partners(p, free, cfg.swap_window)
+            if partners:
+                q = partners[int(gen.integers(len(partners)))]
+                swaps.append((min(p, q), max(p, q)))
+                free[p] = free[q] = False
+                n_seq -= 2
                 break
-        n_sem += seq_remaining  # odd or unplaceable swap slots fall back to semantic
+        else:
+            break
+    n_sem += n_seq
 
-        # repetitive runs: anchor + run inside the prefix, whole run free
-        remaining = n_rep
-        while remaining > 0:
-            run_len = min(cfg.repeat_len, remaining)
-            placed = False
-            while run_len >= 1 and not placed:
-                anchors = [
-                    a
-                    for a in range(0, prefix_len - run_len)
-                    if (a == 0 or free[a]) and free[a + 1 : a + 1 + run_len].all()
-                ]
-                if anchors:
-                    a = int(anchors[int(gen.integers(len(anchors)))])
-                    positions = tuple(range(a + 1, a + 1 + run_len))
-                    user_ops.append(PlannedOp("repetitive", positions, anchor=a))
-                    free[a] = False  # reserve the anchor
-                    for p in positions:
-                        free[p] = False
-                    remaining -= run_len
-                    placed = True
-                else:
-                    run_len -= 1
-            if not placed:
+    # repetitive runs: anchor + run inside the prefix, whole run free
+    runs = []
+    while n_rep > 0:
+        for run_len in range(min(cfg.repeat_len, n_rep), 0, -1):  # shorter runs when none fits
+            anchors = [
+                a
+                for a in range(len(prefix) - run_len)
+                if (a == 0 or free[a]) and free[a + 1 : a + 1 + run_len].all()
+            ]
+            if anchors:
                 break
+        else:
+            break
+        a = anchors[int(gen.integers(len(anchors)))]
+        runs.append((a, run_len))
+        free[a : a + 1 + run_len] = False  # the anchor is reserved too
+        n_rep -= run_len
 
-        # semantic replacements: single free positions
-        for _ in range(n_sem):
-            candidates = np.flatnonzero(free)
-            if candidates.size == 0:
-                break
-            p = int(candidates[int(gen.integers(candidates.size))])
-            user_ops.append(PlannedOp("semantic", (p,)))
-            free[p] = False
+    # semantic replacements: single free positions
+    subs = []
+    for _ in range(n_sem):
+        candidates = np.flatnonzero(free)
+        if candidates.size == 0:
+            break
+        p = int(candidates[int(gen.integers(candidates.size))])
+        subs.append(p)
+        free[p] = False
 
-        realized = sum(len(op.positions) for op in user_ops)
-        if realized < budget:
-            truncated.append(user)
-        if user_ops:
-            ops[user] = user_ops
-    if truncated:
-        log.warning("injection budget truncated for %d users", len(truncated))
-    return InjectionPlan(ops, budgets, truncated)
+    # a swap of equal items (after the swaps before it) is moved to the
+    # first free partner in its window that holds another item, or dropped
+    ops = []
+    work = prefix.copy()
+    for p, q in swaps:
+        if work[p] == work[q]:
+            moved = next((c for c in _partners(p, free, cfg.swap_window) if work[c] != work[p]), None)
+            if moved is None:
+                log.warning("dropped swap (%d, %d) for user %d", p, q, user)
+                continue
+            free[moved] = False
+            p, q = min(p, moved), max(p, moved)
+        work[p], work[q] = work[q], work[p]
+        ops.append(("sequential", p, q))
+    return ops + [("repetitive", a, k) for a, k in runs] + [("semantic", p) for p in subs]
 
 
 # --- application ----------------------------------------------------------
@@ -301,75 +275,49 @@ def inject_sequential(seq: np.ndarray, p: int, q: int):
     ]
 
 
-def apply_plan(
-    corpus: Corpus,
-    plan: InjectionPlan,
-    semantics: SemanticTable,
-    cfg: InjectionConfig,
-    rng: SeededRng,
-) -> tuple[Corpus, FakeOrderManifest]:
-    """Execute a plan; unaffected users' sequences are untouched.
-
-    Unplaceable swaps (identical endpoint items) are replanned once within
-    the window, then dropped. Returns the compromised corpus (statistics
-    recomputed) and the complete ground-truth manifest.
-    """
-    cfg.validate()
-    sequences = [s for s in corpus.sequences]
-    entries: list[ManifestEntry] = []
-    for user in plan.affected_users():
-        seq = sequences[user].copy()
-        taken = {p for op in plan.ops[user] for p in op.positions}
-        for op in plan.ops[user]:
-            if op.kind == "repetitive":
-                run_len = len(op.positions)
-                seq, locs = inject_repetitive(seq, op.anchor, run_len)
-            elif op.kind == "semantic":
-                seq, locs = inject_semantic(
-                    seq, op.positions[0], semantics, rng, cfg.semantic_cos_max
-                )
-            else:
-                p, q = op.positions
-                if seq[p] == seq[q]:
-                    replanned = _replan_swap(seq, p, q, taken, cfg.swap_window)
-                    if replanned is None:
-                        log.warning("dropped swap (%d, %d) for user %d", p, q, user)
-                        continue
-                    p, q = replanned
-                    taken.update((p, q))
-                seq, locs = inject_sequential(seq, p, q)
-            entries.extend(ManifestEntry(user, *loc) for loc in locs)
-        sequences[user] = seq
-    compromised = corpus.with_sequences(sequences)
-    knobs = {
-        "user_ratio": cfg.user_ratio,
-        "intensity": cfg.intensity,
-        "type_mix": list(cfg.type_mix),
-        "repeat_len": cfg.repeat_len,
-        "swap_window": cfg.swap_window,
-        "semantic_cos_max": cfg.semantic_cos_max,
-    }
-    manifest = FakeOrderManifest(entries, knobs, rng.seed)
-    return compromised, manifest
-
-
-def _replan_swap(seq, p, q, taken, window):
-    for cand in range(max(1, p - window), min(len(seq) - 1, p + window) + 1):
-        if abs(cand - p) >= 2 and cand not in taken and seq[cand] != seq[p]:
-            return (min(p, cand), max(p, cand))
-    return None
-
-
 def inject(
     corpus: Corpus, semantics: SemanticTable, cfg: InjectionConfig, rng: SeededRng
 ) -> tuple[Corpus, FakeOrderManifest]:
-    """Plan and apply in one step (shared rng, deterministic); warns for
-    each type with a positive `type_mix` share that planted no position."""
-    plan = plan_allocation(corpus, cfg, rng.child("plan"))
-    compromised, manifest = apply_plan(corpus, plan, semantics, cfg, rng.child("apply"))
-    planted = {e.kind for e in manifest.entries}
-    for kind, share in zip(TYPES, cfg.type_mix):
-        if share > 0 and kind not in planted:
-            log.warning("type_mix gives %s a %.3g share, but none was planted", kind, share)
-    return compromised, manifest
+    """Plant fake orders in one pass per user; unaffected users' sequences
+    are untouched. Returns the compromised corpus (statistics recomputed)
+    and the complete ground-truth manifest.
 
+    Each user's budget is round(intensity * prefix length). Warns once with
+    the number of users whose budget was not filled, and for each type with
+    a positive `type_mix` share that planted no position.
+    """
+    cfg.validate()
+    gen, apply_rng = rng.child("plan").gen, rng.child("apply")
+    n_affected = int(round(cfg.user_ratio * corpus.n_users))
+    n_affected = max(1, min(n_affected, corpus.n_users))
+    users = np.sort(gen.choice(corpus.n_users, size=n_affected, replace=False))
+
+    sequences = list(corpus.sequences)
+    entries: list[ManifestEntry] = []
+    truncated = 0
+    for user in users.tolist():
+        prefix = corpus.train_prefix(user)
+        budget = int(round(cfg.intensity * len(prefix)))
+        if budget <= 0 or len(prefix) < 3:
+            continue
+        seq = sequences[user]
+        before = len(entries)
+        for kind, *at in _plan_user(user, prefix, budget, cfg, gen):
+            if kind == "sequential":
+                seq, locs = inject_sequential(seq, *at)
+            elif kind == "repetitive":
+                seq, locs = inject_repetitive(seq, *at)
+            else:
+                seq, locs = inject_semantic(seq, at[0], semantics, apply_rng, cfg.semantic_cos_max)
+            entries.extend(ManifestEntry(user, *loc) for loc in locs)
+        sequences[user] = seq
+        truncated += len(entries) - before < budget
+    if truncated:
+        log.warning("injection budget truncated for %d users", truncated)
+
+    kinds = {e.kind for e in entries}
+    for kind, share in zip(TYPES, cfg.type_mix):
+        if share > 0 and kind not in kinds:
+            log.warning("type_mix gives %s a %.3g share, but none was planted", kind, share)
+    knobs = {**asdict(cfg), "type_mix": list(cfg.type_mix)}
+    return corpus.with_sequences(sequences), FakeOrderManifest(entries, knobs, rng.seed)

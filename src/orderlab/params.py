@@ -39,14 +39,8 @@ class ParamVector:
     def view(self, name: str) -> np.ndarray:
         return self.flat[self._slices[name]].reshape(self._shapes[name])
 
-    def block_names(self) -> list[str]:
-        return list(self._shapes)
-
     def copy(self) -> "ParamVector":
         return ParamVector(self._shapes, self.flat)
-
-    def __len__(self):
-        return self.size
 
 
 class BlockModel:
@@ -64,7 +58,7 @@ class BlockModel:
     def init_params(self, rng: SeededRng) -> ParamVector:
         """Weights drawn from N(0, init_scale) in registry order; biases start at zero."""
         params = self.zero_params()
-        for name in params.block_names():
+        for name in self.registry:
             if not name.endswith("bias"):
                 block = params.view(name)
                 block[...] = rng.gen.normal(0.0, self.cfg.init_scale, size=block.shape)
@@ -115,6 +109,8 @@ class TrainConfig:
     def validate(self) -> None:
         if self.epochs < 0 or self.batch_size < 1 or not self.learning_rate > 0.0:
             raise InvalidArgument("need epochs >= 0, batch_size >= 1 and learning_rate > 0")
+        if not self.clip_norm > 0.0:
+            raise InvalidArgument(f"clip_norm must be > 0, got {self.clip_norm!r}")
 
 
 class Adam:
@@ -136,8 +132,9 @@ class Adam:
 
 
 def clip_to_norm(vec: np.ndarray, max_norm: float) -> np.ndarray:
+    """`vec` scaled down to norm `max_norm` (> 0) when it is longer."""
     norm = float(np.linalg.norm(vec))
-    if max_norm > 0.0 and norm > max_norm:
+    if norm > max_norm:
         return vec * (max_norm / norm)
     return vec
 
@@ -177,6 +174,7 @@ def run_training(
     windows of `_SORT_WINDOW` batches, which bounds the padding waste of
     variable-length batches without giving up shuffling.
     """
+    cfg.validate()
     if n_examples == 0:
         raise InvalidArgument("cannot train on an empty example set")
     opt = Adam(params.size, cfg.learning_rate)

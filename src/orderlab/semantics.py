@@ -18,11 +18,12 @@ from .numkit import SeededRng, pca_fit, pca_project
 
 log = logging.getLogger(__name__)
 
+MIN_DIM = 8  # smallest synthetic embedding dimension; a loaded table below it is warned about
+
 
 @dataclass
 class SemanticTable:
     embeddings: np.ndarray  # (items, dim) float64
-    source: str
 
     @property
     def dim(self) -> int:
@@ -71,12 +72,12 @@ def load_semantic_tsv(path: str, corpus: Corpus) -> SemanticTable:
                           f"({len(missing)} missing in total)")
     if dim is None:
         raise FormatError(f"semantic file {path} is empty")
-    if dim < 8:
-        log.warning("semantic dimension %d is below the recommended minimum of 8", dim)
+    if dim < MIN_DIM:
+        log.warning("semantic dimension %d is below the recommended minimum of %d", dim, MIN_DIM)
     table = np.stack([vectors[it] for it in corpus.item_ids])
     if not np.all(np.isfinite(table)):
         raise FormatError(f"semantic file {path} contains non-finite values")
-    return SemanticTable(table, source=f"file:{os.path.basename(path)}")
+    return SemanticTable(table)
 
 
 def save_semantic_tsv(table: SemanticTable, corpus: Corpus, path: str) -> None:
@@ -101,8 +102,8 @@ def synth_semantics(
         raise InvalidArgument("synth_semantics needs a SeededRng")
     cats = np.asarray(categories, dtype=np.int64)
     n_cats = int(cats.max()) + 1 if cats.size else 0
-    if dim < 8:
-        raise InvalidArgument("semantic dimension must be >= 8")
+    if dim < MIN_DIM:
+        raise InvalidArgument(f"semantic dimension must be >= {MIN_DIM}")
     if dim < n_cats:
         log.warning("semantic dim %d below category count %d; prototypes will overlap", dim, n_cats)
     gen = rng.gen
@@ -114,7 +115,7 @@ def synth_semantics(
     scale = noise_sigma / np.sqrt(dim)
     rows = protos[cats] + scale * gen.standard_normal((cats.size, dim))
     rows /= np.maximum(np.linalg.norm(rows, axis=1, keepdims=True), 1e-12)
-    return SemanticTable(rows, source=f"synth:c{n_cats}-d{dim}")
+    return SemanticTable(rows)
 
 
 def reduce(table: SemanticTable, d_h: int) -> np.ndarray:

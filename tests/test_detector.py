@@ -243,7 +243,6 @@ def test_csv_equals_the_csv_writer(tmp_path, monkeypatch, with_truth):
     users, positions = np.repeat(np.arange(8), 5), np.tile(np.arange(5), 8)
     report = DetectionReport(
         users, positions, feats, gen.normal(size=n), gen.normal(size=n), gen.random(n) > 0.7,
-        threshold=0.5, weights=np.full(4, 0.25),
     )
     truth = {(0, 1): "repetitive", (3, 4): "semantic", (7, 0): "sequential"} if with_truth else {}
     report.to_csv(str(tmp_path / "got.csv"), truth if with_truth else None)

@@ -2,6 +2,7 @@
 import ctypes
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -93,12 +94,40 @@ def test_cli_exit_codes(tmp_path, doc, code):
     {"model": {"hidden": 2.5}},
     {"target_train": {"epochs": -3, "batch_size": 0}},
     {"target_train": {"patience": 3}},  # a removed setting is an unknown key
+    {"data": {"source": "foo"}},
+    {"semantics": {"source": "foo"}},
+    {"semantics": {"dim": 0}},
+    {"target_train": {"clip_norm": -5.0}},
+    {"dualview_train": {"clip_norm": 0.0}},
 ])
 def test_invalid_config_writes_no_file(tmp_path, section):
     config = write_config(tmp_path / "config.json", dict(TINY, **section))
     out = tmp_path / "out"
     assert main(["pipeline", "--config", config, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def without_entries(blob):
+    doc = json.loads(blob)
+    del doc["entries"]
+    return json.dumps(doc).encode()
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    ("target_clean.ckpt", lambda blob: blob[:10]),
+    ("corpus_poisoned.json", lambda blob: blob[: len(blob) // 2]),
+    ("manifest.json", lambda blob: blob.replace(b'"orderlab-manifest/1"', b'"bogus"')),
+    ("manifest.json", without_entries),
+    ("trace_clean.json", lambda blob: blob[: len(blob) // 2]),
+], ids=["checkpoint-cut", "corpus-cut", "manifest-format", "manifest-key", "trace-cut"])
+def test_corrupt_artifact_on_resume_exits_3(fresh, tmp_path, caplog, name, corrupt):
+    config, out, _ = fresh
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    path = run / name
+    path.write_bytes(corrupt(path.read_bytes()))
+    assert main(["pipeline", "--config", config, "--out", str(run), "--resume"]) == 3
+    assert f"FormatError: {path}: " in caplog.text
 
 
 def test_each_negative_set_is_drawn_once_per_process(tmp_path, monkeypatch):
@@ -284,5 +313,22 @@ assert calls == ["mallopt"], calls
 def test_importing_orderlab_leaves_the_allocator_alone():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orderlab.__file__)))
     done = subprocess.run([sys.executable, "-c", IMPORT_CHECK], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+NUMPY_ONLY = """
+import sys
+before = set(sys.modules)
+import orderlab.harness.cli
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+foreign = loaded - set(sys.stdlib_module_names) - {"numpy", "orderlab"}
+assert not foreign, sorted(foreign)
+"""
+
+
+def test_the_cli_imports_numpy_and_the_standard_library_only():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orderlab.__file__)))
+    done = subprocess.run([sys.executable, "-c", NUMPY_ONLY], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr

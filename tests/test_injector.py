@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orderlab.errors import InvalidArgument
 from orderlab.injector import (
     FakeOrderManifest,
     InjectionConfig,
-    apply_plan,
     inject,
     inject_repetitive,
     inject_semantic,
     inject_sequential,
     low_cosine_candidates,
-    plan_allocation,
 )
 from orderlab.numkit import SeededRng
 from orderlab.semantics import SemanticTable, synth_semantics
@@ -34,44 +34,46 @@ def restore(corpus, manifest):
     return corpus.with_sequences(sequences)
 
 
-def planned_positions(plan):
-    return [(user, p) for user, ops in plan.ops.items() for op in ops for p in op.positions]
+def planted_positions(manifest):
+    return [(e.user, e.position) for e in manifest.entries]
 
 
 class TestPlanAllocation:
+    """Where `inject` plants, read from its manifest."""
+
     def test_position_fraction(self, small_synth):
-        corpus, _, _ = small_synth
+        corpus, _, table = small_synth
         cfg = InjectionConfig(user_ratio=0.3, intensity=0.3)
-        plan = plan_allocation(corpus, cfg, SeededRng(8))
+        _, manifest = inject(corpus, table, cfg, SeededRng(8))
         total = sum(len(corpus.train_prefix(u)) for u in range(corpus.n_users))
-        frac = plan.size() / total
+        frac = len(manifest.entries) / total
         assert abs(frac - 0.09) < 0.012
 
     def test_exclusivity(self, small_synth):
-        corpus, _, _ = small_synth
-        plan = plan_allocation(corpus, InjectionConfig(0.5, 0.5), SeededRng(9))
-        planned = planned_positions(plan)
-        assert len(planned) == len(set(planned)) == plan.size()
+        corpus, _, table = small_synth
+        _, manifest = inject(corpus, table, InjectionConfig(0.5, 0.5), SeededRng(9))
+        planted = planted_positions(manifest)
+        assert len(planted) == len(set(planted))
 
     def test_saturation(self, small_synth):
-        corpus, _, _ = small_synth
-        plan = plan_allocation(corpus, InjectionConfig(1.0, 1.0), SeededRng(10))
+        corpus, _, table = small_synth
+        _, manifest = inject(corpus, table, InjectionConfig(1.0, 1.0), SeededRng(10))
         total_eligible = sum(
             max(len(corpus.train_prefix(u)) - 1, 0) for u in range(corpus.n_users)
         )
-        assert plan.size() > 0.8 * total_eligible
+        assert len(manifest.entries) > 0.8 * total_eligible
 
     def test_position_zero_never_planned(self, small_synth):
-        corpus, _, _ = small_synth
-        plan = plan_allocation(corpus, InjectionConfig(0.6, 0.6), SeededRng(11))
-        assert all(p >= 1 for (_, p) in planned_positions(plan))
+        corpus, _, table = small_synth
+        _, manifest = inject(corpus, table, InjectionConfig(0.6, 0.6), SeededRng(11))
+        assert all(p >= 1 for (_, p) in planted_positions(manifest))
 
     def test_bad_knobs(self, small_synth):
-        corpus, _, _ = small_synth
+        corpus, _, table = small_synth
         with pytest.raises(InvalidArgument):
-            plan_allocation(corpus, InjectionConfig(user_ratio=0.0), SeededRng(1))
+            inject(corpus, table, InjectionConfig(user_ratio=0.0), SeededRng(1))
         with pytest.raises(InvalidArgument):
-            plan_allocation(corpus, InjectionConfig(type_mix=(1.0, 1.0, 0.0)), SeededRng(1))
+            inject(corpus, table, InjectionConfig(type_mix=(1.0, 1.0, 0.0)), SeededRng(1))
 
 
 class TestRepetitive:
@@ -125,7 +127,7 @@ class TestSemanticInjection:
     def test_fallback_to_global_minimum(self):
         # all items nearly identical: no candidate below threshold
         rows = np.ones((5, 8)) + 1e-3 * SeededRng(6).gen.standard_normal((5, 8))
-        table = SemanticTable(rows, "fixture")
+        table = SemanticTable(rows)
         cands = low_cosine_candidates(table, 0, 0.2)
         assert len(cands) == 1 and cands[0] != 0
 
@@ -159,11 +161,9 @@ class TestSequentialInjection:
 
 class TestApplyPlan:
     def test_empty_plan(self, small_synth):
+        # every budget rounds to zero: nothing is planted, nothing changes
         corpus, _, table = small_synth
-        from orderlab.injector import InjectionPlan
-
-        plan = InjectionPlan({}, {})
-        out, manifest = apply_plan(corpus, plan, table, InjectionConfig(), SeededRng(1))
+        out, manifest = inject(corpus, table, InjectionConfig(1.0, 0.003), SeededRng(1))
         assert manifest.entries == []
         for a, b in zip(out.sequences, corpus.sequences):
             np.testing.assert_array_equal(a, b)
@@ -237,3 +237,40 @@ class TestApplyPlan:
         manifest.save(path)
         loaded = FakeOrderManifest.load(path)
         assert loaded.to_json() == manifest.to_json()
+
+
+@st.composite
+def small_corpora(draw):
+    """2-4 items, 1-20 users of 5-30 orders: repeats and equal swap endpoints abound."""
+    n_items = draw(st.integers(2, 4))
+    item = st.integers(0, n_items - 1)
+    sequences = draw(st.lists(st.lists(item, min_size=5, max_size=30), min_size=1, max_size=20))
+    return toy_corpus(sequences, n_items)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    corpus=small_corpora(),
+    user_ratio=st.floats(0.1, 1.0),
+    intensity=st.floats(0.1, 1.0),
+    repeat_len=st.integers(1, 4),
+    swap_window=st.integers(2, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_manifest_invariants(corpus, user_ratio, intensity, repeat_len, swap_window, seed):
+    table = SemanticTable(SeededRng(seed).gen.standard_normal((corpus.n_items, 8)))
+    cfg = InjectionConfig(user_ratio, intensity, repeat_len=repeat_len, swap_window=swap_window)
+    poisoned, manifest = inject(corpus, table, cfg, SeededRng(seed))
+    planted = planted_positions(manifest)
+    assert len(planted) == len(set(planted))
+    for e in manifest.entries:
+        assert 1 <= e.position < len(corpus.sequences[e.user]) - 2, e
+    # a run is a maximal block of consecutive repetitive positions; its anchor precedes it
+    repetitive = {(e.user, e.position) for e in manifest.entries if e.kind == "repetitive"}
+    anchors = {(u, p - 1) for u, p in repetitive if (u, p - 1) not in repetitive}
+    assert not anchors & set(planted)
+    for u, a in anchors:
+        assert poisoned.sequences[u][a] == poisoned.sequences[u][a + 1]
+    assert [len(s) for s in poisoned.sequences] == [len(s) for s in corpus.sequences]
+    for a, b in zip(restore(poisoned, manifest).sequences, corpus.sequences):
+        np.testing.assert_array_equal(a, b)

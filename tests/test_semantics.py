@@ -88,7 +88,7 @@ class TestReduce:
     def test_full_rank_keeps_distances(self):
         gen = SeededRng(9).gen
         rows = gen.standard_normal((30, 12))
-        table = SemanticTable(rows, "fixture")
+        table = SemanticTable(rows)
         proj = reduce(table, 12)
         centered = rows - rows.mean(0)
         d_in = np.linalg.norm(centered[:, None] - centered[None, :], axis=-1)
@@ -114,6 +114,6 @@ class TestReduce:
         np.testing.assert_array_equal(a, b)
 
     def test_rank_guard(self):
-        table = SemanticTable(np.ones((5, 8)), "fixture")
+        table = SemanticTable(np.ones((5, 8)))
         with pytest.raises(InvalidArgument):
             reduce(table, 8)  # needs d_h <= items-1
