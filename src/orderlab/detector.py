@@ -18,10 +18,13 @@ call over every transition of the batch. No Python loop runs per user or
 per position.
 
 Signals are z-normalized over all scored positions, combined by a weight
-vector, smoothed over each user's neighbouring positions, and
-thresholded. Weights and the threshold are fitted on a calibration slice
-carrying a secondary injection with known labels; without calibration the
-detector falls back to uniform weights and a percentile threshold.
+vector, smoothed over each user's neighbouring positions (factor 0.3,
+`_SMOOTHING`), and thresholded. Weights and the threshold are fitted on a
+calibration slice: 15% of the users (`_CALIB_FRAC`), carrying a secondary
+injection at user ratio and intensity 0.3 (`_CALIB_USER_RATIO`,
+`_CALIB_INTENSITY`) with known labels; the threshold maximizes F2
+(`_FSCORE_BETA`). Without calibration the detector falls back to uniform
+weights (`_UNIFORM_WEIGHTS`) and a percentile threshold.
 """
 from __future__ import annotations
 
@@ -47,26 +50,19 @@ _CSV_ROWS = 2048  # rows of detection.csv formatted and written at once
 _JSD_ROWS = 64  # rows of the JSD's (rows, V) mixture and log workspace
 # calibration weight fit: gradient-descent steps, step size and L2 penalty
 _FIT_STEPS, _FIT_RATE, _FIT_L2 = 500, 0.1, 1e-4
+_UNIFORM_WEIGHTS = (0.25, 0.25, 0.25, 0.25)  # without calibration, and the fit's fallback
+_SMOOTHING = 0.3  # share of a position's score taken from its neighbours
+_FSCORE_BETA = 2.0  # the calibrated threshold maximizes this F-beta
+# calibration slice: share of the users, and its injection's user ratio and intensity
+_CALIB_FRAC, _CALIB_USER_RATIO, _CALIB_INTENSITY = 0.15, 0.3, 0.3
 
 
 @dataclass
 class DetectorConfig:
-    weights: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
-    smoothing: float = 0.3
-    fscore_beta: float = 2.0
     calibrate: bool = True
-    calib_frac: float = 0.15
-    calib_user_ratio: float = 0.3
-    calib_intensity: float = 0.3
     default_percentile: float = 95.0
 
     def validate(self) -> None:
-        if len(self.weights) != 4 or any(w < 0 for w in self.weights):
-            raise InvalidArgument("weights must be 4 non-negative entries")
-        if not (0.0 <= self.smoothing < 1.0):
-            raise InvalidArgument("smoothing must lie in [0, 1)")
-        if self.calibrate and not (0.0 < self.calib_frac < 1.0):
-            raise InvalidArgument("calib_frac must lie in (0, 1)")
         if not (0.0 <= self.default_percentile <= 100.0):
             raise InvalidArgument("default_percentile must lie in [0, 100]")
 
@@ -240,10 +236,9 @@ def fit_weights(norm_feats: np.ndarray, labels: np.ndarray) -> np.ndarray:
     y = np.asarray(labels, dtype=np.float64)
     if y.size != norm_feats.shape[0]:
         raise InvalidArgument("labels must align with features")
-    uniform = np.full(4, 0.25)
     if y.min() == y.max():
         log.warning("calibration labels are one-class; using uniform weights")
-        return uniform
+        return np.asarray(_UNIFORM_WEIGHTS)
     theta = np.zeros(norm_feats.shape[1])
     bias = 0.0
     n = y.size
@@ -258,7 +253,7 @@ def fit_weights(norm_feats: np.ndarray, labels: np.ndarray) -> np.ndarray:
     total = float(w.sum())
     if total <= 0.0:
         log.warning("all fitted weights non-positive; using uniform weights")
-        return uniform
+        return np.asarray(_UNIFORM_WEIGHTS)
     return w / total
 
 
@@ -333,20 +328,18 @@ def detect(
     feats, users, positions = features(model, params, corpus)
     stats = FeatureStats.fit(feats)
 
-    weights = np.asarray(cfg.weights, dtype=np.float64)
-    if float(weights.sum()) > 0:
-        weights = weights / float(weights.sum())
+    weights = np.asarray(_UNIFORM_WEIGHTS)
     threshold = None
     if cfg.calibrate:
         slice_rng = rng.child("calib-slice")
-        n_cal = max(2, int(round(cfg.calib_frac * corpus.n_users)))
+        n_cal = max(2, int(round(_CALIB_FRAC * corpus.n_users)))
         cal_users = np.sort(slice_rng.gen.choice(corpus.n_users, size=n_cal, replace=False))
         cal_corpus = Corpus(
             [corpus.user_ids[u] for u in cal_users],
             [corpus.sequences[u].copy() for u in cal_users],
             list(corpus.item_ids),
         )
-        cal_inj = replace(inj_cfg, user_ratio=cfg.calib_user_ratio, intensity=cfg.calib_intensity)
+        cal_inj = replace(inj_cfg, user_ratio=_CALIB_USER_RATIO, intensity=_CALIB_INTENSITY)
         cal_poisoned, cal_manifest = injector.inject(
             cal_corpus, semantics, cal_inj, rng.child("calib-inject")
         )
@@ -358,13 +351,11 @@ def detect(
         )
         weights = fit_weights(stats.apply(cal_feats), labels)
         cal_raw = unified_score(cal_feats, weights, stats)
-        cal_smooth = smooth_by_user(cal_raw, cal_u, cfg.smoothing)
-        threshold = tune_threshold(
-            cal_smooth, labels, cfg.fscore_beta, cfg.default_percentile
-        )
+        cal_smooth = smooth_by_user(cal_raw, cal_u, _SMOOTHING)
+        threshold = tune_threshold(cal_smooth, labels, _FSCORE_BETA, cfg.default_percentile)
 
     raw = unified_score(feats, weights, stats)
-    smoothed = smooth_by_user(raw, users, cfg.smoothing)
+    smoothed = smooth_by_user(raw, users, _SMOOTHING)
     if threshold is None:
         log.warning("detector running label-free; thresholding at percentile %.0f",
                     cfg.default_percentile)

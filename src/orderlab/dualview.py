@@ -10,8 +10,10 @@ Two item-input paths feed two independent recurrent encoders:
 
 Each view scores next items against its own input table (tied weights).
 The joint objective blends both views' recommendation losses with a
-symmetric cross-view InfoNCE term on final sequence representations.
-All gradients are exact.
+symmetric cross-view InfoNCE term on final sequence representations:
+0.5 * L_sem + 0.5 * L_col + 0.1 * InfoNCE at temperature 0.1
+(`_VIEW_BLEND`, `_CONTRASTIVE_WEIGHT`, `_TEMPERATURE`). All gradients are
+exact.
 """
 from __future__ import annotations
 
@@ -25,6 +27,9 @@ from .numkit import SeededRng
 from .params import BlockModel, ParamVector, TrainConfig, run_training
 
 ENCODERS = {"semantic": "sem_enc", "collaborative": "collab_enc"}  # view -> block prefix
+_VIEW_BLEND = 0.5  # weight of the semantic view's recommendation loss
+_CONTRASTIVE_WEIGHT = 0.1  # weight of the InfoNCE term
+_TEMPERATURE = 0.1  # InfoNCE temperature
 
 
 @dataclass
@@ -39,19 +44,6 @@ class DualViewConfig:
     def validate(self) -> None:
         if self.vocab < 2 or self.hidden < 8 or self.sem_dim < 8:
             raise InvalidArgument("need vocab >= 2, hidden >= 8, sem_dim >= 8")
-
-
-@dataclass
-class LossConfig:
-    view_blend: float = 0.5  # weight of the semantic view's recommendation loss
-    contrastive_weight: float = 0.1
-    temperature: float = 0.1
-
-    def validate(self) -> None:
-        if not (0.0 <= self.view_blend <= 1.0):
-            raise InvalidArgument("view_blend must lie in [0, 1]")
-        if self.contrastive_weight < 0.0 or self.temperature <= 0.0:
-            raise InvalidArgument("bad loss config")
 
 
 def _silu(x: np.ndarray):
@@ -212,14 +204,13 @@ class DualViewModel(BlockModel):
 
     # -- joint objective -----------------------------------------------------
 
-    def joint_loss(self, params: ParamVector, seqs, loss_cfg: LossConfig):
+    def joint_loss(self, params: ParamVector, seqs):
         """Blended recommendation losses + weighted InfoNCE, with exact gradient.
 
         Recommendation loss per view is the mean over the batch of each
         sequence's mean next-item cross-entropy under that view's tied
         table. The contrastive term uses the batch's final hidden states.
         """
-        loss_cfg.validate()
         if not seqs:
             raise InvalidArgument("joint_loss needs a non-empty batch")
         items, lengths = self._padded(seqs)
@@ -230,8 +221,7 @@ class DualViewModel(BlockModel):
         weights = encoder.term_weight_matrix(lengths, t_len) / b
 
         grad = self.zero_params()
-        alpha = loss_cfg.view_blend
-        lam = loss_cfg.contrastive_weight
+        alpha, lam = _VIEW_BLEND, _CONTRASTIVE_WEIGHT
         final_idx = (np.arange(b), lengths - 1)
         tables = {"semantic": table_sem, "collaborative": table_col}
         coefs = {"semantic": alpha, "collaborative": 1.0 - alpha}
@@ -247,7 +237,7 @@ class DualViewModel(BlockModel):
             finals[view] = states[final_idx]
 
         c_loss, d_fin_sem, d_fin_col = contrastive_loss(
-            finals["semantic"], finals["collaborative"], loss_cfg.temperature
+            finals["semantic"], finals["collaborative"], _TEMPERATURE
         )
         total = alpha * losses["semantic"] + (1.0 - alpha) * losses["collaborative"] + lam * c_loss
 
@@ -272,7 +262,7 @@ class DualViewModel(BlockModel):
         return total, grad, parts
 
     def train(
-        self, params: ParamVector, sequences, loss_cfg: LossConfig, cfg: TrainConfig, rng: SeededRng
+        self, params: ParamVector, sequences, cfg: TrainConfig, rng: SeededRng
     ) -> tuple[ParamVector, list[float]]:
         """Same optimizer regime as the target model, on the joint objective."""
         usable = [np.asarray(s, dtype=np.int64) for s in sequences if len(s) >= 2]
@@ -281,7 +271,7 @@ class DualViewModel(BlockModel):
 
         def loss_grad(p, batch_idx):
             batch = [usable[i] for i in batch_idx]
-            loss, grad, _ = self.joint_loss(p, batch, loss_cfg)
+            loss, grad, _ = self.joint_loss(p, batch)
             return loss, grad
 
         trained = params.copy()

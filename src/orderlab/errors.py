@@ -46,6 +46,8 @@ def reading(path: str):
     try:
         yield
     except FormatError as exc:
+        if str(exc).startswith(f"{path}: "):  # a nested reading of the same file named it
+            raise
         raise FormatError(f"{path}: {exc}") from exc
     except (KeyError, IndexError, TypeError, ValueError, AttributeError, struct.error) as exc:
         raise FormatError(f"{path}: {type(exc).__name__}: {exc}") from exc

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 from ..corpus import SynthConfig
 from ..detector import DetectorConfig
-from ..dualview import LossConfig
 from ..errors import InvalidArgument
 from ..injector import InjectionConfig
 from ..params import TrainConfig
@@ -66,6 +65,8 @@ class DataConfig:
     def validate(self) -> None:
         if self.source not in SOURCES:
             raise InvalidArgument(f"data.source must be one of {SOURCES}, got {self.source!r}")
+        if self.source == "tsv" and self.path is None:
+            raise InvalidArgument("data.source 'tsv' needs a data.path")
 
 
 @dataclass
@@ -78,6 +79,8 @@ class SemanticsConfig:
     def validate(self) -> None:
         if self.source not in SOURCES:
             raise InvalidArgument(f"semantics.source must be one of {SOURCES}, got {self.source!r}")
+        if self.source == "tsv" and self.path is None:
+            raise InvalidArgument("semantics.source 'tsv' needs a semantics.path")
         if self.source == "synth" and self.dim < MIN_DIM:
             raise InvalidArgument(f"synthetic semantics.dim must be >= {MIN_DIM}, got {self.dim}")
 
@@ -88,8 +91,6 @@ class ModelSpec:
 
     hidden: int = 64
     max_len: int = 200
-    init_scale: float = 0.1
-    residual_coef: float = 0.5  # dual-view semantic residual only
 
     def validate(self) -> None:
         if self.hidden < 8 or self.max_len < 2:
@@ -99,16 +100,10 @@ class ModelSpec:
 @dataclass
 class EvalConfig:
     negatives: int = 100
-    ks: tuple[int, ...] = (10, 20)
 
     def __post_init__(self):
         if not isinstance(self.negatives, int) or self.negatives < 1:
             raise InvalidArgument(f"eval.negatives must be an integer >= 1, got {self.negatives!r}")
-        if not isinstance(self.ks, (list, tuple)) or not self.ks or any(
-            not isinstance(k, int) or k < 1 for k in self.ks
-        ):
-            raise InvalidArgument(f"eval.ks must be a non-empty list of integers >= 1, got {self.ks!r}")
-        self.ks = tuple(self.ks)  # JSON has no tuples
 
 
 @dataclass
@@ -120,7 +115,6 @@ class ExperimentConfig:
     model: ModelSpec = field(default_factory=ModelSpec)
     target_train: TrainConfig = field(default_factory=TrainConfig)
     dualview_train: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=20))
-    dualview_loss: LossConfig = field(default_factory=LossConfig)
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     influence: InfluenceConfig = field(default_factory=InfluenceConfig)
     rectify: RectifyConfig = field(default_factory=RectifyConfig)
@@ -165,9 +159,7 @@ class ExperimentConfig:
             else:
                 raise InvalidArgument(f"unknown config key {key!r}")
         cfg = cls(**kwargs)
-        # JSON has no tuples; restore the tuple-typed fields
-        cfg.injection.type_mix = tuple(cfg.injection.type_mix)
-        cfg.detector.weights = tuple(cfg.detector.weights)
+        cfg.injection.type_mix = tuple(cfg.injection.type_mix)  # JSON has no tuples
         for section in nested:
             validate = getattr(getattr(cfg, section), "validate", None)
             if validate is not None:

@@ -22,6 +22,7 @@ from ..seqrec import SeqRecModel
 
 
 MODES = ("valid", "test")
+KS = (10, 20)  # cutoffs of the HR@k / NDCG@k the pipeline reports
 
 
 def _check_mode(mode: str) -> None:

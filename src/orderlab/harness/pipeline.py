@@ -12,9 +12,8 @@ Wall-clock timings go to a separate timings.json, keeping metrics.json
 deterministic.
 
 The clean and poisoned target models share initialization and training
-randomness (labels "target-init"/"target-train"), so a zero-injection run
-yields bitwise-identical clean and compromised checkpoints and metrics,
-and injected runs differ only through the data.
+randomness (labels "target-init"/"target-train"), so the two models
+differ only through the data.
 
 Each target model is ranked once per split (`Pipeline.ranks`): one
 `evaluate_topk` pass gives its validation and test ranks, kept under the
@@ -43,7 +42,7 @@ from ..numkit import SeededRng
 from ..params import ParamVector
 from ..seqrec import ModelConfig, SeqRecModel
 from .config import ExperimentConfig
-from .metrics import MODES, convergence_report, draw_candidates, evaluate_topk, ndcg, topk_report
+from .metrics import KS, MODES, convergence_report, draw_candidates, evaluate_topk, ndcg, topk_report
 
 log = logging.getLogger(__name__)
 
@@ -110,7 +109,14 @@ def _checkpoint(model, config: dict):
     return lambda path, params: save_checkpoint(path, model.ARCH, config, params.flat), load
 
 
+def _under(key: str, parse=lambda value: value):
+    """Save/load pair of a JSON report that keeps one value under `key`."""
+    return lambda path, value: write_json(path, {key: value}), lambda path: parse(read_json(path)[key])
+
+
 JSON = (write_json, read_json)
+TRACE = _under("trace")
+CATEGORIES = _under("categories", lambda cats: np.asarray(cats, dtype=np.int64))
 CORPUS = (lambda path, corpus: corpus.save(path), lambda path: Corpus.load(path))
 MANIFEST = (
     lambda path, manifest: manifest.save(path),
@@ -123,8 +129,18 @@ def _write_influence_csv(path: str, report, truth: dict) -> None:
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write("user,position,truth_type,influence,harmful\n")
         for (u, p), v in zip(report.samples, report.values):
-            fh.write(f"{u},{p},{truth.get((u, p), '')},{float(v)!r},{int(v > report.threshold)}\n")
+            fh.write(f"{u},{p},{truth.get((u, p), '')},{float(v)!r},{int(v > 0.0)}\n")
     os.replace(tmp, path)
+
+
+def _read_detection(path: str) -> dict:
+    doc = read_json(path)
+    return {"summary": doc["summary"], "suspicious": [tuple(x) for x in doc["suspicious"]]}
+
+
+def _read_influence(path: str) -> dict:
+    doc = read_json(path)
+    return {**doc, "harmful": [tuple(x) for x in doc["harmful"]]}
 
 
 class Pipeline:
@@ -148,13 +164,20 @@ class Pipeline:
 
         `files` maps each file name to a (save(path, value), load(path))
         pair, in the order compute() returns the values; a load of None
-        marks a report that is written but never read back. With --resume
-        and every file present the values are loaded; otherwise compute()
-        runs and each value is saved.
+        marks a report that is written but never read back. A load returns
+        the value that compute() gives for its file. With --resume and
+        every file present the values are loaded, each inside
+        `errors.reading`, so a file that does not hold what the stage reads
+        fails as a FormatError that names it; otherwise compute() runs and
+        each value is saved.
         """
         paths = [self.path(name) for name in files]
         if self.resume and all(os.path.exists(p) for p in paths):
-            return [load(p) if load else None for p, (_, load) in zip(paths, files.values())]
+            values = []
+            for p, (_, load) in zip(paths, files.values()):
+                with reading(p):
+                    values.append(load(p) if load else None)
+            return values
         values = compute()
         for p, (save, _), value in zip(paths, files.values(), values):
             save(p, value)
@@ -192,9 +215,9 @@ class Pipeline:
         cfg = self.cfg
         files = {"corpus_clean.json": CORPUS}
         if cfg.data.source == "synth":
-            files["categories.json"] = JSON
+            files["categories.json"] = CATEGORIES
         corpus, *cats = self.artifacts(files, self._make_corpus)
-        categories = np.asarray(cats[0]["categories"], dtype=np.int64) if cats else None
+        categories = cats[0] if cats else None
 
         def write_tsv(path, table):
             semantics_mod.save_semantic_tsv(table, corpus, path)
@@ -212,8 +235,7 @@ class Pipeline:
     def _make_corpus(self) -> list:
         data = self.cfg.data
         if data.source == "synth":
-            corpus, categories = synth_corpus(data.synth, self.root.child("synth"))
-            return [corpus, {"categories": categories.tolist()}]
+            return list(synth_corpus(data.synth, self.root.child("synth")))
         if data.source == "tsv":
             raw = load_interactions(data.path)
             return [build_corpus(raw, data.min_user, data.min_item)]
@@ -237,14 +259,12 @@ class Pipeline:
         def fit():
             init = model.init_params(self.root.child("target-init"))
             prefixes = [corpus.train_prefix(u) for u in range(corpus.n_users)]
-            params, trace = model.train(
+            return model.train(
                 init, prefixes, self.cfg.target_train, self.root.child("target-train")
             )
-            return params, {"trace": trace}
 
-        files = {ckpt: _checkpoint(model, dataclasses.asdict(model.cfg)), trace_name: JSON}
-        params, doc = self.artifacts(files, fit)
-        return params, doc["trace"]
+        files = {ckpt: _checkpoint(model, dataclasses.asdict(model.cfg)), trace_name: TRACE}
+        return self.artifacts(files, fit)
 
     def stage_clean_model(self) -> None:
         cfg = self.cfg
@@ -253,7 +273,6 @@ class Pipeline:
                 vocab=self.ctx["corpus"].n_items,
                 hidden=cfg.model.hidden,
                 max_len=cfg.model.max_len,
-                init_scale=cfg.model.init_scale,
             )
         )
         self.ctx["clean_params"], self.ctx["clean_trace"] = self._train_target(
@@ -261,14 +280,10 @@ class Pipeline:
         )
 
     def stage_inject(self) -> None:
-        cfg = self.cfg
-
         def inject():
-            if cfg.injection.user_ratio == 0.0 or cfg.injection.intensity == 0.0:
-                disabled = injector.FakeOrderManifest([], {"disabled": True}, cfg.seed)
-                return self.ctx["corpus"], disabled
             return injector.inject(
-                self.ctx["corpus"], self.ctx["semantics"], cfg.injection, self.root.child("inject")
+                self.ctx["corpus"], self.ctx["semantics"], self.cfg.injection,
+                self.root.child("inject"),
             )
 
         files = {"corpus_poisoned.json": CORPUS, "manifest.json": MANIFEST}
@@ -291,8 +306,6 @@ class Pipeline:
                 sem_dim=table.dim,
                 hidden=cfg.model.hidden,
                 max_len=cfg.model.max_len,
-                init_scale=cfg.model.init_scale,
-                residual_coef=cfg.model.residual_coef,
             ),
             table.embeddings,
             self.ctx["reduced"],
@@ -301,20 +314,14 @@ class Pipeline:
         def fit():
             init = model.init_params(self.root.child("dualview-init"))
             prefixes = [corpus.train_prefix(u) for u in range(corpus.n_users)]
-            params, trace = model.train(
-                init, prefixes, cfg.dualview_loss, cfg.dualview_train,
-                self.root.child("dualview-train"),
-            )
-            return params, {"trace": trace}
+            return model.train(init, prefixes, cfg.dualview_train, self.root.child("dualview-train"))
 
         files = {
             "dualview.ckpt": _checkpoint(model, {"model": dataclasses.asdict(model.cfg)}),
-            "trace_dualview.json": JSON,
+            "trace_dualview.json": TRACE,
         }
-        params, doc = self.artifacts(files, fit)
         self.ctx["dualview_model"] = model
-        self.ctx["dualview_params"] = params
-        self.ctx["dualview_trace"] = doc["trace"]
+        self.ctx["dualview_params"], self.ctx["dualview_trace"] = self.artifacts(files, fit)
 
     def stage_detect(self) -> None:
         manifest = self.ctx["manifest"]
@@ -330,17 +337,15 @@ class Pipeline:
                 self.root.child("detect"),
                 manifest=manifest,
             )
-            doc = {"summary": report.summary, "suspicious": [[u, p] for u, p in report.suspicious]}
-            return report, doc
+            return report, {"summary": _jsonable(report.summary), "suspicious": report.suspicious}
 
         truth = manifest.truth()
         files = {
             "detection.csv": (lambda path, report: report.to_csv(path, truth), None),
-            "detection.json": JSON,
+            "detection.json": (write_json, _read_detection),
         }
         _, doc = self.artifacts(files, detect)
-        self.ctx["detect_summary"] = _jsonable(doc["summary"])
-        self.ctx["suspicious"] = [tuple(x) for x in doc["suspicious"]]
+        self.ctx["detect_summary"], self.ctx["suspicious"] = doc["summary"], doc["suspicious"]
 
     def stage_influence(self) -> None:
         corpus = self.ctx["poisoned"]
@@ -356,10 +361,10 @@ class Pipeline:
                 pairs, self.cfg.influence, self.root.child("influence"),
             )
             doc = {
-                "samples": [[u, p] for u, p in report.samples],
+                "samples": report.samples,
                 "values": [float(v) for v in report.values],
-                "harmful": [[u, p] for u, p in report.harmful],
-                "threshold": report.threshold,
+                "harmful": report.harmful,
+                "threshold": 0.0,
                 "scale": report.scale,
                 "residual": report.residual,
                 "validation_grad_norm": report.validation_grad_norm,
@@ -370,10 +375,10 @@ class Pipeline:
         truth = self.ctx["manifest"].truth()
         files = {
             "influence.csv": (lambda path, report: _write_influence_csv(path, report, truth), None),
-            "influence.json": JSON,
+            "influence.json": (write_json, _read_influence),
         }
         _, doc = self.artifacts(files, score)
-        self.ctx["harmful"] = [tuple(x) for x in doc["harmful"]]
+        self.ctx["harmful"] = doc["harmful"]
 
     def stage_rectify(self) -> None:
         model = self.ctx["target_model"]
@@ -411,7 +416,7 @@ class Pipeline:
 
         def both_modes(params, corpus_key):
             ranks = self.ranks(params, corpus_key)
-            return {mode: topk_report(ranks[mode], cfg.eval.negatives, cfg.eval.ks) for mode in MODES}
+            return {mode: topk_report(ranks[mode], cfg.eval.negatives, KS) for mode in MODES}
 
         traces = {
             "target_clean": self.ctx["clean_trace"],
@@ -442,7 +447,7 @@ class Pipeline:
                 if os.path.exists(self.path(fname))
             },
         }
-        key = f"NDCG@{cfg.eval.ks[0]}"
+        key = f"NDCG@{KS[0]}"
         clean_v = metrics["clean"]["test"][key]
         comp_v = metrics["compromised"]["test"][key]
         rect_v = metrics["rectified"]["test"][key]
@@ -532,7 +537,7 @@ def fake_order_effect_sweep(
         ranks = evaluate_topk(
             model, params, var_corpus, var_split, negatives=cfg.eval.negatives, rng=eval_rng
         )
-        report = topk_report(ranks["test"], cfg.eval.negatives, cfg.eval.ks)
+        report = topk_report(ranks["test"], cfg.eval.negatives, KS)
         conv = convergence_report({"train": trace})["train"]
         row = {"variant": variant, "seed": cfg.seed, "convergence_epochs": conv["reported"]}
         row.update({k: v for k, v in report.items() if k.startswith(("HR@", "NDCG@"))})

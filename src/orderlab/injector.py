@@ -231,12 +231,10 @@ def inject_repetitive(seq: np.ndarray, anchor: int, k: int):
     return out, entries
 
 
-def low_cosine_candidates(
-    semantics: SemanticTable, item: int, cos_max: float
-) -> np.ndarray:
+def low_cosine_candidates(unit: np.ndarray, item: int, cos_max: float) -> np.ndarray:
     """Items whose embedding cosine to `item` is below cos_max; falls back
-    to the single global-minimum-cosine item when none qualify."""
-    unit = semantics.unit_rows()
+    to the single global-minimum-cosine item when none qualify. `unit` is
+    the semantic table with unit rows (`SemanticTable.unit_rows`)."""
     sims = unit @ unit[item]
     sims[item] = np.inf
     candidates = np.flatnonzero(sims < cos_max)
@@ -248,14 +246,15 @@ def low_cosine_candidates(
 def inject_semantic(
     seq: np.ndarray,
     position: int,
-    semantics: SemanticTable,
+    unit: np.ndarray,
     rng: SeededRng,
     cos_max: float = 0.2,
 ):
-    """Replace one position with a uniformly drawn low-cosine item."""
+    """Replace one position with an item drawn uniformly among those of low
+    cosine to it; `unit` is the semantic table with unit rows."""
     out = seq.copy()
     original = int(seq[position])
-    candidates = low_cosine_candidates(semantics, original, cos_max)
+    candidates = low_cosine_candidates(unit, original, cos_max)
     injected = int(candidates[int(rng.gen.integers(candidates.size))])
     out[position] = injected
     return out, [(position, "semantic", original, injected)]
@@ -288,6 +287,7 @@ def inject(
     """
     cfg.validate()
     gen, apply_rng = rng.child("plan").gen, rng.child("apply")
+    unit = semantics.unit_rows()
     n_affected = int(round(cfg.user_ratio * corpus.n_users))
     n_affected = max(1, min(n_affected, corpus.n_users))
     users = np.sort(gen.choice(corpus.n_users, size=n_affected, replace=False))
@@ -308,7 +308,7 @@ def inject(
             elif kind == "repetitive":
                 seq, locs = inject_repetitive(seq, *at)
             else:
-                seq, locs = inject_semantic(seq, at[0], semantics, apply_rng, cfg.semantic_cos_max)
+                seq, locs = inject_semantic(seq, at[0], unit, apply_rng, cfg.semantic_cos_max)
             entries.extend(ManifestEntry(user, *loc) for loc in locs)
         sequences[user] = seq
         truncated += len(entries) - before < budget

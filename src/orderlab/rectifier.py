@@ -8,9 +8,13 @@ finite-difference Hessian-vector products) serves every sample via the
 symmetry of H. Each product is `hvp`'s central difference with step 1e-3,
 on a minibatch of 128 users (all users when there are fewer). The LiSSA
 scale is always estimated, by power iteration on one such minibatch.
-Samples with positive influence are harmful: ascent on their summed
-gradients, alternated with small descent steps on clean data, produces
-the rectified checkpoint.
+The sign rule is fixed: a sample is harmful when its influence is
+above 0. Each rectify round steps up by 1e-4 times the summed harmful
+term gradients, its norm capped at 1.0 (`_ASCENT_RATE`, `_ASCENT_CLIP`),
+then down by 1e-5 times the mean gradient of up to 1,024 clean samples
+(`_DESCENT_RATE`, `_CLEAN_BATCH`). Rectify keeps the best round by
+validation NDCG and stops once a round falls more than 2% below the input
+model's (`_VAL_DROP_TOL`).
 """
 from __future__ import annotations
 
@@ -29,11 +33,16 @@ log = logging.getLogger(__name__)
 
 _SCALE_MARGIN = 1.5  # the LiSSA scale is this times the power-iteration eigenvalue estimate
 _BATCH_USERS = 128  # users per Hessian minibatch (all of them when there are fewer)
+_ASCENT_RATE = 1e-4  # rectify's step on the summed harmful term gradients
+_ASCENT_CLIP = 1.0  # norm cap of that step
+_DESCENT_RATE = 1e-5  # rectify's step on the mean clean-batch gradient
+_CLEAN_BATCH = 1024  # clean samples drawn per round (all of them when there are fewer)
+_VAL_DROP_TOL = 0.02  # stop once validation falls this far below the input's, relative
 
 
 @dataclass
 class InfluenceConfig:
-    """LiSSA and influence-threshold knobs.
+    """LiSSA knobs.
 
     The LiSSA scale is always estimated: 1.5x a power-iteration estimate of
     the top eigenvalue on one minibatch of 128 users (all users when there
@@ -45,7 +54,6 @@ class InfluenceConfig:
     damping: float = 0.01
     scale_power_iters: int = 20
     repeats: int = 2
-    threshold: float = 0.0
 
     def validate(self) -> None:
         if self.lissa_depth < 1 or self.repeats < 1 or self.scale_power_iters < 1:
@@ -56,20 +64,11 @@ class InfluenceConfig:
 
 @dataclass
 class RectifyConfig:
-    ascent_rate: float = 1e-4
-    descent_rate: float = 1e-5
     max_rounds: int = 5
-    ascent_clip: float = 1.0
-    val_drop_tol: float = 0.02
-    clean_batch: int = 1024
 
     def validate(self) -> None:
         if self.max_rounds < 1:
             raise InvalidArgument("max_rounds must be >= 1")
-        if not (0.0 <= self.descent_rate < self.ascent_rate):
-            raise InvalidArgument("need descent_rate < ascent_rate")
-        if self.ascent_clip <= 0.0 or self.clean_batch < 1:
-            raise InvalidArgument("need ascent_clip > 0 and clean_batch >= 1")
 
 
 # --- Hessian-vector machinery ----------------------------------------------
@@ -233,14 +232,13 @@ def influence_values(
 class InfluenceReport:
     samples: list[tuple[int, int]]
     values: np.ndarray
-    threshold: float
     scale: float
     residual: float
     validation_grad_norm: float
 
     @property
     def harmful(self) -> list[tuple[int, int]]:
-        return [s for s, v in zip(self.samples, self.values) if v > self.threshold]
+        return [s for s, v in zip(self.samples, self.values) if v > 0.0]
 
 
 def influence_report(
@@ -259,7 +257,6 @@ def influence_report(
     return InfluenceReport(
         [(int(u), int(p)) for u, p in suspicious],
         values,
-        cfg.threshold,
         ihvp_res.scale,
         ihvp_res.residual,
         float(np.linalg.norm(g_v)),
@@ -307,11 +304,12 @@ def rectify(
 ) -> tuple[ParamVector, RectifyTrace]:
     """Alternate targeted ascent on harmful samples with clean-set descent.
 
-    Per round: ascent step eta1 * sum of harmful term gradients (step
-    norm-capped at ascent_clip), then descent eta2 * mean gradient over a
-    seeded clean-sample batch; validation performance is evaluated every
-    round and the best checkpoint (including the input) is returned.
-    Stops early when validation drops more than val_drop_tol relative.
+    Per round: ascent step `_ASCENT_RATE` * sum of harmful term gradients
+    (step norm-capped at `_ASCENT_CLIP`), then descent `_DESCENT_RATE` *
+    mean gradient over a seeded clean-sample batch; validation performance
+    is evaluated every round and the best checkpoint (including the input)
+    is returned. Stops early when validation drops more than
+    `_VAL_DROP_TOL` relative.
     """
     cfg.validate()
     trace = RectifyTrace()
@@ -326,15 +324,15 @@ def rectify(
     clean_pool = list(clean_pool)
     for round_idx in range(1, cfg.max_rounds + 1):
         ascent = term_sum_gradient(model, current, sequences, harmful, 1.0)
-        step = clip_to_norm(cfg.ascent_rate * ascent, cfg.ascent_clip)
+        step = clip_to_norm(_ASCENT_RATE * ascent, _ASCENT_CLIP)
         current.flat += step
-        if clean_pool and cfg.descent_rate > 0.0:
+        if clean_pool:
             round_rng = rng.child(f"round-{round_idx}")
-            k = min(cfg.clean_batch, len(clean_pool))
+            k = min(_CLEAN_BATCH, len(clean_pool))
             pick = round_rng.gen.choice(len(clean_pool), size=k, replace=False)
             batch = [clean_pool[i] for i in pick]
             descent = term_sum_gradient(model, current, sequences, batch, 1.0 / k)
-            current.flat -= cfg.descent_rate * descent
+            current.flat -= _DESCENT_RATE * descent
         if not np.all(np.isfinite(current.flat)):
             raise NumericalFailure(f"non-finite parameters after round {round_idx}")
         value = float(eval_fn(current))
@@ -349,7 +347,7 @@ def rectify(
             best_value = value
             best_params = current.copy()
             trace.best_round = round_idx
-        if value < (1.0 - cfg.val_drop_tol) * base_value:
+        if value < (1.0 - _VAL_DROP_TOL) * base_value:
             trace.stopped_early = True
             log.info("rectify: early stop at round %d (validation fell to %.4f)", round_idx, value)
             break

@@ -16,7 +16,7 @@ def custom_config():
         seed=11,
         data=DataConfig(synth=SynthConfig(users=30, items=20)),
         injection=InjectionConfig(type_mix=(0.5, 0.5, 0.0)),
-        eval=EvalConfig(negatives=7, ks=(3, 5)),
+        eval=EvalConfig(negatives=7),
     )
 
 
@@ -27,8 +27,7 @@ def test_save_load_round_trip(tmp_path, cfg):
     loaded = ExperimentConfig.load(path)
     assert loaded == cfg
     assert isinstance(loaded.data.synth, SynthConfig)
-    for value in (loaded.injection.type_mix, loaded.detector.weights, loaded.eval.ks):
-        assert isinstance(value, tuple)
+    assert isinstance(loaded.injection.type_mix, tuple)
     assert loaded.hash() == cfg.hash()
 
 
@@ -55,10 +54,10 @@ def test_partial_document_keeps_defaults():
     {"seed": "x"},
     {"seed": 1.5},
     {"seed": True},
-    {"eval": {"ks": 10}},
-    {"eval": {"ks": []}},
-    {"eval": {"ks": [10, 0]}},
-    {"eval": {"ks": ["10"]}},
+    {"eval": {"negatives": 1.5}},
+    {"eval": {"negatives": True}},
+    {"eval": {"negatives": -1}},
+    {"eval": {"negatives": None}},
     {"eval": {"negatives": 0}},
     {"eval": {"negatives": "100"}},
     {"model": {"hidden": "x"}},
@@ -66,29 +65,29 @@ def test_partial_document_keeps_defaults():
     {"model": {"hidden": True}},
     {"model": {"hidden": 4}},
     {"model": {"max_len": 1}},
-    {"model": {"init_scale": "0.1"}},
+    {"model": {"max_len": "200"}},
     {"target_train": {"epochs": -3, "batch_size": 0}},
     {"target_train": {"batch_size": 0}},
     {"target_train": {"learning_rate": 0.0}},
     {"injection": {"user_ratio": 0.0}},
     {"injection": {"swap_window": 1}},
-    {"detector": {"calib_frac": 1.0}},
+    {"detector": {"calibrate": "yes"}},
     {"injection": {"repeat_len": 0}},
     {"dualview_train": {"epochs": 2.0}},
     {"target_train": {"early_stop": 1}},
     {"data": {"synth": {"users": 1.5}}},
     {"injection": {"type_mix": [0.5, 0.5]}},
-    {"detector": {"weights": [1, 1, 1, "1"]}},
+    {"injection": {"type_mix": [0.5, 0.5, "0"]}},
     {"data": {"path": 3}},
     {"rectify": {"max_rounds": 0}},
     {"influence": {"lissa_depth": 0}},
     {"influence": {"damping": -1.0}},
-    {"rectify": {"descent_rate": 1.0}},
+    {"rectify": {"max_rounds": 1.5}},
     {"influence": {"scale_power_iters": 0}},
-    {"rectify": {"ascent_clip": -1.0}},
-    {"rectify": {"clean_batch": 0}},
+    {"data": {"source": "tsv"}},
+    {"semantics": {"source": "tsv"}},
     {"detector": {"default_percentile": 150}},
-    {"detector": {"smoothing": 1.0}},
+    {"detector": {"default_percentile": -1}},
 ])
 def test_malformed_document_is_rejected(doc):
     with pytest.raises(InvalidArgument):
@@ -101,14 +100,32 @@ REMOVED_KEYS = [
       for key in ("beta1", "beta2", "adam_eps", "rel_tol", "patience", "sort_window")),
     *(("influence", key) for key in ("scale", "scale_margin", "fd_step", "batch_users")),
     *(("detector", key) for key in ("fit_steps", "fit_rate", "fit_l2", "batch_users")),
+    ("model", "init_scale"),
+    ("model", "residual_coef"),
+    *(("dualview_loss", key) for key in ("view_blend", "contrastive_weight", "temperature")),
+    *(("detector", key) for key in ("weights", "smoothing", "fscore_beta", "calib_frac",
+                                    "calib_user_ratio", "calib_intensity")),
+    ("influence", "threshold"),
+    *(("rectify", key) for key in ("ascent_rate", "descent_rate", "ascent_clip", "val_drop_tol",
+                                   "clean_batch")),
+    ("eval", "ks"),
 ]
 
 
 @pytest.mark.parametrize("section, key", REMOVED_KEYS, ids=[".".join(k) for k in REMOVED_KEYS])
 def test_removed_key_is_rejected_by_name(section, key):
-    assert key not in ExperimentConfig().to_dict()[section]
-    with pytest.raises(InvalidArgument, match=f"unknown config key '{key}'"):
+    sections = ExperimentConfig().to_dict()
+    assert key not in sections.get(section, {})
+    named = key if section in sections else section  # a removed section is itself unknown
+    with pytest.raises(InvalidArgument, match=f"unknown config key '{named}'"):
         ExperimentConfig.from_dict({section: {key: 1}})
+
+
+def test_settable_value_count():
+    def leaves(doc):
+        return sum(leaves(v) if isinstance(v, dict) else 1 for v in doc.values())
+
+    assert leaves(ExperimentConfig().to_dict()) == 43
 
 
 def test_bench_workloads_load():
@@ -122,12 +139,12 @@ def test_field_types_follow_the_annotations():
     cfg = ExperimentConfig.from_dict({
         "target_train": {"learning_rate": 1, "epochs": 0},
         "data": {"path": None},
-        "detector": {"weights": [1, 0, 0, 0]},
+        "injection": {"type_mix": [1, 0, 0]},
     })
     assert cfg.target_train.learning_rate == 1
     assert cfg.target_train.epochs == 0
     assert cfg.data.path is None
-    assert cfg.detector.weights == (1, 0, 0, 0)
+    assert cfg.injection.type_mix == (1, 0, 0)
 
 
 def test_file_that_is_not_json_is_rejected(tmp_path):
@@ -141,5 +158,5 @@ def test_eval_config_rejects_out_of_range_values():
     with pytest.raises(InvalidArgument):
         EvalConfig(negatives=0)
     with pytest.raises(InvalidArgument):
-        EvalConfig(ks=(10, 0))
-    assert EvalConfig(ks=[5]).ks == (5,)
+        EvalConfig(negatives=2.5)
+    assert EvalConfig(negatives=5).negatives == 5

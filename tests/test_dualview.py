@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from orderlab.detector import features
-from orderlab.dualview import DualViewConfig, DualViewModel, LossConfig, contrastive_loss
+from orderlab import dualview
+from orderlab.dualview import DualViewConfig, DualViewModel, contrastive_loss
 from orderlab.encoder import next_step_probs
 from orderlab.errors import DegenerateVector, InvalidArgument
 from orderlab.numkit import SeededRng
@@ -58,11 +59,10 @@ class TestJointLoss:
                 r.gen.integers(0, vocab, size=int(r.gen.integers(2, 7)))
                 for _ in range(int(r.gen.integers(1, 4)))
             ]
-            cfg = LossConfig(view_blend=0.5, contrastive_weight=0.2, temperature=0.1)
-            _, grad, _ = model.joint_loss(params, seqs, cfg)
+            _, grad, _ = model.joint_loss(params, seqs)
 
             def f(x):
-                return model.joint_loss(ParamVector(model.registry, x), seqs, cfg)[0]
+                return model.joint_loss(ParamVector(model.registry, x), seqs)[0]
 
             worst = max(worst, fd_gradient_check(f, grad.flat, params.flat, 1e-5, directions=24))
         assert worst < 1e-4
@@ -70,8 +70,7 @@ class TestJointLoss:
     def test_fd_per_coordinate_small(self):
         model, params = tiny_dualview(vocab=6, sem_dim=8, seed=31)
         seqs = [np.array([0, 3, 1, 5]), np.array([2, 4, 0])]
-        cfg = LossConfig(contrastive_weight=0.3)
-        _, grad, _ = model.joint_loss(params, seqs, cfg)
+        _, grad, _ = model.joint_loss(params, seqs)
         eps = 1e-5
         worst_abs = 0.0
         for i in range(params.size):
@@ -79,23 +78,25 @@ class TestJointLoss:
             xp[i] += eps
             xm = params.flat.copy()
             xm[i] -= eps
-            fp = model.joint_loss(ParamVector(model.registry, xp), seqs, cfg)[0]
-            fm = model.joint_loss(ParamVector(model.registry, xm), seqs, cfg)[0]
+            fp = model.joint_loss(ParamVector(model.registry, xp), seqs)[0]
+            fm = model.joint_loss(ParamVector(model.registry, xm), seqs)[0]
             worst_abs = max(worst_abs, abs((fp - fm) / (2 * eps) - grad.flat[i]))
         assert worst_abs < 1e-9
 
-    def test_lambda_zero_is_pure_blend(self):
+    def test_lambda_zero_is_pure_blend(self, monkeypatch):
+        monkeypatch.setattr(dualview, "_CONTRASTIVE_WEIGHT", 0.0)
         model, params = tiny_dualview()
         seqs = [np.array([1, 2, 3, 4]), np.array([5, 6, 7])]
-        total, _, parts = model.joint_loss(params, seqs, LossConfig(contrastive_weight=0.0))
+        total, _, parts = model.joint_loss(params, seqs)
         expected = 0.5 * parts["rec_semantic"] + 0.5 * parts["rec_collaborative"]
         assert total == pytest.approx(expected, abs=1e-12)
 
-    def test_alpha_one_touches_only_semantic_path(self):
+    def test_alpha_one_touches_only_semantic_path(self, monkeypatch):
+        monkeypatch.setattr(dualview, "_VIEW_BLEND", 1.0)
+        monkeypatch.setattr(dualview, "_CONTRASTIVE_WEIGHT", 0.0)
         model, params = tiny_dualview()
         seqs = [np.array([1, 2, 3, 4])]
-        cfg = LossConfig(view_blend=1.0, contrastive_weight=0.0)
-        _, grad, _ = model.joint_loss(params, seqs, cfg)
+        _, grad, _ = model.joint_loss(params, seqs)
         for name in model.registry:
             block = grad.view(name)
             if name.startswith(("collab_enc.", "fusion", "gate")) or name == "item_embeddings":
@@ -180,7 +181,7 @@ class TestRejectedInputs:
     def test_joint_loss(self, bad):
         model, params = tiny_dualview()
         with pytest.raises(InvalidArgument):
-            model.joint_loss(params, [[3, 4, 5], bad], LossConfig())
+            model.joint_loss(params, [[3, 4, 5], bad])
 
 
 class TestContrastive:
@@ -244,7 +245,7 @@ class TestTrainDualView:
     def test_zero_epochs(self):
         model, params = tiny_dualview()
         seqs = [np.array([1, 2, 3])]
-        trained, trace = model.train(params, seqs, LossConfig(), TrainConfig(epochs=0), SeededRng(1))
+        trained, trace = model.train(params, seqs, TrainConfig(epochs=0), SeededRng(1))
         np.testing.assert_array_equal(trained.flat, params.flat)
 
     def test_both_views_learn(self, small_synth):
@@ -259,12 +260,10 @@ class TestTrainDualView:
         )
         params = model.init_params(SeededRng(2))
         prefixes = [corpus.train_prefix(u) for u in range(corpus.n_users)]
-        loss_cfg = LossConfig()
         trained, trace = model.train(
-            params, prefixes, loss_cfg, TrainConfig(epochs=3, batch_size=16, early_stop=False),
-            SeededRng(3),
+            params, prefixes, TrainConfig(epochs=3, batch_size=16, early_stop=False), SeededRng(3)
         )
-        _, _, parts = model.joint_loss(trained, prefixes[:16], loss_cfg)
+        _, _, parts = model.joint_loss(trained, prefixes[:16])
         assert parts["rec_semantic"] < np.log(corpus.n_items)
         assert parts["rec_collaborative"] < np.log(corpus.n_items)
         assert trace[-1] < trace[0]
@@ -273,7 +272,7 @@ class TestTrainDualView:
         model, params = tiny_dualview()
         seqs = [SeededRng(4).gen.integers(0, 10, size=6) for _ in range(12)]
         cfg = TrainConfig(epochs=2, batch_size=4, early_stop=False)
-        a, ta = model.train(params, seqs, LossConfig(), cfg, SeededRng(9))
-        b, tb = model.train(params, seqs, LossConfig(), cfg, SeededRng(9))
+        a, ta = model.train(params, seqs, cfg, SeededRng(9))
+        b, tb = model.train(params, seqs, cfg, SeededRng(9))
         assert ta == tb
         np.testing.assert_array_equal(a.flat, b.flat)

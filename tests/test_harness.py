@@ -76,8 +76,8 @@ def test_resume_recomputes_missing_artifacts_identically(fresh):
     ({"seed": 1, "influence": {"lissa_depth": 0}}, 2),
     ({"seed": 1, "influence": {"damping": -1.0}}, 2),
     ({"seed": 1, "influence": {"repeats": 0}}, 2),
-    ({"seed": 1, "rectify": {"ascent_clip": -1.0}}, 2),
-    ({"seed": 1, "rectify": {"clean_batch": 0}}, 2),
+    ({"seed": 1, "rectify": {"max_rounds": 0}}, 2),
+    ({"seed": 1, "influence": {"scale_power_iters": 0}}, 2),
     ({"seed": 1, "detector": {"default_percentile": 150}}, 2),
 ])
 def test_cli_exit_codes(tmp_path, doc, code):
@@ -99,6 +99,8 @@ def test_cli_exit_codes(tmp_path, doc, code):
     {"semantics": {"dim": 0}},
     {"target_train": {"clip_norm": -5.0}},
     {"dualview_train": {"clip_norm": 0.0}},
+    {"data": {"source": "tsv"}},  # a tsv source needs a path
+    {"semantics": {"source": "tsv"}},
 ])
 def test_invalid_config_writes_no_file(tmp_path, section):
     config = write_config(tmp_path / "config.json", dict(TINY, **section))
@@ -119,7 +121,12 @@ def without_entries(blob):
     ("manifest.json", lambda blob: blob.replace(b'"orderlab-manifest/1"', b'"bogus"')),
     ("manifest.json", without_entries),
     ("trace_clean.json", lambda blob: blob[: len(blob) // 2]),
-], ids=["checkpoint-cut", "corpus-cut", "manifest-format", "manifest-key", "trace-cut"])
+    ("trace_clean.json", lambda blob: b"{}"),
+    ("detection.json", lambda blob: b"{}"),
+    ("influence.json", lambda blob: b"{}"),
+    ("categories.json", lambda blob: b"{}"),
+], ids=["checkpoint-cut", "corpus-cut", "manifest-format", "manifest-key", "trace-cut",
+        "trace-key", "detection-key", "influence-key", "categories-key"])
 def test_corrupt_artifact_on_resume_exits_3(fresh, tmp_path, caplog, name, corrupt):
     config, out, _ = fresh
     run = tmp_path / "run"
@@ -224,7 +231,7 @@ def test_effect_sweep_writes_one_row_per_variant(fresh, tmp_path):
 def test_resume_with_another_config_is_refused(fresh, tmp_path):
     _, out, _ = fresh
     metrics = (out / "metrics.json").read_bytes()
-    changed = dict(TINY, target_train={"epochs": 5}, model={"hidden": 8, "init_scale": 0.3})
+    changed = dict(TINY, target_train={"epochs": 5}, model={"hidden": 8, "max_len": 100})
     config = write_config(tmp_path / "changed.json", changed)
     assert main(["pipeline", "--config", config, "--out", str(out), "--resume"]) == 2
     assert (out / "metrics.json").read_bytes() == metrics

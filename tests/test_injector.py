@@ -113,22 +113,22 @@ class TestSemanticInjection:
         seq = np.array([0, 1, 2, 3, 4])
         rng = SeededRng(5)
         for _ in range(20):
-            out, entries = inject_semantic(seq, 2, table, rng)
+            out, entries = inject_semantic(seq, 2, table.unit_rows(), rng)
             injected = entries[0][3]
             assert cats[injected] != cats[2]
             assert injected != 2
 
     def test_low_cosine_when_possible(self):
         table, _ = two_category_semantics(20)
-        cands = low_cosine_candidates(table, 0, 0.2)
         unit = table.unit_rows()
+        cands = low_cosine_candidates(unit, 0, 0.2)
         assert all(unit[c] @ unit[0] < 0.2 for c in cands)
 
     def test_fallback_to_global_minimum(self):
         # all items nearly identical: no candidate below threshold
         rows = np.ones((5, 8)) + 1e-3 * SeededRng(6).gen.standard_normal((5, 8))
         table = SemanticTable(rows)
-        cands = low_cosine_candidates(table, 0, 0.2)
+        cands = low_cosine_candidates(table.unit_rows(), 0, 0.2)
         assert len(cands) == 1 and cands[0] != 0
 
 

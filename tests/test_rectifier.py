@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from orderlab import rectifier
 from orderlab.errors import DivergenceError, EmptyCleanSet, InvalidArgument
 from orderlab.numkit import SeededRng
 from orderlab.params import ParamVector, TrainConfig
@@ -135,7 +136,7 @@ class TestInfluenceAlgebra:
 
     def test_filter_harmful(self):
         values = np.array([0.5, -0.2, 0.0])
-        report = InfluenceReport([(0, 1), (0, 2), (1, 3)], values, 0.0, 1.0, 0.0, 1.0)
+        report = InfluenceReport([(0, 1), (0, 2), (1, 3)], values, 1.0, 0.0, 1.0)
         assert report.harmful == [(0, 1)]
         report.values = np.array([-1.0, -0.5, -0.1])
         assert report.harmful == []
@@ -202,7 +203,7 @@ class TestRectify:
         seqs = [np.array([0, 1, 2, 3, 4]), np.array([5, 4, 3, 2, 1])]
         harmful = [(0, 2)]
         clean = [(1, 1), (1, 2)]
-        cfg = RectifyConfig(ascent_rate=1e-3, descent_rate=1e-4, max_rounds=1, clean_batch=2)
+        cfg = RectifyConfig(max_rounds=1)  # the clean batch takes both clean samples
         calls = []
 
         def eval_fn(p):
@@ -212,14 +213,14 @@ class TestRectify:
         out, trace = rectify(model, params, seqs, harmful, clean, eval_fn, cfg, SeededRng(2))
 
         _, g_h = model.sample_term_loss(params, seqs[0][:2], int(seqs[0][2]))
-        step = 1e-3 * g_h.flat
+        step = rectifier._ASCENT_RATE * g_h.flat
         norm = np.linalg.norm(step)
-        if norm > cfg.ascent_clip:
-            step *= cfg.ascent_clip / norm
+        if norm > rectifier._ASCENT_CLIP:
+            step *= rectifier._ASCENT_CLIP / norm
         mid = params.copy()
         mid.flat += step
         g_clean = term_sum_gradient(model, mid, seqs, clean, 0.5)
-        expected = mid.flat - 1e-4 * g_clean
+        expected = mid.flat - rectifier._DESCENT_RATE * g_clean
         np.testing.assert_allclose(out.flat, expected, atol=1e-12)
 
     def test_harmful_loss_non_decreasing(self):
