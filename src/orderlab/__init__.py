@@ -2,5 +2,3 @@
 sequential recommenders, end to end and deterministically seeded."""
 
 __version__ = "0.1.0"
-
-from .numkit import SeededRng  # noqa: F401

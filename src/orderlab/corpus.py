@@ -34,15 +34,14 @@ class Corpus:
     user_ids: list[str]
     sequences: list[np.ndarray]  # dense item indices, chronological
     item_ids: list[str]
-    counts: np.ndarray = field(default=None, repr=False)  # train-prefix popularity
+    counts: np.ndarray = field(init=False, repr=False)  # train-prefix popularity
     # sorted pair keys i * V + j, ending in the sentinel V * V with count 0
-    bigram_keys: np.ndarray = field(default=None, repr=False)
-    bigram_counts: np.ndarray = field(default=None, repr=False)
-    bigram_totals: np.ndarray = field(default=None, repr=False)  # transitions out of i
+    bigram_keys: np.ndarray = field(init=False, repr=False)
+    bigram_counts: np.ndarray = field(init=False, repr=False)
+    bigram_totals: np.ndarray = field(init=False, repr=False)  # transitions out of i
 
     def __post_init__(self):
-        if self.counts is None:
-            self._recompute_stats()
+        self._recompute_stats()
 
     @property
     def n_users(self) -> int:
@@ -86,31 +85,27 @@ class Corpus:
         seqs = [np.asarray(s, dtype=np.int64).copy() for s in sequences]
         return Corpus(list(self.user_ids), seqs, list(self.item_ids))
 
-    def to_snapshot(self) -> dict:
-        return {
+    def save(self, path: str) -> None:
+        """Write the users, items and sequences as one JSON snapshot."""
+        doc = {
             "format": SNAPSHOT_FORMAT,
             "users": list(self.user_ids),
             "items": list(self.item_ids),
             "sequences": [[int(i) for i in seq] for seq in self.sequences],
         }
-
-    @classmethod
-    def from_snapshot(cls, doc: dict) -> "Corpus":
-        if doc.get("format") != SNAPSHOT_FORMAT:
-            raise FormatError(f"unexpected corpus snapshot format {doc.get('format')!r}")
-        seqs = [np.asarray(s, dtype=np.int64) for s in doc["sequences"]]
-        return cls(list(doc["users"]), seqs, list(doc["items"]))
-
-    def save(self, path: str) -> None:
         tmp = f"{path}.tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self.to_snapshot(), fh, sort_keys=True)
+            json.dump(doc, fh, sort_keys=True)
         os.replace(tmp, path)
 
     @classmethod
     def load(cls, path: str) -> "Corpus":
         with open(path, encoding="utf-8") as fh, reading(path):
-            return cls.from_snapshot(json.load(fh))
+            doc = json.load(fh)
+            if doc.get("format") != SNAPSHOT_FORMAT:
+                raise FormatError(f"unexpected corpus snapshot format {doc.get('format')!r}")
+            seqs = [np.asarray(s, dtype=np.int64) for s in doc["sequences"]]
+            return cls(list(doc["users"]), seqs, list(doc["items"]))
 
 
 @dataclass
@@ -158,7 +153,7 @@ def load_interactions(path: str) -> list[tuple[str, str, int]]:
     return records
 
 
-def build_corpus(raw, min_user: int = 5, min_item: int = 5) -> Corpus:
+def build_corpus(raw, min_user: int, min_item: int) -> Corpus:
     """Iteratively drop low-activity users/items, then densify and index.
 
     Sequences are ordered by timestamp with input order breaking ties;
@@ -247,6 +242,17 @@ class SynthConfig:
     min_length: int = 5
     max_length: int = 200
 
+    def validate(self) -> None:
+        """Reject a generator no stage can use: each user needs 2 target orders and a prefix."""
+        if self.users < 1 or not (1 <= self.categories <= self.items):
+            raise InvalidArgument("synthetic data needs users >= 1 and 1 <= categories <= items")
+        if not (3 <= self.min_length <= self.mean_length and self.min_length <= self.max_length):
+            raise InvalidArgument(
+                "synthetic lengths need 3 <= min_length <= mean_length and min_length <= max_length"
+            )
+        if not (0.0 <= self.stay_prob <= 1.0):
+            raise InvalidArgument(f"stay_prob must lie in [0, 1], got {self.stay_prob!r}")
+
 
 def synth_corpus(cfg: SynthConfig, rng: SeededRng) -> tuple[Corpus, np.ndarray]:
     """Generate a corpus plus the per-item category assignment.
@@ -256,10 +262,7 @@ def synth_corpus(cfg: SynthConfig, rng: SeededRng) -> tuple[Corpus, np.ndarray]:
     inside the current category by Zipf popularity. Lengths are geometric
     with the configured mean, clipped to [min_length, max_length].
     """
-    if not (1 <= cfg.categories <= cfg.items):
-        raise InvalidArgument("need items >= categories >= 1")
-    if cfg.users < 1 or cfg.mean_length < cfg.min_length:
-        raise InvalidArgument("infeasible synthetic config")
+    cfg.validate()
     gen = rng.gen
     cat_of = np.repeat(np.arange(cfg.categories), -(-cfg.items // cfg.categories))[: cfg.items]
     cat_items = [np.flatnonzero(cat_of == c) for c in range(cfg.categories)]
@@ -281,11 +284,9 @@ def synth_corpus(cfg: SynthConfig, rng: SeededRng) -> tuple[Corpus, np.ndarray]:
             jumps = gen.integers(1, cfg.categories, size=ln - 1)
         else:
             jumps = np.zeros(ln - 1, dtype=np.int64)
-        for t in range(1, ln):
-            if moves[t - 1] < cfg.stay_prob:
-                cats[t] = cats[t - 1]
-            else:
-                cats[t] = (cats[t - 1] + jumps[t - 1]) % cfg.categories
+        # each step stays or jumps ahead; the chain is the running sum of the steps
+        steps = np.where(moves < cfg.stay_prob, 0, jumps)
+        cats[1:] = (cats[0] + np.cumsum(steps)) % cfg.categories
         picks = gen.random(ln)
         items = np.empty(ln, dtype=np.int64)
         for c in range(cfg.categories):
@@ -296,8 +297,7 @@ def synth_corpus(cfg: SynthConfig, rng: SeededRng) -> tuple[Corpus, np.ndarray]:
 
     # densify over the items that actually appear, preserving id order
     used = np.zeros(cfg.items, dtype=bool)
-    for seq in raw_sequences:
-        used[seq] = True
+    used[np.concatenate(raw_sequences)] = True
     dense_of = -np.ones(cfg.items, dtype=np.int64)
     dense_of[used] = np.arange(int(used.sum()))
     width = len(str(cfg.items - 1))

@@ -41,7 +41,6 @@ from .encoder import next_step_probs, sigmoid
 from .errors import InvalidArgument
 from .numkit import SeededRng
 from .params import ParamVector
-from .semantics import SemanticTable
 
 log = logging.getLogger(__name__)
 
@@ -99,13 +98,14 @@ class DetectionReport:
             for u, p in zip(self.users[self.flags], self.positions[self.flags])
         ]
 
-    def to_csv(self, path: str, truth: dict | None = None) -> None:
+    def to_csv(self, path: str, truth: dict) -> None:
         """One row per scored position, floats as `repr`, lines ended by CR LF.
 
-        Written block by block from `.tolist()` columns. No field holds a
-        comma, quote or line break, so the bytes equal `csv.writer`'s.
+        `truth` maps (user, position) to the fake-order type of a planted
+        position (`FakeOrderManifest.truth`). Written block by block from
+        `.tolist()` columns. No field holds a comma, quote or line break, so
+        the bytes equal `csv.writer`'s.
         """
-        truth = truth or {}
         header = ["user", "position", *FEATURE_NAMES, "raw_score", "smoothed_score", "flag", "truth_type"]
         tmp = f"{path}.tmp"
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
@@ -257,20 +257,19 @@ def fit_weights(norm_feats: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return w / total
 
 
-def smooth_by_user(raw: np.ndarray, users: np.ndarray, rho: float) -> np.ndarray:
-    """U(k) = (1-rho) u(k) + rho * mean of the neighbours k-1, k+1 of the same user.
+def smooth_by_user(raw: np.ndarray, users: np.ndarray) -> np.ndarray:
+    """U(k) = (1-rho) u(k) + rho * mean of the neighbours k-1, k+1 of the same user,
+    with rho = `_SMOOTHING`.
 
     Each user's positions are contiguous in `raw`; a user with a single
     position keeps its raw score.
     """
-    if not (0.0 <= rho < 1.0):
-        raise InvalidArgument("smoothing factor must lie in [0, 1)")
     same = users[1:] == users[:-1]
     left = np.concatenate([[False], same])
     right = np.concatenate([same, [False]])
     before, after = np.roll(raw, 1), np.roll(raw, -1)
     neighbour = np.where(left & right, (before + after) / 2, np.where(left, before, after))
-    return np.where(left | right, (1.0 - rho) * raw + rho * neighbour, raw)
+    return np.where(left | right, (1.0 - _SMOOTHING) * raw + _SMOOTHING * neighbour, raw)
 
 
 def fbeta(precision: float, recall: float, beta: float) -> float:
@@ -280,12 +279,11 @@ def fbeta(precision: float, recall: float, beta: float) -> float:
     return (1 + b2) * precision * recall / (b2 * precision + recall)
 
 
-def tune_threshold(
-    scores: np.ndarray, labels: np.ndarray, beta: float = 2.0, default_percentile: float = 95.0
-) -> float:
+def tune_threshold(scores: np.ndarray, labels: np.ndarray, default_percentile: float) -> float:
     """Sweep the 80th..99th percentiles of the calibration scores and pick
-    the F-beta maximizer; ties resolve to the smaller (more lenient)
-    threshold. Without positive labels, fall back to a fixed percentile."""
+    the F-beta maximizer (beta `_FSCORE_BETA`); ties resolve to the smaller
+    (more lenient) threshold. Without positive labels, fall back to the
+    `default_percentile` percentile."""
     y = np.asarray(labels, dtype=bool)
     if not y.any():
         log.warning("no positive calibration labels; defaulting threshold to percentile %.0f",
@@ -299,7 +297,7 @@ def tune_threshold(
         tp = int((pred & y).sum())
         precision = tp / max(int(pred.sum()), 1)
         recall = tp / int(y.sum())
-        f = fbeta(precision, recall, beta)
+        f = fbeta(precision, recall, _FSCORE_BETA)
         if f > best_f + 1e-15:
             best_f = f
             best_tau = tau
@@ -310,18 +308,18 @@ def detect(
     corpus: Corpus,
     model: DualViewModel,
     params: ParamVector,
-    semantics: SemanticTable,
+    semantics: np.ndarray,
     cfg: DetectorConfig,
     inj_cfg: injector.InjectionConfig,
     rng: SeededRng,
-    manifest=None,
+    manifest: injector.FakeOrderManifest,
 ) -> DetectionReport:
     """Full detection pass: features, weights, smoothing, threshold, report.
 
     Calibration plants a secondary injection (known seed and labels) into a
     held-aside user slice and fits the weight vector and threshold there;
-    every position of the corpus is then scored with those settings. When a
-    ground-truth manifest is supplied the report carries precision/recall
+    every position of the corpus is then scored with those settings. The
+    report carries precision/recall against the ground-truth `manifest`,
     overall and per fake-order type.
     """
     cfg.validate()
@@ -351,11 +349,11 @@ def detect(
         )
         weights = fit_weights(stats.apply(cal_feats), labels)
         cal_raw = unified_score(cal_feats, weights, stats)
-        cal_smooth = smooth_by_user(cal_raw, cal_u, _SMOOTHING)
-        threshold = tune_threshold(cal_smooth, labels, _FSCORE_BETA, cfg.default_percentile)
+        cal_smooth = smooth_by_user(cal_raw, cal_u)
+        threshold = tune_threshold(cal_smooth, labels, cfg.default_percentile)
 
     raw = unified_score(feats, weights, stats)
-    smoothed = smooth_by_user(raw, users, _SMOOTHING)
+    smoothed = smooth_by_user(raw, users)
     if threshold is None:
         log.warning("detector running label-free; thresholding at percentile %.0f",
                     cfg.default_percentile)
@@ -368,32 +366,31 @@ def detect(
         "positions_scored": int(users.size),
         "flagged": int(flags.sum()),
     }
-    if manifest is not None:
-        truth = manifest.truth()
-        kinds = np.asarray([truth.get((int(u), int(p)), "") for u, p in zip(users, positions)])
-        is_fake = kinds != ""
-        tp = int((flags & is_fake).sum())
-        fp = int((flags & ~is_fake).sum())
-        fn = int((~flags & is_fake).sum())
-        precision = tp / max(tp + fp, 1)
-        recall = tp / max(tp + fn, 1)
-        summary["overall"] = {
-            "true_positives": tp,
-            "false_positives": fp,
-            "false_negatives": fn,
-            "precision": precision,
-            "recall": recall,
-            "f1": fbeta(precision, recall, 1.0),
+    truth = manifest.truth()
+    kinds = np.asarray([truth.get((int(u), int(p)), "") for u, p in zip(users, positions)])
+    is_fake = kinds != ""
+    tp = int((flags & is_fake).sum())
+    fp = int((flags & ~is_fake).sum())
+    fn = int((~flags & is_fake).sum())
+    precision = tp / max(tp + fp, 1)
+    recall = tp / max(tp + fn, 1)
+    summary["overall"] = {
+        "true_positives": tp,
+        "false_positives": fp,
+        "false_negatives": fn,
+        "precision": precision,
+        "recall": recall,
+        "f1": fbeta(precision, recall, 1.0),
+    }
+    per_type = {}
+    for kind in injector.TYPES:
+        kind_mask = kinds == kind
+        k_tp = int((flags & kind_mask).sum())
+        k_total = int(kind_mask.sum())
+        per_type[kind] = {
+            "total": k_total,
+            "detected": k_tp,
+            "recall": k_tp / max(k_total, 1),
         }
-        per_type = {}
-        for kind in injector.TYPES:
-            kind_mask = kinds == kind
-            k_tp = int((flags & kind_mask).sum())
-            k_total = int(kind_mask.sum())
-            per_type[kind] = {
-                "total": k_total,
-                "detected": k_tp,
-                "recall": k_tp / max(k_total, 1),
-            }
-        summary["per_type"] = per_type
+    summary["per_type"] = per_type
     return DetectionReport(users, positions, feats, raw, smoothed, flags, summary)

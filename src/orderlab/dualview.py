@@ -3,7 +3,7 @@
 Two item-input paths feed two independent recurrent encoders:
 
 * semantic view: a two-layer adapter over the external embeddings plus a
-  scaled linear residual, X_s = Adapter(E) + coef * (W_res E);
+  scaled linear residual, X_s = Adapter(E) + 0.5 * (W_res E) (`_RESIDUAL_COEF`);
 * collaborative view: a learned gate blends a projection of the
   PCA-reduced embeddings with free ID embeddings,
   X_c = G * (W_fuse E_red + b) + (1 - G) * E_id,  G = sigmoid(W_gate [E_red; E_id] + b_gate).
@@ -30,6 +30,7 @@ ENCODERS = {"semantic": "sem_enc", "collaborative": "collab_enc"}  # view -> blo
 _VIEW_BLEND = 0.5  # weight of the semantic view's recommendation loss
 _CONTRASTIVE_WEIGHT = 0.1  # weight of the InfoNCE term
 _TEMPERATURE = 0.1  # InfoNCE temperature
+_RESIDUAL_COEF = 0.5  # scale of the semantic view's linear residual
 
 
 @dataclass
@@ -38,8 +39,6 @@ class DualViewConfig:
     sem_dim: int
     hidden: int = 64
     max_len: int = 200
-    init_scale: float = 0.1
-    residual_coef: float = 0.5
 
     def validate(self) -> None:
         if self.vocab < 2 or self.hidden < 8 or self.sem_dim < 8:
@@ -140,7 +139,7 @@ class DualViewModel(BlockModel):
         table_sem = (
             hidden @ p.view("adapter_out_w").T
             + p.view("adapter_out_bias")
-            + self.cfg.residual_coef * (self.sem @ p.view("residual_w").T)
+            + _RESIDUAL_COEF * (self.sem @ p.view("residual_w").T)
         )
         fused = self.reduced @ p.view("fusion_w").T + p.view("fusion_bias")
         ids = p.view("item_embeddings")
@@ -168,7 +167,7 @@ class DualViewModel(BlockModel):
         d_pre = d_hidden * (sig * (1.0 + cache["pre_hidden"] * (1.0 - sig)))
         grad.view("adapter_hidden_w")[...] += d_pre.T @ self.sem
         grad.view("adapter_hidden_bias")[...] += d_pre.sum(axis=0)
-        grad.view("residual_w")[...] += self.cfg.residual_coef * (d_sem_table.T @ self.sem)
+        grad.view("residual_w")[...] += _RESIDUAL_COEF * (d_sem_table.T @ self.sem)
 
         gate, fused = cache["gate"], cache["fused"]
         ids = p.view("item_embeddings")
@@ -185,18 +184,17 @@ class DualViewModel(BlockModel):
 
     # -- forward -------------------------------------------------------------
 
-    def batch_view_states(self, params: ParamVector, view: str, seqs, tables=None):
+    def batch_view_states(self, params: ParamVector, view: str, seqs, tables):
         """Batched hidden states for one view; returns (states, items, lengths, table, cache).
 
-        states[:, k] is the view's hidden state after consuming item k.
+        `tables` is the (semantic, collaborative) pair of input tables that
+        `item_inputs` gives for `params`. states[:, k] is the view's hidden
+        state after consuming item k.
         """
         if view not in ENCODERS:
             raise InvalidArgument(f"view must be one of {tuple(ENCODERS)}")
         items, lengths = self._padded(seqs)
-        if tables is None:
-            table_sem, table_col, _ = self.item_inputs(params)
-        else:
-            table_sem, table_col = tables
+        table_sem, table_col = tables
         table = table_sem if view == "semantic" else table_col
         x = table[items]
         states, cache = encoder.gru_forward(self._enc_weights(params, ENCODERS[view]), x)

@@ -21,7 +21,7 @@ from ..errors import (
     NumericalFailure,
 )
 from .config import ExperimentConfig
-from .pipeline import SWEEP_VARIANTS, fake_order_effect_sweep, run_pipeline
+from .pipeline import SWEEP_VARIANTS, Pipeline, fake_order_effect_sweep
 
 COMMAND_STAGE = {
     "synth": "data",
@@ -93,13 +93,6 @@ def keep_freed_memory() -> None:
             logging.getLogger(__name__).debug("mallopt(%s, %d) refused", name, KEEP_FREED_BYTES)
 
 
-def load_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
-    if args.seed is not None:
-        cfg.seed = int(args.seed)
-    return cfg
-
-
 def main(argv=None) -> int:
     """Process entry: parse `argv`, run the command, and return its exit code.
 
@@ -113,13 +106,15 @@ def main(argv=None) -> int:
     )
     keep_freed_memory()
     try:
-        cfg = load_config(args)
+        cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
+        if args.seed is not None:
+            cfg.seed = int(args.seed)
         if args.command == "effect-sweep":
             rows = fake_order_effect_sweep(cfg, args.out, tuple(args.variants), resume=args.resume)
             for row in rows:
                 print(row)
         else:
-            ctx = run_pipeline(cfg, args.out, resume=args.resume, stop_after=COMMAND_STAGE[args.command])
+            ctx = Pipeline(cfg, args.out, resume=args.resume).run(COMMAND_STAGE[args.command])
             if "metrics" in ctx:
                 print(f"metrics written to {args.out}/metrics.json")
     except Exception as exc:  # noqa: BLE001 - map every family to its exit code

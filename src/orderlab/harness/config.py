@@ -67,6 +67,9 @@ class DataConfig:
             raise InvalidArgument(f"data.source must be one of {SOURCES}, got {self.source!r}")
         if self.source == "tsv" and self.path is None:
             raise InvalidArgument("data.source 'tsv' needs a data.path")
+        if self.min_user < 3:  # each user keeps a train prefix besides its two targets
+            raise InvalidArgument(f"data.min_user must be >= 3, got {self.min_user}")
+        self.synth.validate()
 
 
 @dataclass
@@ -123,6 +126,24 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
+    def validate(self) -> None:
+        """Rules across sections, for synthetic sources, whose sizes the config fixes.
+
+        Evaluation feeds a model each sequence but its last item; the PCA
+        reduction keeps `model.hidden` components of the semantic table.
+        """
+        synth = self.data.synth
+        if self.data.source == "synth" and synth.max_length - 1 > self.model.max_len:
+            raise InvalidArgument(
+                f"data.synth.max_length {synth.max_length} needs model.max_len >= "
+                f"{synth.max_length - 1}, got {self.model.max_len}"
+            )
+        if self.semantics.source == "synth" and self.model.hidden > self.semantics.dim:
+            raise InvalidArgument(
+                f"model.hidden {self.model.hidden} exceeds the synthetic semantics.dim "
+                f"{self.semantics.dim}"
+            )
+
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         def build(klass, sub):
@@ -164,6 +185,7 @@ class ExperimentConfig:
             validate = getattr(getattr(cfg, section), "validate", None)
             if validate is not None:
                 validate()
+        cfg.validate()
         return cfg
 
     def save(self, path: str) -> None:

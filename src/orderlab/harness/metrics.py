@@ -5,8 +5,10 @@ user never interacted with. The negatives of a user depend only on the
 corpus, the mode and the labelled RNG path, so the target-first candidate
 matrix of one (corpus, mode) is drawn once (`draw_candidates`) and every
 later evaluation of that split reuses it. One forward pass over prefix +
-validation item ranks both targets (`evaluate_topk`); `topk_report` turns
-a mode's ranks into HR@k / NDCG@k.
+validation item ranks both targets (`evaluate_topk`), 64 users per batch
+(`_BATCH_USERS`); `topk_report` turns a mode's ranks into HR@k / NDCG@k at
+k = 10 and 20 (`KS`). `convergence_report` rounds epochs up to a cadence of
+5 (`_CADENCE`).
 """
 from __future__ import annotations
 
@@ -23,11 +25,8 @@ from ..seqrec import SeqRecModel
 
 MODES = ("valid", "test")
 KS = (10, 20)  # cutoffs of the HR@k / NDCG@k the pipeline reports
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise InvalidArgument("mode must be 'valid' or 'test'")
+_BATCH_USERS = 64  # users per length-sorted batch of `evaluate_topk`
+_CADENCE = 5  # epochs: `convergence_report` rounds up to a multiple of this
 
 
 def rank_of_positive(scores: np.ndarray) -> np.ndarray:
@@ -54,7 +53,8 @@ def draw_candidates(
     the child `neg-{mode}-{user id}` of `rng`. The draws depend only on that
     path, so a matrix drawn once serves every evaluation of the split.
     """
-    _check_mode(mode)
+    if mode not in MODES:
+        raise InvalidArgument("mode must be 'valid' or 'test'")
     targets = split.test_targets if mode == "test" else split.valid_targets
     out = np.empty((len(split.users), 1 + negatives), dtype=np.int64)
     out[:, 0] = targets
@@ -69,9 +69,8 @@ def evaluate_topk(
     params: ParamVector,
     corpus: Corpus,
     split: LooSplit,
-    negatives: int = 100,
+    negatives: int,
     rng: SeededRng | None = None,
-    batch_users: int = 64,
     candidates: dict[str, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
     """Rank of each split user's validation and test target, from one forward pass.
@@ -103,8 +102,8 @@ def evaluate_topk(
     ranks = {mode: np.empty(len(split.users), dtype=np.int64) for mode in MODES}
     # length-sorted batches bound the padding waste; ranks scatter back per user
     order = np.argsort([len(p) for p in split.prefixes], kind="stable")
-    for start in range(0, len(order), batch_users):
-        part = order[start : start + batch_users]
+    for start in range(0, len(order), _BATCH_USERS):
+        part = order[start : start + _BATCH_USERS]
         inputs = [np.append(split.prefixes[i], split.valid_targets[i]) for i in part]
         for mode, finals in zip(MODES, _last_two_states(model, params, inputs)):
             scores = np.matmul(table[candidates[mode][part]], finals[:, :, None])[:, :, 0]
@@ -125,10 +124,10 @@ def _last_two_states(
     return states[rows, last - 1], states[rows, last]
 
 
-def topk_report(ranks: np.ndarray, negatives: int, ks) -> dict:
-    """HR@k and NDCG@k of one mode's ranks from `evaluate_topk`."""
+def topk_report(ranks: np.ndarray, negatives: int) -> dict:
+    """HR@k and NDCG@k, for each k in `KS`, of one mode's ranks from `evaluate_topk`."""
     report = {"users_evaluated": int(ranks.size), "negatives": int(negatives)}
-    for k in ks:
+    for k in KS:
         report[f"HR@{k}"] = hit_rate(ranks, k)
         report[f"NDCG@{k}"] = ndcg(ranks, k)
     return report
@@ -138,8 +137,8 @@ def round_up_to_cadence(epoch: int, cadence: int) -> int:
     return int(math.ceil(epoch / cadence) * cadence)
 
 
-def convergence_report(traces: dict[str, list[float]], cadence: int = 5) -> dict:
-    """Epochs-to-converge per stage, rounded up to the evaluation cadence.
+def convergence_report(traces: dict[str, list[float]]) -> dict:
+    """Epochs-to-converge per stage, rounded up to the evaluation cadence `_CADENCE`.
 
     The rule is `params.convergence_epoch`, the one early stopping reads.
     Never-converged traces report their full length, flagged."""
@@ -149,13 +148,13 @@ def convergence_report(traces: dict[str, list[float]], cadence: int = 5) -> dict
         if epoch is None:
             out[name] = {
                 "epochs": len(trace),
-                "reported": round_up_to_cadence(max(len(trace), 1), cadence),
+                "reported": round_up_to_cadence(max(len(trace), 1), _CADENCE),
                 "converged": False,
             }
         else:
             out[name] = {
                 "epochs": epoch,
-                "reported": round_up_to_cadence(epoch, cadence),
+                "reported": round_up_to_cadence(epoch, _CADENCE),
                 "converged": True,
             }
     return out

@@ -303,11 +303,11 @@ class Pipeline:
         model = DualViewModel(
             DualViewConfig(
                 vocab=corpus.n_items,
-                sem_dim=table.dim,
+                sem_dim=table.shape[1],
                 hidden=cfg.model.hidden,
                 max_len=cfg.model.max_len,
             ),
-            table.embeddings,
+            table,
             self.ctx["reduced"],
         )
 
@@ -416,7 +416,7 @@ class Pipeline:
 
         def both_modes(params, corpus_key):
             ranks = self.ranks(params, corpus_key)
-            return {mode: topk_report(ranks[mode], cfg.eval.negatives, KS) for mode in MODES}
+            return {mode: topk_report(ranks[mode], cfg.eval.negatives) for mode in MODES}
 
         traces = {
             "target_clean": self.ctx["clean_trace"],
@@ -484,12 +484,6 @@ class Pipeline:
         return self.ctx
 
 
-def run_pipeline(
-    cfg: ExperimentConfig, out_dir: str, resume: bool = False, stop_after: str = "final"
-) -> dict:
-    return Pipeline(cfg, out_dir, resume=resume).run(stop_after)
-
-
 def fake_order_effect_sweep(
     cfg: ExperimentConfig,
     out_dir: str,
@@ -537,7 +531,7 @@ def fake_order_effect_sweep(
         ranks = evaluate_topk(
             model, params, var_corpus, var_split, negatives=cfg.eval.negatives, rng=eval_rng
         )
-        report = topk_report(ranks["test"], cfg.eval.negatives, KS)
+        report = topk_report(ranks["test"], cfg.eval.negatives)
         conv = convergence_report({"train": trace})["train"]
         row = {"variant": variant, "seed": cfg.seed, "convergence_epochs": conv["reported"]}
         row.update({k: v for k, v in report.items() if k.startswith(("HR@", "NDCG@"))})

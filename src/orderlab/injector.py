@@ -36,7 +36,7 @@ import numpy as np
 from .corpus import Corpus
 from .errors import FormatError, InvalidArgument, reading
 from .numkit import SeededRng
-from .semantics import SemanticTable
+from .semantics import unit_rows
 
 log = logging.getLogger(__name__)
 
@@ -234,7 +234,7 @@ def inject_repetitive(seq: np.ndarray, anchor: int, k: int):
 def low_cosine_candidates(unit: np.ndarray, item: int, cos_max: float) -> np.ndarray:
     """Items whose embedding cosine to `item` is below cos_max; falls back
     to the single global-minimum-cosine item when none qualify. `unit` is
-    the semantic table with unit rows (`SemanticTable.unit_rows`)."""
+    the semantic table with unit rows (`semantics.unit_rows`)."""
     sims = unit @ unit[item]
     sims[item] = np.inf
     candidates = np.flatnonzero(sims < cos_max)
@@ -248,7 +248,7 @@ def inject_semantic(
     position: int,
     unit: np.ndarray,
     rng: SeededRng,
-    cos_max: float = 0.2,
+    cos_max: float,
 ):
     """Replace one position with an item drawn uniformly among those of low
     cosine to it; `unit` is the semantic table with unit rows."""
@@ -275,7 +275,7 @@ def inject_sequential(seq: np.ndarray, p: int, q: int):
 
 
 def inject(
-    corpus: Corpus, semantics: SemanticTable, cfg: InjectionConfig, rng: SeededRng
+    corpus: Corpus, semantics: np.ndarray, cfg: InjectionConfig, rng: SeededRng
 ) -> tuple[Corpus, FakeOrderManifest]:
     """Plant fake orders in one pass per user; unaffected users' sequences
     are untouched. Returns the compromised corpus (statistics recomputed)
@@ -287,7 +287,7 @@ def inject(
     """
     cfg.validate()
     gen, apply_rng = rng.child("plan").gen, rng.child("apply")
-    unit = semantics.unit_rows()
+    unit = unit_rows(semantics)
     n_affected = int(round(cfg.user_ratio * corpus.n_users))
     n_affected = max(1, min(n_affected, corpus.n_users))
     users = np.sort(gen.choice(corpus.n_users, size=n_affected, replace=False))

@@ -64,15 +64,3 @@ def pca_fit(data, r: int):
     components = components * np.where(peak < 0.0, -1.0, 1.0)
     return components, np.maximum(variances[::-1][:r], 0.0)
 
-
-def pca_project(data, components) -> np.ndarray:
-    """Center data by its column mean and project onto the given components."""
-    x = np.asarray(data, dtype=np.float64)
-    c = np.asarray(components, dtype=np.float64)
-    if x.ndim != 2 or c.ndim != 2:
-        raise InvalidArgument("pca_project expects 2-D data and components")
-    if x.shape[1] != c.shape[0]:
-        raise InvalidArgument(
-            f"column mismatch: data has {x.shape[1]} columns, components expect {c.shape[0]}"
-        )
-    return (x - x.mean(axis=0)) @ c

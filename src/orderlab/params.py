@@ -1,4 +1,7 @@
-"""Flat parameter vectors with named block views, the models' shared base, and the optimizer."""
+"""Flat parameter vectors with named block views, the models' shared base, and the optimizer.
+
+Every weight block starts from N(0, 0.1) (`_INIT_SCALE`); biases start at zero.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -43,11 +46,14 @@ class ParamVector:
         return ParamVector(self._shapes, self.flat)
 
 
+_INIT_SCALE = 0.1  # standard deviation of the initial weights
+
+
 class BlockModel:
     """What the recommender and the dual-view model share.
 
     A subclass sets `registry` (block name -> shape) and a `cfg` with
-    `vocab`, `max_len` and `init_scale`.
+    `vocab` and `max_len`.
     """
 
     registry: dict[str, tuple[int, ...]]
@@ -56,12 +62,12 @@ class BlockModel:
         return ParamVector(self.registry)
 
     def init_params(self, rng: SeededRng) -> ParamVector:
-        """Weights drawn from N(0, init_scale) in registry order; biases start at zero."""
+        """Weights drawn from N(0, `_INIT_SCALE`) in registry order; biases start at zero."""
         params = self.zero_params()
         for name in self.registry:
             if not name.endswith("bias"):
                 block = params.view(name)
-                block[...] = rng.gen.normal(0.0, self.cfg.init_scale, size=block.shape)
+                block[...] = rng.gen.normal(0.0, _INIT_SCALE, size=block.shape)
         return params
 
     def _check_items(self, seq) -> np.ndarray:

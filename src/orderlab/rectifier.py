@@ -5,9 +5,11 @@ where g_v is the mean gradient over clean validation pairs and H the
 Hessian of the training objective at the compromised parameters. One
 inverse-Hessian-vector product on g_v (LiSSA recursion over
 finite-difference Hessian-vector products) serves every sample via the
-symmetry of H. Each product is `hvp`'s central difference with step 1e-3,
-on a minibatch of 128 users (all users when there are fewer). The LiSSA
-scale is always estimated, by power iteration on one such minibatch.
+symmetry of H. Each product is `hvp`'s central difference with step 1e-3
+(`_FD_STEP`), on a minibatch of 128 users (all users when there are
+fewer; `_BATCH_USERS`). The LiSSA scale is always estimated: 1.5x
+(`_SCALE_MARGIN`) a power-iteration estimate of the top eigenvalue on one
+such minibatch.
 The sign rule is fixed: a sample is harmful when its influence is
 above 0. Each rectify round steps up by 1e-4 times the summed harmful
 term gradients, its norm capped at 1.0 (`_ASCENT_RATE`, `_ASCENT_CLIP`),
@@ -31,6 +33,7 @@ from .seqrec import SeqRecModel
 log = logging.getLogger(__name__)
 
 
+_FD_STEP = 1e-3  # length of `hvp`'s finite-difference step along the direction
 _SCALE_MARGIN = 1.5  # the LiSSA scale is this times the power-iteration eigenvalue estimate
 _BATCH_USERS = 128  # users per Hessian minibatch (all of them when there are fewer)
 _ASCENT_RATE = 1e-4  # rectify's step on the summed harmful term gradients
@@ -73,7 +76,7 @@ class RectifyConfig:
 
 # --- Hessian-vector machinery ----------------------------------------------
 
-def hvp(grad_fn, x: np.ndarray, v: np.ndarray, fd_step: float = 1e-3) -> np.ndarray:
+def hvp(grad_fn, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Central finite difference of a gradient function: H v ~ [g(x+e v) - g(x-e v)] / 2e.
 
     Exact (up to rounding) on quadratics. `grad_fn` maps a flat parameter
@@ -82,7 +85,7 @@ def hvp(grad_fn, x: np.ndarray, v: np.ndarray, fd_step: float = 1e-3) -> np.ndar
     norm_v = float(np.linalg.norm(v))
     if norm_v == 0.0:
         raise InvalidArgument("hvp direction has zero norm")
-    eps = fd_step / max(norm_v, 1e-8)
+    eps = _FD_STEP / max(norm_v, 1e-8)
     g_plus = np.asarray(grad_fn(x + eps * v), dtype=np.float64)
     g_minus = np.asarray(grad_fn(x - eps * v), dtype=np.float64)
     if not (np.all(np.isfinite(g_plus)) and np.all(np.isfinite(g_minus))):
@@ -90,8 +93,8 @@ def hvp(grad_fn, x: np.ndarray, v: np.ndarray, fd_step: float = 1e-3) -> np.ndar
     return (g_plus - g_minus) / (2.0 * eps)
 
 
-def estimate_scale(apply_hvp, dim: int, iters: int, margin: float, rng: SeededRng) -> float:
-    """margin x power-iteration estimate of the top Hessian eigenvalue magnitude."""
+def estimate_scale(apply_hvp, dim: int, iters: int, rng: SeededRng) -> float:
+    """`_SCALE_MARGIN` x power-iteration estimate of the top Hessian eigenvalue magnitude."""
     v = rng.gen.standard_normal(dim)
     v /= np.linalg.norm(v)
     lam = 1.0
@@ -99,9 +102,9 @@ def estimate_scale(apply_hvp, dim: int, iters: int, margin: float, rng: SeededRn
         w = apply_hvp(v)
         lam = float(np.linalg.norm(w))
         if lam <= 1e-300:
-            return margin  # numerically zero curvature; any positive scale works
+            return _SCALE_MARGIN  # numerically zero curvature; any positive scale works
         v = w / lam
-    return margin * lam
+    return _SCALE_MARGIN * lam
 
 
 def lissa_solve(apply_hvp, v: np.ndarray, depth: int, damping: float, scale: float):
@@ -168,7 +171,7 @@ def lissa_ihvp(
     scale_rng = rng.child("scale")
     scale_idx = minibatch(scale_rng.gen)
     scale = estimate_scale(
-        lambda h: hvp_on(scale_idx, h), params.size, cfg.scale_power_iters, _SCALE_MARGIN, scale_rng
+        lambda h: hvp_on(scale_idx, h), params.size, cfg.scale_power_iters, scale_rng
     )
     estimates = []
     for r in range(cfg.repeats):

@@ -1,44 +1,34 @@
 """Per-item semantic embeddings and their PCA reduction.
 
-Embeddings come either from a TSV of precomputed vectors (the interface a
-real language-model extraction would fill) or from a deterministic
-synthetic generator built on category prototypes.
+A semantic table is a plain (items, dim) float64 array, one row per item
+in dense item-index order. Embeddings come either from a TSV of
+precomputed vectors (the interface a real language-model extraction would
+fill) or from a deterministic synthetic generator built on category
+prototypes.
 """
 from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import Corpus
 from .errors import FormatError, InvalidArgument
-from .numkit import SeededRng, pca_fit, pca_project
+from .numkit import SeededRng, pca_fit
 
 log = logging.getLogger(__name__)
 
 MIN_DIM = 8  # smallest synthetic embedding dimension; a loaded table below it is warned about
 
 
-@dataclass
-class SemanticTable:
-    embeddings: np.ndarray  # (items, dim) float64
-
-    @property
-    def dim(self) -> int:
-        return int(self.embeddings.shape[1])
-
-    @property
-    def n_items(self) -> int:
-        return int(self.embeddings.shape[0])
-
-    def unit_rows(self) -> np.ndarray:
-        norms = np.linalg.norm(self.embeddings, axis=1, keepdims=True)
-        return self.embeddings / np.maximum(norms, 1e-12)
+def unit_rows(table: np.ndarray) -> np.ndarray:
+    """The table with each row scaled to unit norm (a zero row stays zero)."""
+    norms = np.linalg.norm(table, axis=1, keepdims=True)
+    return table / np.maximum(norms, 1e-12)
 
 
-def load_semantic_tsv(path: str, corpus: Corpus) -> SemanticTable:
+def load_semantic_tsv(path: str, corpus: Corpus) -> np.ndarray:
     """Read `item<TAB>v1,v2,...,vd` rows covering every vocabulary item.
 
     Rows are reordered to dense item-index order; values may be stored in
@@ -77,20 +67,20 @@ def load_semantic_tsv(path: str, corpus: Corpus) -> SemanticTable:
     table = np.stack([vectors[it] for it in corpus.item_ids])
     if not np.all(np.isfinite(table)):
         raise FormatError(f"semantic file {path} contains non-finite values")
-    return SemanticTable(table)
+    return table
 
 
-def save_semantic_tsv(table: SemanticTable, corpus: Corpus, path: str) -> None:
+def save_semantic_tsv(table: np.ndarray, corpus: Corpus, path: str) -> None:
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        for item, row in zip(corpus.item_ids, table.embeddings):
+        for item, row in zip(corpus.item_ids, table):
             fh.write(item + "\t" + ",".join(f"{v:.8g}" for v in row) + "\n")
     os.replace(tmp, path)
 
 
 def synth_semantics(
-    categories: np.ndarray, dim: int, noise_sigma: float = 0.1, rng: SeededRng | None = None
-) -> SemanticTable:
+    categories: np.ndarray, dim: int, noise_sigma: float, rng: SeededRng
+) -> np.ndarray:
     """Unit-norm rows around one unit prototype per category.
 
     Prototypes are orthonormal whenever dim allows. The Gaussian noise is
@@ -98,8 +88,6 @@ def synth_semantics(
     sigma^2 regardless of dimension and category separation is
     dimension-independent.
     """
-    if rng is None:
-        raise InvalidArgument("synth_semantics needs a SeededRng")
     cats = np.asarray(categories, dtype=np.int64)
     n_cats = int(cats.max()) + 1 if cats.size else 0
     if dim < MIN_DIM:
@@ -115,18 +103,17 @@ def synth_semantics(
     scale = noise_sigma / np.sqrt(dim)
     rows = protos[cats] + scale * gen.standard_normal((cats.size, dim))
     rows /= np.maximum(np.linalg.norm(rows, axis=1, keepdims=True), 1e-12)
-    return SemanticTable(rows)
+    return rows
 
 
-def reduce(table: SemanticTable, d_h: int) -> np.ndarray:
-    """Project embeddings onto their top d_h principal components.
+def reduce(table: np.ndarray, d_h: int) -> np.ndarray:
+    """Center the embeddings and project them onto their top d_h principal components.
 
     The output has one row per item and d_h columns, matching the hidden
     width the collaborative fusion expects.
     """
-    if d_h > min(table.n_items - 1, table.dim):
-        raise InvalidArgument(
-            f"cannot keep {d_h} components of a {table.n_items}x{table.dim} table"
-        )
-    components, _ = pca_fit(table.embeddings, d_h)
-    return pca_project(table.embeddings, components)
+    n_items, dim = table.shape
+    if d_h > min(n_items - 1, dim):
+        raise InvalidArgument(f"cannot keep {d_h} components of a {n_items}x{dim} table")
+    components, _ = pca_fit(table, d_h)
+    return (table - table.mean(axis=0)) @ components

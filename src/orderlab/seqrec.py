@@ -3,7 +3,8 @@
 Item-embedding table + one gated recurrent encoder + tied-weight softmax
 over the full vocabulary. Gradients are exact analytic backpropagation;
 the flat ParamVector view makes the model usable for Hessian-vector and
-influence work without any framework.
+influence work without any framework. Sums over many sequences run in
+length-sorted chunks of 64 sequences (`_CHUNK`).
 """
 from __future__ import annotations
 
@@ -16,13 +17,14 @@ from .errors import InvalidArgument
 from .numkit import SeededRng
 from .params import BlockModel, ParamVector, TrainConfig, run_training
 
+_CHUNK = 64  # sequences per batched call of `weighted_gradient`
+
 
 @dataclass
 class ModelConfig:
     vocab: int
     hidden: int = 64
     max_len: int = 200
-    init_scale: float = 0.1
 
     def validate(self) -> None:
         if self.vocab < 2 or self.hidden < 8:
@@ -129,7 +131,7 @@ class SeqRecModel(BlockModel):
         )
         return trained, trace
 
-    def weighted_gradient(self, params: ParamVector, seqs, weights, chunk: int = 64):
+    def weighted_gradient(self, params: ParamVector, seqs, weights):
         """Sum of weighted term losses over many sequences, with gradient.
 
         Chunks are length-sorted to bound padding waste; the result is the
@@ -140,8 +142,8 @@ class SeqRecModel(BlockModel):
         order = sorted(range(len(seqs)), key=lambda i: len(seqs[i]))
         total = 0.0
         grad = self.zero_params()
-        for start in range(0, len(order), chunk):
-            idx = order[start : start + chunk]
+        for start in range(0, len(order), _CHUNK):
+            idx = order[start : start + _CHUNK]
             loss, g = self.batch_term_loss(
                 params, [seqs[i] for i in idx], [weights[i] for i in idx]
             )
@@ -149,10 +151,10 @@ class SeqRecModel(BlockModel):
             grad.flat += g.flat
         return total, grad
 
-    def dataset_loss(self, params: ParamVector, sequences, batch_size: int = 64):
+    def dataset_loss(self, params: ParamVector, sequences):
         """Mean over sequences of the per-sequence mean loss, with gradient."""
         seqs = [np.asarray(s, dtype=np.int64) for s in sequences if len(s) >= 2]
         if not seqs:
             raise InvalidArgument("dataset_loss over an empty sequence set")
         weights = [np.full(len(s) - 1, 1.0 / (len(s) - 1) / len(seqs)) for s in seqs]
-        return self.weighted_gradient(params, seqs, weights, chunk=batch_size)
+        return self.weighted_gradient(params, seqs, weights)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from orderlab import params as params_module
 from orderlab.corpus import Corpus, SynthConfig, synth_corpus
 from orderlab.dualview import DualViewConfig, DualViewModel
 from orderlab.errors import InvalidArgument, NumericalFailure
@@ -30,16 +31,23 @@ def toy_corpus(sequences, n_items):
     return Corpus(users, [np.asarray(s, dtype=np.int64) for s in sequences], items)
 
 
+def init_params_at_scale(model, rng, scale):
+    """`model.init_params(rng)` with the initial weights' scale set to `scale`."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(params_module, "_INIT_SCALE", scale)
+        return model.init_params(rng)
+
+
 def tiny_dualview(vocab=10, sem_dim=12, hidden=8, seed=3, scale=0.3):
     gen = SeededRng(seed).gen
     sem = gen.standard_normal((vocab, sem_dim))
     reduced = gen.standard_normal((vocab, hidden))
     model = DualViewModel(
-        DualViewConfig(vocab=vocab, sem_dim=sem_dim, hidden=hidden, max_len=64, init_scale=scale),
+        DualViewConfig(vocab=vocab, sem_dim=sem_dim, hidden=hidden, max_len=64),
         sem,
         reduced,
     )
-    params = model.init_params(SeededRng(seed + 1))
+    params = init_params_at_scale(model, SeededRng(seed + 1), scale)
     return model, params
 
 

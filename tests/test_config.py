@@ -88,6 +88,17 @@ def test_partial_document_keeps_defaults():
     {"semantics": {"source": "tsv"}},
     {"detector": {"default_percentile": 150}},
     {"detector": {"default_percentile": -1}},
+    {"data": {"synth": {"users": 0}}},
+    {"data": {"synth": {"categories": 0}}},
+    {"data": {"synth": {"items": 3, "categories": 4}}},
+    {"data": {"synth": {"min_length": 2}}},  # a user of 2 orders has no train prefix
+    {"data": {"synth": {"min_length": 60}}},  # above mean_length 50
+    {"data": {"synth": {"min_length": 20, "mean_length": 30, "max_length": 10}}},
+    {"data": {"synth": {"stay_prob": 1.7}}},
+    {"data": {"synth": {"stay_prob": -0.1}}},
+    {"data": {"min_user": 2}},
+    {"data": {"synth": {"max_length": 300}}, "model": {"max_len": 200}},
+    {"model": {"hidden": 128}},  # above the synthetic semantics.dim 96
 ])
 def test_malformed_document_is_rejected(doc):
     with pytest.raises(InvalidArgument):
@@ -133,6 +144,19 @@ def test_bench_workloads_load():
     assert paths
     for path in paths:
         ExperimentConfig.load(str(path))
+
+
+def test_cross_section_rules_bound_synthetic_sources_only():
+    longest = {"data": {"synth": {"max_length": 201}}, "model": {"max_len": 200}}
+    assert ExperimentConfig.from_dict(longest).data.synth.max_length == 201
+    wide = {"model": {"hidden": 96}}
+    assert ExperimentConfig.from_dict(wide).model.hidden == 96
+    tsv = {
+        "data": {"source": "tsv", "path": "orders.tsv", "synth": {"max_length": 300}},
+        "semantics": {"source": "tsv", "path": "vectors.tsv"},
+        "model": {"max_len": 20, "hidden": 128},
+    }
+    assert ExperimentConfig.from_dict(tsv).model.hidden == 128
 
 
 def test_field_types_follow_the_annotations():

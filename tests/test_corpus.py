@@ -258,6 +258,70 @@ class TestSynthCorpus:
         with pytest.raises(InvalidArgument):
             synth_corpus(SynthConfig(items=2, categories=5), SeededRng(1))
 
+    @pytest.mark.parametrize("categories", [1, 2, 4, 8])
+    @pytest.mark.parametrize("stay_prob", [0.0, 0.5, 0.85, 1.0])
+    def test_equals_the_per_step_chain(self, categories, stay_prob):
+        """Same corpus, categories and next draw as the per-order loop it replaced."""
+        for length in (5, 30, 200):
+            cfg = SynthConfig(users=12, items=40, categories=categories, mean_length=length,
+                              stay_prob=stay_prob, min_length=3, max_length=2 * length)
+            for seed in range(5):
+                got_rng, want_rng = SeededRng(seed), SeededRng(seed)
+                got, got_cats = synth_corpus(cfg, got_rng)
+                want, want_cats = reference_synth_corpus(cfg, want_rng)
+                assert got.user_ids == want.user_ids and got.item_ids == want.item_ids
+                np.testing.assert_array_equal(got_cats, want_cats)
+                for a, b in zip(got.sequences, want.sequences, strict=True):
+                    np.testing.assert_array_equal(a, b)
+                assert got_rng.gen.random() == want_rng.gen.random()
+
+
+def reference_synth_corpus(cfg, rng):
+    """The generator as it stepped through every order of every user in Python."""
+    gen = rng.gen
+    cat_of = np.repeat(np.arange(cfg.categories), -(-cfg.items // cfg.categories))[: cfg.items]
+    cat_items = [np.flatnonzero(cat_of == c) for c in range(cfg.categories)]
+    cdfs = []
+    for members in cat_items:
+        weights = np.arange(1, members.size + 1, dtype=np.float64) ** (-cfg.zipf_exponent)
+        cdfs.append(np.cumsum(weights / weights.sum()))
+    lengths = np.clip(
+        gen.geometric(1.0 / cfg.mean_length, size=cfg.users), cfg.min_length, cfg.max_length
+    )
+    raw_sequences = []
+    for u in range(cfg.users):
+        ln = int(lengths[u])
+        cats = np.empty(ln, dtype=np.int64)
+        cats[0] = gen.integers(cfg.categories)
+        moves = gen.random(ln - 1)
+        if cfg.categories > 1:
+            jumps = gen.integers(1, cfg.categories, size=ln - 1)
+        else:
+            jumps = np.zeros(ln - 1, dtype=np.int64)
+        for t in range(1, ln):
+            if moves[t - 1] < cfg.stay_prob:
+                cats[t] = cats[t - 1]
+            else:
+                cats[t] = (cats[t - 1] + jumps[t - 1]) % cfg.categories
+        picks = gen.random(ln)
+        items = np.empty(ln, dtype=np.int64)
+        for c in range(cfg.categories):
+            mask = cats == c
+            if mask.any():
+                items[mask] = cat_items[c][np.searchsorted(cdfs[c], picks[mask])]
+        raw_sequences.append(items)
+    used = np.zeros(cfg.items, dtype=bool)
+    for seq in raw_sequences:
+        used[seq] = True
+    dense_of = -np.ones(cfg.items, dtype=np.int64)
+    dense_of[used] = np.arange(int(used.sum()))
+    width = len(str(cfg.items - 1))
+    item_ids = [f"i{k:0{width}d}" for k in np.flatnonzero(used)]
+    uwidth = len(str(cfg.users - 1))
+    user_ids = [f"u{k:0{uwidth}d}" for k in range(cfg.users)]
+    sequences = [dense_of[seq] for seq in raw_sequences]
+    return Corpus(user_ids, sequences, item_ids), cat_of[used].copy()
+
 
 class TestWithSequences:
     def test_stats_recomputed(self):

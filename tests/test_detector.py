@@ -14,7 +14,6 @@ from orderlab.detector import (
     smooth_by_user,
     tune_threshold,
 )
-from orderlab.errors import InvalidArgument
 from orderlab.numkit import SeededRng
 
 from conftest import tiny_dualview, toy_corpus
@@ -165,21 +164,18 @@ class TestSmoothByUser:
         expected = np.concatenate(
             [reference_smooth(raw[users == u], 0.3) for u in range(4)]
         )
-        np.testing.assert_array_equal(smooth_by_user(raw, users, 0.3), expected)
+        np.testing.assert_array_equal(smooth_by_user(raw, users), expected)
 
-    def test_single_position_user_keeps_its_score(self):
+    def test_single_position_user_keeps_its_score(self, monkeypatch):
+        monkeypatch.setattr(detector, "_SMOOTHING", 0.5)
         raw = np.array([0.7, -1.2, 2.5])
         users = np.array([0, 1, 2])
-        np.testing.assert_array_equal(smooth_by_user(raw, users, 0.5), raw)
+        np.testing.assert_array_equal(smooth_by_user(raw, users), raw)
 
-    def test_zero_rho_is_identity(self):
+    def test_zero_rho_is_identity(self, monkeypatch):
+        monkeypatch.setattr(detector, "_SMOOTHING", 0.0)
         raw = np.array([1.0, 4.0, -2.0, 0.5])
-        np.testing.assert_array_equal(smooth_by_user(raw, np.zeros(4, dtype=np.int64), 0.0), raw)
-
-    @pytest.mark.parametrize("rho", [-0.1, 1.0])
-    def test_rho_out_of_range(self, rho):
-        with pytest.raises(InvalidArgument):
-            smooth_by_user(np.zeros(3), np.zeros(3, dtype=np.int64), rho)
+        np.testing.assert_array_equal(smooth_by_user(raw, np.zeros(4, dtype=np.int64)), raw)
 
 
 class TestFitWeights:
@@ -207,7 +203,7 @@ class TestTuneThreshold:
     def test_picks_the_fbeta_maximiser(self):
         scores = np.arange(100, dtype=np.float64)
         labels = scores >= 90  # the top tenth: the 90th percentile separates them exactly
-        tau = tune_threshold(scores, labels, beta=2.0)
+        tau = tune_threshold(scores, labels, default_percentile=95.0)
         assert tau == np.percentile(scores, 90)
         np.testing.assert_array_equal(scores > tau, labels)
 
@@ -245,7 +241,7 @@ def test_csv_equals_the_csv_writer(tmp_path, monkeypatch, with_truth):
         users, positions, feats, gen.normal(size=n), gen.normal(size=n), gen.random(n) > 0.7,
     )
     truth = {(0, 1): "repetitive", (3, 4): "semantic", (7, 0): "sequential"} if with_truth else {}
-    report.to_csv(str(tmp_path / "got.csv"), truth if with_truth else None)
+    report.to_csv(str(tmp_path / "got.csv"), truth)
     reference_csv(report, tmp_path / "want.csv", truth)
     got = (tmp_path / "got.csv").read_bytes()
     assert got == (tmp_path / "want.csv").read_bytes()

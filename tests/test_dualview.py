@@ -37,9 +37,9 @@ class TestItemInputs:
         _, table_col, _ = model.item_inputs(params)
         np.testing.assert_array_equal(table_col, params.view("item_embeddings"))
 
-    def test_zero_adapter_zero_residual(self):
+    def test_zero_adapter_zero_residual(self, monkeypatch):
         model, params = tiny_dualview()
-        model.cfg.residual_coef = 0.0
+        monkeypatch.setattr(dualview, "_RESIDUAL_COEF", 0.0)
         for name in ("adapter_hidden_w", "adapter_hidden_bias", "adapter_out_w",
                      "adapter_out_bias", "residual_w"):
             params.view(name)[...] = 0.0
@@ -106,7 +106,8 @@ class TestJointLoss:
 
 def view_states(model, params, view, seq):
     """One view's hidden states (T, d) and next-step distributions (T-1, V) of one sequence."""
-    states, _, _, table, _ = model.batch_view_states(params, view, [seq])
+    tables = model.item_inputs(params)[:2]
+    states, _, _, table, _ = model.batch_view_states(params, view, [seq], tables)
     return states[0], next_step_probs(states[0, :-1], table)
 
 
@@ -157,8 +158,9 @@ class TestEncode:
 
     def test_bad_view(self):
         model, params = tiny_dualview()
+        tables = model.item_inputs(params)[:2]
         with pytest.raises(InvalidArgument):
-            model.batch_view_states(params, "hybrid", [np.array([1])])
+            model.batch_view_states(params, "hybrid", [np.array([1])], tables)
 
 
 # each replaces the second sequence of a valid batch; tiny_dualview has vocab 10 and max_len 64
@@ -174,9 +176,10 @@ BAD_SEQUENCES = {
 class TestRejectedInputs:
     def test_batch_view_states(self, bad):
         model, params = tiny_dualview()
+        tables = model.item_inputs(params)[:2]
         for view in ("semantic", "collaborative"):
             with pytest.raises(InvalidArgument):
-                model.batch_view_states(params, view, [[3, 4, 5], bad])
+                model.batch_view_states(params, view, [[3, 4, 5], bad], tables)
 
     def test_joint_loss(self, bad):
         model, params = tiny_dualview()
@@ -254,8 +257,8 @@ class TestTrainDualView:
 
         reduced = reduce(table, 16)
         model = DualViewModel(
-            DualViewConfig(vocab=corpus.n_items, sem_dim=table.dim, hidden=16, init_scale=0.1),
-            table.embeddings,
+            DualViewConfig(vocab=corpus.n_items, sem_dim=table.shape[1], hidden=16),
+            table,
             reduced,
         )
         params = model.init_params(SeededRng(2))

@@ -15,7 +15,7 @@ from orderlab.errors import FormatError
 from orderlab.harness import metrics, pipeline
 from orderlab.harness.cli import main
 from orderlab.harness.config import ExperimentConfig
-from orderlab.harness.pipeline import SWEEP_VARIANTS, Pipeline, _checkpoint, run_pipeline
+from orderlab.harness.pipeline import SWEEP_VARIANTS, Pipeline, _checkpoint
 from orderlab.seqrec import ModelConfig, SeqRecModel
 
 TINY = {
@@ -101,6 +101,14 @@ def test_cli_exit_codes(tmp_path, doc, code):
     {"dualview_train": {"clip_norm": 0.0}},
     {"data": {"source": "tsv"}},  # a tsv source needs a path
     {"semantics": {"source": "tsv"}},
+    # synthetic data that no stage could use: caught at load, before any file
+    {"data": {"synth": {"users": 0}}},
+    {"data": {"synth": {"stay_prob": 1.7}}},
+    {"data": {"synth": {"min_length": 2, "mean_length": 6}}},  # a user without a train prefix
+    {"data": {"min_user": 2}},  # the same for a tsv corpus
+    # rules across sections
+    {"data": {"synth": {"max_length": 300}}, "model": {"hidden": 8, "max_len": 20}},
+    {"model": {"hidden": 32}},  # more components than TINY's 16 semantic dimensions
 ])
 def test_invalid_config_writes_no_file(tmp_path, section):
     config = write_config(tmp_path / "config.json", dict(TINY, **section))
@@ -167,7 +175,7 @@ def test_each_negative_set_is_drawn_once_per_process(tmp_path, monkeypatch):
     monkeypatch.setattr(rectifier, "rectify", rectifying)
     cfg = ExperimentConfig.from_dict(dict(TINY, rectify={"max_rounds": 2}))
     users = TINY["data"]["synth"]["users"]
-    ctx = run_pipeline(cfg, str(tmp_path))
+    ctx = Pipeline(cfg, str(tmp_path)).run()
     assert len(ctx["rectify_trace"]["rounds"]) == 2
     assert ctx["rectify_trace"]["best_round"] == 0
     assert len(calls) == 4 * users
@@ -177,7 +185,7 @@ def test_each_negative_set_is_drawn_once_per_process(tmp_path, monkeypatch):
     calls.clear()
     passes.clear()
     (tmp_path / "metrics.json").unlink()
-    run_pipeline(cfg, str(tmp_path), resume=True)
+    Pipeline(cfg, str(tmp_path), resume=True).run()
     assert len(calls) == 4 * users
     assert passes == ["final"] * 2
     assert (tmp_path / "metrics.json").read_bytes() == metrics_json

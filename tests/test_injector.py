@@ -14,7 +14,7 @@ from orderlab.injector import (
     low_cosine_candidates,
 )
 from orderlab.numkit import SeededRng
-from orderlab.semantics import SemanticTable, synth_semantics
+from orderlab.semantics import synth_semantics, unit_rows
 
 from conftest import toy_corpus
 
@@ -113,22 +113,21 @@ class TestSemanticInjection:
         seq = np.array([0, 1, 2, 3, 4])
         rng = SeededRng(5)
         for _ in range(20):
-            out, entries = inject_semantic(seq, 2, table.unit_rows(), rng)
+            out, entries = inject_semantic(seq, 2, unit_rows(table), rng, 0.2)
             injected = entries[0][3]
             assert cats[injected] != cats[2]
             assert injected != 2
 
     def test_low_cosine_when_possible(self):
         table, _ = two_category_semantics(20)
-        unit = table.unit_rows()
+        unit = unit_rows(table)
         cands = low_cosine_candidates(unit, 0, 0.2)
         assert all(unit[c] @ unit[0] < 0.2 for c in cands)
 
     def test_fallback_to_global_minimum(self):
         # all items nearly identical: no candidate below threshold
         rows = np.ones((5, 8)) + 1e-3 * SeededRng(6).gen.standard_normal((5, 8))
-        table = SemanticTable(rows)
-        cands = low_cosine_candidates(table.unit_rows(), 0, 0.2)
+        cands = low_cosine_candidates(unit_rows(rows), 0, 0.2)
         assert len(cands) == 1 and cands[0] != 0
 
 
@@ -258,7 +257,7 @@ def small_corpora(draw):
     seed=st.integers(0, 2**16),
 )
 def test_manifest_invariants(corpus, user_ratio, intensity, repeat_len, swap_window, seed):
-    table = SemanticTable(SeededRng(seed).gen.standard_normal((corpus.n_items, 8)))
+    table = SeededRng(seed).gen.standard_normal((corpus.n_items, 8))
     cfg = InjectionConfig(user_ratio, intensity, repeat_len=repeat_len, swap_window=swap_window)
     poisoned, manifest = inject(corpus, table, cfg, SeededRng(seed))
     planted = planted_positions(manifest)

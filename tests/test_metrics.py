@@ -6,6 +6,7 @@ import pytest
 
 from orderlab.corpus import SynthConfig, leave_one_out, sample_negatives, synth_corpus
 from orderlab.errors import InvalidArgument
+from orderlab.harness import metrics
 from orderlab.harness.metrics import (
     MODES,
     convergence_report,
@@ -75,17 +76,18 @@ def drawn(corpus, split, rng):
 class TestEvaluateTopk:
     @pytest.mark.parametrize("mode", ["valid", "test"])
     @pytest.mark.parametrize("batch_users", [16, 64])
-    def test_equals_per_user_reference(self, setup, mode, batch_users):
+    def test_equals_per_user_reference(self, setup, mode, batch_users, monkeypatch):
         """One pass over prefix + validation item ranks both targets as a
         separate pass per mode does."""
         model, params, corpus, split = setup
-        got = evaluate_topk(model, params, corpus, split, NEGATIVES, SeededRng(8),
-                            batch_users=batch_users)
+        monkeypatch.setattr(metrics, "_BATCH_USERS", batch_users)
+        monkeypatch.setattr(metrics, "KS", KS)
+        got = evaluate_topk(model, params, corpus, split, NEGATIVES, SeededRng(8))
         assert sorted(got) == ["test", "valid"]
         want = reference_ranks(model, params, corpus, split, mode, NEGATIVES, SeededRng(8),
                                batch_users=batch_users)
         assert np.array_equal(got[mode], want)
-        report = topk_report(got[mode], NEGATIVES, KS)
+        report = topk_report(got[mode], NEGATIVES)
         assert report["users_evaluated"] == len(split.users) and report["negatives"] == NEGATIVES
         assert 0.0 < report["HR@10"] < 1.0
         assert report["NDCG@5"] == ndcg(want, 5)
@@ -108,12 +110,13 @@ class TestEvaluateTopk:
             assert len(set(row[1:])) == NEGATIVES
             assert not set(row[1:]) & set(corpus.sequences[user].tolist())
 
-    def test_ties_count_against_the_positive(self, setup):
+    def test_ties_count_against_the_positive(self, setup, monkeypatch):
         model, _, corpus, split = setup
+        monkeypatch.setattr(metrics, "KS", (NEGATIVES, 13))
         flat = model.zero_params()  # every item scores 0: the positive ties all negatives
         ranks = evaluate_topk(model, flat, corpus, split, NEGATIVES, SeededRng(8))
         for mode in MODES:
-            report = topk_report(ranks[mode], NEGATIVES, (NEGATIVES, 13))
+            report = topk_report(ranks[mode], NEGATIVES)
             assert report[f"HR@{NEGATIVES}"] == 0.0
             assert report["HR@13"] == 1.0
             assert report["NDCG@13"] == pytest.approx(1.0 / math.log2(14.0))
@@ -172,7 +175,7 @@ def test_convergence_report():
         "flat": [10.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0],  # converges at epoch 5
         "falling": [3.0, 2.0, 1.0],
         "empty": [],
-    }, cadence=5)
+    })
     assert report["flat"] == {"epochs": 5, "reported": 5, "converged": True}
     assert report["falling"] == {"epochs": 3, "reported": 5, "converged": False}
     assert report["empty"] == {"epochs": 0, "reported": 5, "converged": False}

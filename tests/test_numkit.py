@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from orderlab.detector import _cosine_rows, _jsd_rows
 from orderlab.encoder import next_step_probs
 from orderlab.errors import InvalidArgument, NumericalFailure
-from orderlab.numkit import SeededRng, pca_fit, pca_project
+from orderlab.numkit import SeededRng, pca_fit
+from orderlab.semantics import reduce
 
 from conftest import fd_gradient_check
 
@@ -133,7 +134,7 @@ class TestPca:
         total_var = np.trace(np.cov(data.T))
         assert ev[0] / total_var == pytest.approx(1.0, abs=1e-9)
         # projections reproduce signed distances along the line
-        proj = pca_project(data, comps)[:, 0]
+        proj = reduce(data, 1)[:, 0]
         dist = np.linalg.norm(data - data.mean(0), axis=1) * np.sign(t)
         sign = np.sign(proj[-1] * dist[-1])
         np.testing.assert_allclose(proj, sign * dist, atol=1e-9)
@@ -187,20 +188,17 @@ class TestPca:
     def test_project_mean_row_is_zero(self):
         gen = SeededRng(13).gen
         data = gen.standard_normal((20, 5))
-        comps, _ = pca_fit(data, 2)
-        proj = pca_project(data, comps)
+        proj = reduce(data, 2)
         np.testing.assert_allclose(proj.mean(axis=0), 0.0, atol=1e-12)
 
     def test_identity_on_centered_data(self):
         gen = SeededRng(17).gen
         data = gen.standard_normal((20, 3))
         data -= data.mean(axis=0)
-        out = pca_project(data, np.eye(3))
-        np.testing.assert_allclose(out, data, atol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(InvalidArgument):
-            pca_project(np.eye(3), np.eye(4))
+        comps, _ = pca_fit(data, 3)
+        # keeping every component rotates the centered data; rotating back restores it
+        out = reduce(data, 3)
+        np.testing.assert_allclose(out @ comps.T, data, atol=1e-12)
 
 
 class TestFdGradientCheck:

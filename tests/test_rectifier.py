@@ -100,7 +100,7 @@ class TestLissa:
 
     def test_scale_estimate_brackets_top_eigenvalue(self):
         h, eig = spd_matrix(12, 0.2, 6.0, 9)
-        scale = estimate_scale(lambda x: h @ x, 12, 30, 1.5, SeededRng(10))
+        scale = estimate_scale(lambda x: h @ x, 12, 30, SeededRng(10))
         assert scale > eig.max()
         assert scale < 2.0 * eig.max()
 

@@ -4,11 +4,11 @@ import pytest
 from orderlab.errors import FormatError, InvalidArgument
 from orderlab.numkit import SeededRng
 from orderlab.semantics import (
-    SemanticTable,
     load_semantic_tsv,
     reduce,
     save_semantic_tsv,
     synth_semantics,
+    unit_rows,
 )
 
 from conftest import toy_corpus
@@ -20,8 +20,8 @@ class TestLoadTsv:
         p = tmp_path / "sem.tsv"
         p.write_text("i0\t1,2,3,4\ni1\t5,6,7,8\n")
         table = load_semantic_tsv(str(p), corpus)
-        assert table.embeddings.shape == (2, 4)
-        np.testing.assert_allclose(table.embeddings[1], [5, 6, 7, 8])
+        assert table.shape == (2, 4)
+        np.testing.assert_allclose(table[1], [5, 6, 7, 8])
 
     def test_missing_item_named(self, tmp_path):
         corpus = toy_corpus([[0, 1, 0, 1, 0]], n_items=2)
@@ -42,7 +42,7 @@ class TestLoadTsv:
         p = str(tmp_path / "sem.tsv")
         save_semantic_tsv(table, corpus, p)
         loaded = load_semantic_tsv(p, corpus)
-        assert np.abs(loaded.embeddings - table.embeddings).max() < 1e-6
+        assert np.abs(loaded - table).max() < 1e-6
 
     def test_insertion_order_independent(self, tmp_path, small_synth):
         corpus, _, table = small_synth
@@ -54,21 +54,21 @@ class TestLoadTsv:
             fh.write("\n".join(reversed(lines)) + "\n")
         a = load_semantic_tsv(p1, corpus)
         b = load_semantic_tsv(p2, corpus)
-        np.testing.assert_array_equal(a.embeddings, b.embeddings)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestSynthSemantics:
     def test_zero_noise_identical_within_category(self):
         cats = np.array([0, 0, 1, 1])
         table = synth_semantics(cats, 16, 0.0, SeededRng(3))
-        unit = table.unit_rows()
+        unit = unit_rows(table)
         assert unit[0] @ unit[1] == pytest.approx(1.0, abs=1e-12)
         assert unit[2] @ unit[3] == pytest.approx(1.0, abs=1e-12)
 
     def test_intra_vs_inter_cosine(self):
         cats = np.repeat(np.arange(4), 50)
         table = synth_semantics(cats, 32, 0.1, SeededRng(5))
-        unit = table.unit_rows()
+        unit = unit_rows(table)
         sims = unit @ unit.T
         intra, inter = [], []
         for i in range(0, 200, 7):
@@ -80,7 +80,7 @@ class TestSynthSemantics:
     def test_unit_norm(self):
         cats = np.array([0, 1, 2] * 10)
         table = synth_semantics(cats, 12, 0.2, SeededRng(7))
-        norms = np.linalg.norm(table.embeddings, axis=1)
+        norms = np.linalg.norm(table, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-9)
 
 
@@ -88,8 +88,7 @@ class TestReduce:
     def test_full_rank_keeps_distances(self):
         gen = SeededRng(9).gen
         rows = gen.standard_normal((30, 12))
-        table = SemanticTable(rows)
-        proj = reduce(table, 12)
+        proj = reduce(rows, 12)
         centered = rows - rows.mean(0)
         d_in = np.linalg.norm(centered[:, None] - centered[None, :], axis=-1)
         d_out = np.linalg.norm(proj[:, None] - proj[None, :], axis=-1)
@@ -114,6 +113,5 @@ class TestReduce:
         np.testing.assert_array_equal(a, b)
 
     def test_rank_guard(self):
-        table = SemanticTable(np.ones((5, 8)))
         with pytest.raises(InvalidArgument):
-            reduce(table, 8)  # needs d_h <= items-1
+            reduce(np.ones((5, 8)), 8)  # needs d_h <= items-1

@@ -8,12 +8,12 @@ from orderlab.numkit import SeededRng
 from orderlab.params import ParamVector, TrainConfig
 from orderlab.seqrec import ModelConfig, SeqRecModel
 
-from conftest import fd_gradient_check
+from conftest import fd_gradient_check, init_params_at_scale
 
 
 def tiny_model(vocab=12, hidden=8, scale=0.3, seed=3):
-    model = SeqRecModel(ModelConfig(vocab=vocab, hidden=hidden, max_len=64, init_scale=scale))
-    params = model.init_params(SeededRng(seed))
+    model = SeqRecModel(ModelConfig(vocab=vocab, hidden=hidden, max_len=64))
+    params = init_params_at_scale(model, SeededRng(seed), scale)
     return model, params
 
 
@@ -79,8 +79,8 @@ class TestGradients:
             r = rng.child(trial)
             vocab = int(r.gen.integers(5, 21))
             t_len = int(r.gen.integers(2, 7))
-            model = SeqRecModel(ModelConfig(vocab=vocab, hidden=8, max_len=50, init_scale=0.3))
-            params = model.init_params(r.child("init"))
+            model = SeqRecModel(ModelConfig(vocab=vocab, hidden=8, max_len=50))
+            params = init_params_at_scale(model, r.child("init"), 0.3)
             seq = r.gen.integers(0, vocab, size=t_len)
             _, grad = sequence_loss(model, params, seq)
 
