@@ -10,6 +10,15 @@ Transition counts are stored as arrays: every observed pair (i, j) is the
 integer key i * V + j, kept sorted with its count, and a transition
 probability is looked up by binary search. `Corpus.bigram_logprob` works
 elementwise, so a whole batch of transitions is scored in one call.
+
+`Corpus.save` and `FakeOrderManifest.save` write through `write_json_sorted`,
+which gives the bytes of `json.dump(doc, fh, sort_keys=True)`. `json.dump`
+to a file runs the pure-Python encoder, several times slower. One
+`json.dumps` of the whole document runs the C encoder, but on Python 3.11
+it keeps every encoded number as its own string until it joins them (9-16
+bytes of memory per byte written); so the C encoder encodes one element of
+a top-level list at a time. `synth_corpus` draws the generator user by
+user, then builds every user's category chain and items over all users.
 """
 from __future__ import annotations
 
@@ -27,6 +36,30 @@ from .numkit import SeededRng
 log = logging.getLogger(__name__)
 
 SNAPSHOT_FORMAT = "orderlab-corpus/1"
+
+
+def write_json_sorted(path: str, doc: dict) -> None:
+    """Write the non-empty dict `doc` atomically, with the bytes of
+    `json.dump(doc, fh, sort_keys=True)`.
+
+    The C encoder encodes each top-level value, and each element of a
+    top-level list, and every piece is written as it is made.
+    """
+    encode = json.JSONEncoder(sort_keys=True).encode
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        for n, key in enumerate(sorted(doc)):
+            fh.write(("{" if n == 0 else ", ") + encode(key) + ": ")
+            value = doc[key]
+            if isinstance(value, list):
+                fh.write("[")
+                for i, item in enumerate(value):
+                    fh.write(", " + encode(item) if i else encode(item))
+                fh.write("]")
+            else:
+                fh.write(encode(value))
+        fh.write("}")
+    os.replace(tmp, path)
 
 
 @dataclass
@@ -91,12 +124,9 @@ class Corpus:
             "format": SNAPSHOT_FORMAT,
             "users": list(self.user_ids),
             "items": list(self.item_ids),
-            "sequences": [[int(i) for i in seq] for seq in self.sequences],
+            "sequences": [seq.tolist() for seq in self.sequences],
         }
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
-        os.replace(tmp, path)
+        write_json_sorted(path, doc)
 
     @classmethod
     def load(cls, path: str) -> "Corpus":
@@ -274,36 +304,39 @@ def synth_corpus(cfg: SynthConfig, rng: SeededRng) -> tuple[Corpus, np.ndarray]:
     lengths = np.clip(
         gen.geometric(1.0 / cfg.mean_length, size=cfg.users), cfg.min_length, cfg.max_length
     )
-    raw_sequences = []
-    for u in range(cfg.users):
-        ln = int(lengths[u])
-        cats = np.empty(ln, dtype=np.int64)
-        cats[0] = gen.integers(cfg.categories)
-        moves = gen.random(ln - 1)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    # the generator is drawn user by user, in the order of the per-step chain it
+    # replaced (a single category still draws its moves); the chains and the items
+    # are then built over all users at once
+    steps = np.zeros(int(ends[-1]), dtype=np.int64)  # the first category, then 0 or a jump
+    stays = np.zeros(steps.size, dtype=bool)
+    picks = np.empty(steps.size)
+    for a, b in zip(starts.tolist(), ends.tolist()):
+        steps[a] = gen.integers(cfg.categories)
+        stays[a + 1 : b] = gen.random(b - a - 1) < cfg.stay_prob
         if cfg.categories > 1:
-            jumps = gen.integers(1, cfg.categories, size=ln - 1)
-        else:
-            jumps = np.zeros(ln - 1, dtype=np.int64)
-        # each step stays or jumps ahead; the chain is the running sum of the steps
-        steps = np.where(moves < cfg.stay_prob, 0, jumps)
-        cats[1:] = (cats[0] + np.cumsum(steps)) % cfg.categories
-        picks = gen.random(ln)
-        items = np.empty(ln, dtype=np.int64)
-        for c in range(cfg.categories):
-            mask = cats == c
-            if mask.any():
-                items[mask] = cat_items[c][np.searchsorted(cdfs[c], picks[mask])]
-        raw_sequences.append(items)
+            steps[a + 1 : b] = gen.integers(1, cfg.categories, size=b - a - 1)
+        gen.random(out=picks[a:b])
+    steps[stays] = 0
+    # a chain is the running sum of its steps: each user's first step cancels the
+    # sum of the user before, so one running sum serves every user
+    steps[starts[1:]] -= np.add.reduceat(steps, starts)[:-1]
+    cats = np.remainder(np.cumsum(steps, out=steps), cfg.categories, out=steps)
+    flat = np.empty(cats.size, dtype=np.int64)
+    for c in range(cfg.categories):
+        mask = cats == c
+        flat[mask] = cat_items[c][np.searchsorted(cdfs[c], picks[mask])]
 
     # densify over the items that actually appear, preserving id order
     used = np.zeros(cfg.items, dtype=bool)
-    used[np.concatenate(raw_sequences)] = True
+    used[flat] = True
     dense_of = -np.ones(cfg.items, dtype=np.int64)
     dense_of[used] = np.arange(int(used.sum()))
     width = len(str(cfg.items - 1))
     item_ids = [f"i{k:0{width}d}" for k in np.flatnonzero(used)]
     uwidth = len(str(cfg.users - 1))
     user_ids = [f"u{k:0{uwidth}d}" for k in range(cfg.users)]
-    sequences = [dense_of[seq] for seq in raw_sequences]
+    sequences = np.split(dense_of[flat], starts[1:])
     corpus = Corpus(user_ids, sequences, item_ids)
     return corpus, cat_of[used].copy()

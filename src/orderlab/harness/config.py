@@ -130,13 +130,23 @@ class ExperimentConfig:
         """Rules across sections, for synthetic sources, whose sizes the config fixes.
 
         Evaluation feeds a model each sequence but its last item; the PCA
-        reduction keeps `model.hidden` components of the semantic table.
+        reduction keeps `model.hidden` components of the semantic table, so
+        hidden is at most its dimension and its item count less one; and
+        synthetic semantics are built from the synthetic corpus's categories.
+        A tsv corpus's lengths are checked when the data stage builds it.
         """
         synth = self.data.synth
+        if self.data.source == "tsv" and self.semantics.source == "synth":
+            raise InvalidArgument("semantics.source 'synth' needs data.source 'synth'")
         if self.data.source == "synth" and synth.max_length - 1 > self.model.max_len:
             raise InvalidArgument(
                 f"data.synth.max_length {synth.max_length} needs model.max_len >= "
                 f"{synth.max_length - 1}, got {self.model.max_len}"
+            )
+        if self.data.source == "synth" and self.model.hidden > synth.items - 1:
+            raise InvalidArgument(
+                f"model.hidden {self.model.hidden} needs data.synth.items >= "
+                f"{self.model.hidden + 1}, got {synth.items}"
             )
         if self.semantics.source == "synth" and self.model.hidden > self.semantics.dim:
             raise InvalidArgument(

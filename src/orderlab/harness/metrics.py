@@ -2,13 +2,15 @@
 
 Each user's positive item is ranked among itself and `negatives` items the
 user never interacted with. The negatives of a user depend only on the
-corpus, the mode and the labelled RNG path, so the target-first candidate
-matrix of one (corpus, mode) is drawn once (`draw_candidates`) and every
-later evaluation of that split reuses it. One forward pass over prefix +
-validation item ranks both targets (`evaluate_topk`), 64 users per batch
-(`_BATCH_USERS`); `topk_report` turns a mode's ranks into HR@k / NDCG@k at
-k = 10 and 20 (`KS`). `convergence_report` rounds epochs up to a cadence of
-5 (`_CADENCE`).
+user's sequence, the mode and the labelled RNG path, so the target-first
+candidate matrix of one (corpus, mode) is drawn once (`draw_candidates`)
+and every later evaluation of that split reuses it; a second corpus over
+the same users and items copies the rows of the users whose sequence it
+leaves unchanged. One forward pass over prefix + validation item ranks
+both targets (`evaluate_topk`), 64 users per batch (`_BATCH_USERS`);
+`topk_report` turns a mode's ranks into HR@k / NDCG@k at k = 10 and 20
+(`KS`). `convergence_report` rounds epochs up to a cadence of 5
+(`_CADENCE`).
 """
 from __future__ import annotations
 
@@ -44,21 +46,41 @@ def ndcg(ranks: np.ndarray, k: int) -> float:
 
 
 def draw_candidates(
-    corpus: Corpus, split: LooSplit, mode: str, negatives: int, rng: SeededRng
+    corpus: Corpus,
+    split: LooSplit,
+    mode: str,
+    negatives: int,
+    rng: SeededRng,
+    like: tuple[Corpus, LooSplit, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Target-first (users, 1 + negatives) item matrix, one row per split user.
 
     Column 0 holds the user's validation ("valid") or test ("test") target,
     the rest `negatives` items outside the user's full sequence, drawn from
-    the child `neg-{mode}-{user id}` of `rng`. The draws depend only on that
-    path, so a matrix drawn once serves every evaluation of the split.
+    the child `neg-{mode}-{user id}` of `rng`. A row depends only on that
+    path, the user's sequence and the vocabulary, so a matrix drawn once
+    serves every evaluation of the split. `like` is the (corpus, split,
+    matrix) of this mode drawn from the same `rng` for another corpus; when
+    it has the same users and items, each user whose sequence is equal in
+    both gets its row copied, and only the others are drawn.
     """
     if mode not in MODES:
         raise InvalidArgument("mode must be 'valid' or 'test'")
     targets = split.test_targets if mode == "test" else split.valid_targets
     out = np.empty((len(split.users), 1 + negatives), dtype=np.int64)
     out[:, 0] = targets
+    row_of = {}  # user -> the row of `like`'s matrix to copy
+    if like is not None:
+        other, other_split, matrix = like
+        if other.user_ids == corpus.user_ids and other.item_ids == corpus.item_ids:
+            row_of = {
+                user: j for j, user in enumerate(other_split.users)
+                if np.array_equal(other.sequences[user], corpus.sequences[user])
+            }
     for i, user in enumerate(split.users):
+        if user in row_of:
+            out[i] = matrix[row_of[user]]
+            continue
         user_rng = rng.child(f"neg-{mode}-{corpus.user_ids[user]}")
         out[i, 1:] = sample_negatives(corpus, user, negatives, user_rng)
     return out

@@ -191,7 +191,9 @@ class Pipeline:
         parameter bytes, never the object: rectify changes its parameters in
         place between evaluations. So the final stage reuses what rectify
         ranked, the compromised model and the kept round. The candidate
-        matrices of a corpus are drawn on first use and kept in ctx.
+        matrices of a corpus are drawn on first use and kept in ctx; the
+        second corpus drawn copies the rows of the users whose sequence the
+        two corpora share.
         """
         key = (corpus_key, hashlib.sha256(params.flat).digest())
         if key not in self.rank_cache:
@@ -199,8 +201,15 @@ class Pipeline:
             negatives = self.cfg.eval.negatives
             drawn = f"candidates_{corpus_key}"
             if drawn not in self.ctx:
+                # a user that injection left untouched has the same rows in both corpora
+                other = next(k for k in SPLIT_OF if k != corpus_key)
+                known = self.ctx.get(f"candidates_{other}")
                 self.ctx[drawn] = {
-                    mode: draw_candidates(corpus, split, mode, negatives, self.root.child("eval"))
+                    mode: draw_candidates(
+                        corpus, split, mode, negatives, self.root.child("eval"),
+                        like=None if known is None
+                        else (self.ctx[other], self.ctx[SPLIT_OF[other]], known[mode]),
+                    )
                     for mode in MODES
                 }
             self.rank_cache[key] = evaluate_topk(
@@ -237,8 +246,15 @@ class Pipeline:
         if data.source == "synth":
             return list(synth_corpus(data.synth, self.root.child("synth")))
         if data.source == "tsv":
-            raw = load_interactions(data.path)
-            return [build_corpus(raw, data.min_user, data.min_item)]
+            corpus = build_corpus(load_interactions(data.path), data.min_user, data.min_item)
+            # evaluation feeds a model each sequence but its last item
+            longest = max(map(len, corpus.sequences))
+            if longest - 1 > self.cfg.model.max_len:
+                raise InvalidArgument(
+                    f"{data.path} holds a sequence of {longest} orders; model.max_len "
+                    f"{self.cfg.model.max_len} allows at most {self.cfg.model.max_len + 1}"
+                )
+            return [corpus]
         raise InvalidArgument(f"unknown data source {data.source!r}")
 
     def _make_semantics(self, corpus: Corpus, categories):

@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, write_json_sorted
 from .errors import FormatError, InvalidArgument, reading
 from .numkit import SeededRng
 from .semantics import unit_rows
@@ -109,10 +108,7 @@ class FakeOrderManifest:
         return cls(entries, doc["header"]["knobs"], doc["header"]["seed"])
 
     def save(self, path: str) -> None:
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True)
-        os.replace(tmp, path)
+        write_json_sorted(path, self.to_json())
 
     @classmethod
     def load(cls, path: str) -> "FakeOrderManifest":

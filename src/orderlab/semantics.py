@@ -5,6 +5,12 @@ in dense item-index order. Embeddings come either from a TSV of
 precomputed vectors (the interface a real language-model extraction would
 fill) or from a deterministic synthetic generator built on category
 prototypes.
+
+`save_semantic_tsv` writes each row with one `%` format over its
+`tolist()` values, which gives the bytes of a per-value `f"{v:.8g}"` with
+the formatting done in C; rows are written as they are formatted, so the
+file is never held as one string. `load_semantic_tsv` parses each row with
+`map(float, ...)`.
 """
 from __future__ import annotations
 
@@ -46,7 +52,7 @@ def load_semantic_tsv(path: str, corpus: Corpus) -> np.ndarray:
                 raise FormatError(f"{path}:{lineno}: expected `item<TAB>values`")
             item, values = parts
             try:
-                vec = np.asarray([float(v) for v in values.split(",")], dtype=np.float64)
+                vec = np.asarray(list(map(float, values.split(","))), dtype=np.float64)
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
             if dim is None:
@@ -71,10 +77,11 @@ def load_semantic_tsv(path: str, corpus: Corpus) -> np.ndarray:
 
 
 def save_semantic_tsv(table: np.ndarray, corpus: Corpus, path: str) -> None:
+    row_format = "\t" + ",".join(["%.8g"] * table.shape[1]) + "\n"
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         for item, row in zip(corpus.item_ids, table):
-            fh.write(item + "\t" + ",".join(f"{v:.8g}" for v in row) + "\n")
+            fh.write(item + row_format % tuple(row.tolist()))
     os.replace(tmp, path)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from orderlab.corpus import SynthConfig
 from orderlab.errors import InvalidArgument
-from orderlab.harness.config import DataConfig, EvalConfig, ExperimentConfig
+from orderlab.harness.config import DataConfig, EvalConfig, ExperimentConfig, ModelSpec
 from orderlab.injector import InjectionConfig
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
@@ -15,6 +15,7 @@ def custom_config():
     return ExperimentConfig(
         seed=11,
         data=DataConfig(synth=SynthConfig(users=30, items=20)),
+        model=ModelSpec(hidden=16),  # at most items - 1 components
         injection=InjectionConfig(type_mix=(0.5, 0.5, 0.0)),
         eval=EvalConfig(negatives=7),
     )
@@ -99,6 +100,10 @@ def test_partial_document_keeps_defaults():
     {"data": {"min_user": 2}},
     {"data": {"synth": {"max_length": 300}}, "model": {"max_len": 200}},
     {"model": {"hidden": 128}},  # above the synthetic semantics.dim 96
+    {"data": {"source": "tsv", "path": "orders.tsv"}},  # synthetic semantics need categories
+    # 32 components of a table of at most 20 items
+    {"data": {"synth": {"items": 20, "mean_length": 8}}, "semantics": {"dim": 64},
+     "model": {"hidden": 32}},
 ])
 def test_malformed_document_is_rejected(doc):
     with pytest.raises(InvalidArgument):

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from orderlab.corpus import (
+    SNAPSHOT_FORMAT,
     Corpus,
     SynthConfig,
     build_corpus,
@@ -19,6 +21,18 @@ from orderlab.errors import EmptyCorpus, FormatError, InvalidArgument
 from orderlab.numkit import SeededRng
 
 from conftest import toy_corpus
+
+
+def reference_corpus_save(corpus, path):
+    """The snapshot writer `Corpus.save` replaced: `json.dump` over lists of ints."""
+    doc = {
+        "format": SNAPSHOT_FORMAT,
+        "users": list(corpus.user_ids),
+        "items": list(corpus.item_ids),
+        "sequences": [[int(i) for i in seq] for seq in corpus.sequences],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True)
 
 
 def write_tsv(path, rows):
@@ -159,6 +173,18 @@ class TestBuildCorpus:
         for a, b in zip(loaded.sequences, corpus.sequences):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(loaded.counts, corpus.counts)
+
+    def test_snapshot_equals_the_json_dump_writer(self, tmp_path, small_synth):
+        non_ascii = Corpus(
+            ["ü0", "用户1", 'u"2\\', "😀"],
+            [np.array(s) for s in ([0, 1, 2], [3, 3, 0, 1], [2, 0, 1, 3, 2], [1, 2, 3])],
+            ["é", "商品", "i\t2", "x"],
+        )
+        for corpus in (non_ascii, small_synth[0]):
+            got, want = tmp_path / "got.json", tmp_path / "want.json"
+            corpus.save(str(got))
+            reference_corpus_save(corpus, str(want))
+            assert got.read_bytes() == want.read_bytes()
 
 
 class TestLeaveOneOut:

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import orderlab
@@ -16,6 +17,7 @@ from orderlab.harness import metrics, pipeline
 from orderlab.harness.cli import main
 from orderlab.harness.config import ExperimentConfig
 from orderlab.harness.pipeline import SWEEP_VARIANTS, Pipeline, _checkpoint
+from orderlab.numkit import SeededRng
 from orderlab.seqrec import ModelConfig, SeqRecModel
 
 TINY = {
@@ -109,12 +111,41 @@ def test_cli_exit_codes(tmp_path, doc, code):
     # rules across sections
     {"data": {"synth": {"max_length": 300}}, "model": {"hidden": 8, "max_len": 20}},
     {"model": {"hidden": 32}},  # more components than TINY's 16 semantic dimensions
+    {"data": {"source": "tsv", "path": "orders.tsv"}},  # synthetic semantics need categories
+    # TINY's 8 components of a table of at most 8 items
+    {"data": {"synth": {"users": 80, "items": 8, "categories": 4, "mean_length": 12,
+                        "max_length": 20}}},
 ])
 def test_invalid_config_writes_no_file(tmp_path, section):
     config = write_config(tmp_path / "config.json", dict(TINY, **section))
     out = tmp_path / "out"
     assert main(["pipeline", "--config", config, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("max_len, code", [(20, 2), (29, 0)])
+def test_overlong_tsv_sequence_is_rejected_before_the_corpus_is_written(tmp_path, max_len, code):
+    """A tsv corpus's lengths are known once it is built; the data stage
+    checks them against model.max_len before it writes the corpus. The
+    longest of these users has 30 orders, of which evaluation feeds 29."""
+    orders = tmp_path / "orders.tsv"
+    orders.write_text("".join(
+        f"u{u}\ti{(u + t) % 12}\t{t}\n" for u in range(20) for t in range(30 if u == 0 else 8)
+    ))
+    vectors = tmp_path / "vectors.tsv"
+    rows = np.random.default_rng(0).standard_normal((12, 16))
+    vectors.write_text("".join(
+        f"i{k}\t" + ",".join(map(repr, row.tolist())) + "\n" for k, row in enumerate(rows)
+    ))
+    doc = dict(
+        TINY,
+        data={"source": "tsv", "path": str(orders)},
+        semantics={"source": "tsv", "path": str(vectors)},
+        model={"hidden": 8, "max_len": max_len},
+    )
+    out = tmp_path / "out"
+    assert main(["synth", "--config", write_config(tmp_path / "c.json", doc), "--out", str(out)]) == code
+    assert (out / "corpus_clean.json").exists() == (code == 0)
 
 
 def without_entries(blob):
@@ -146,12 +177,14 @@ def test_corrupt_artifact_on_resume_exits_3(fresh, tmp_path, caplog, name, corru
 
 
 def test_each_negative_set_is_drawn_once_per_process(tmp_path, monkeypatch):
-    """Clean and poisoned corpora, valid and test mode: 4 draws per user in a
-    fresh run and again in a resumed final. Each model is ranked once per
-    split: rectify ranks the compromised model and each round, and the
-    final stage reuses those ranks, so it ranks only the clean model; a
-    resumed final ranks the clean and the compromised model, which is also
-    the rectified one here (best round 0)."""
+    """Clean and poisoned corpora, valid and test mode: 2 draws per user for
+    the corpus drawn first and 2 per user that injection changed for the
+    other, in a fresh run and again in a resumed final; every matrix equals
+    a fresh draw. Each model is ranked once per split: rectify ranks the
+    compromised model and each round, and the final stage reuses those
+    ranks, so it ranks only the clean model; a resumed final ranks the clean
+    and the compromised model, which is also the rectified one here (best
+    round 0)."""
     calls, passes, in_rectify = [], [], []
 
     def counted(corpus, user, n, rng):
@@ -175,20 +208,32 @@ def test_each_negative_set_is_drawn_once_per_process(tmp_path, monkeypatch):
     monkeypatch.setattr(rectifier, "rectify", rectifying)
     cfg = ExperimentConfig.from_dict(dict(TINY, rectify={"max_rounds": 2}))
     users = TINY["data"]["synth"]["users"]
-    ctx = Pipeline(cfg, str(tmp_path)).run()
-    assert len(ctx["rectify_trace"]["rounds"]) == 2
-    assert ctx["rectify_trace"]["best_round"] == 0
-    assert len(calls) == 4 * users
+    fresh_ctx = Pipeline(cfg, str(tmp_path)).run()
+    assert len(fresh_ctx["rectify_trace"]["rounds"]) == 2
+    assert fresh_ctx["rectify_trace"]["best_round"] == 0
+    changed = sum(
+        not np.array_equal(a, b)
+        for a, b in zip(fresh_ctx["corpus"].sequences, fresh_ctx["poisoned"].sequences, strict=True)
+    )
+    assert 0 < changed < users
+    assert len(calls) == 2 * users + 2 * changed
     assert passes == ["rectify"] * 3 + ["final"]
     metrics_json = (tmp_path / "metrics.json").read_bytes()
 
     calls.clear()
     passes.clear()
     (tmp_path / "metrics.json").unlink()
-    Pipeline(cfg, str(tmp_path), resume=True).run()
-    assert len(calls) == 4 * users
+    ctx = Pipeline(cfg, str(tmp_path), resume=True).run()
+    assert len(calls) == 2 * users + 2 * changed
     assert passes == ["final"] * 2
     assert (tmp_path / "metrics.json").read_bytes() == metrics_json
+    # the fresh run drew the poisoned corpus first, the resumed one the clean corpus
+    for run in (fresh_ctx, ctx):
+        for key, split_key in pipeline.SPLIT_OF.items():
+            for mode in metrics.MODES:
+                want = metrics.draw_candidates(run[key], run[split_key], mode,
+                                               cfg.eval.negatives, SeededRng(cfg.seed).child("eval"))
+                assert np.array_equal(run[f"candidates_{key}"][mode], want)
 
 
 def test_ranks_are_cached_by_parameter_content(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,12 @@ def restore(corpus, manifest):
     for e in manifest.entries:
         sequences[e.user][e.position] = e.original_item
     return corpus.with_sequences(sequences)
+
+
+def reference_manifest_save(manifest, path):
+    """The manifest writer `FakeOrderManifest.save` replaced: `json.dump` to the file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest.to_json(), fh, sort_keys=True)
 
 
 def planted_positions(manifest):
@@ -236,6 +244,15 @@ class TestApplyPlan:
         manifest.save(path)
         loaded = FakeOrderManifest.load(path)
         assert loaded.to_json() == manifest.to_json()
+
+    def test_manifest_file_equals_the_json_dump_writer(self, tmp_path, small_synth):
+        corpus, _, table = small_synth
+        _, manifest = inject(corpus, table, InjectionConfig(0.3, 0.3), SeededRng(25))
+        assert {e.kind for e in manifest.entries} == {"repetitive", "semantic", "sequential"}
+        got, want = tmp_path / "got.json", tmp_path / "want.json"
+        manifest.save(str(got))
+        reference_manifest_save(manifest, str(want))
+        assert got.read_bytes() == want.read_bytes()
 
 
 @st.composite

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from orderlab.corpus import SynthConfig, leave_one_out, sample_negatives, synth_corpus
+from orderlab.corpus import Corpus, SynthConfig, leave_one_out, sample_negatives, synth_corpus
 from orderlab.errors import InvalidArgument
 from orderlab.harness import metrics
 from orderlab.harness.metrics import (
@@ -143,6 +143,58 @@ class TestEvaluateTopk:
         with pytest.raises(InvalidArgument):
             evaluate_topk(model, params, corpus, split, NEGATIVES,
                           candidates=dict(candidates, valid=candidates["valid"][1:]))
+
+
+class TestSharedRows:
+    """A row depends only on the path, the user's sequence and the vocabulary,
+    so a second corpus copies the rows of the users it leaves unchanged."""
+
+    @staticmethod
+    def draw_counted(*args, **kwargs):
+        """draw_candidates(*args, **kwargs) and the users it drew negatives for."""
+        users = []
+
+        def counted(corpus, user, n, rng):
+            users.append(user)
+            return sample_negatives(corpus, user, n, rng)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "sample_negatives", counted)
+            return draw_candidates(*args, **kwargs), users
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_copied_rows_equal_fresh_draws(self, setup, mode):
+        _, _, corpus, split = setup
+        # every third user gains an order; the short user 30 joins the split
+        seqs = [np.append(s, s[0]) if u % 3 == 0 else s for u, s in enumerate(corpus.sequences)]
+        other = corpus.with_sequences(seqs)
+        other_split = leave_one_out(other)
+        assert 30 in other_split.users and 30 not in split.users
+        first = draw_candidates(corpus, split, mode, NEGATIVES, SeededRng(8))
+        got, users = self.draw_counted(
+            other, other_split, mode, NEGATIVES, SeededRng(8),
+            like=(corpus, split, first),
+        )
+        assert np.array_equal(got, draw_candidates(other, other_split, mode, NEGATIVES, SeededRng(8)))
+        assert users == [u for u in other_split.users if u % 3 == 0]
+        # and the other way round: the first corpus copies from the second
+        back, users = self.draw_counted(
+            corpus, split, mode, NEGATIVES, SeededRng(8),
+            like=(other, other_split, got),
+        )
+        assert np.array_equal(back, first)
+        assert users == [u for u in split.users if u % 3 == 0]
+
+    def test_another_vocabulary_shares_no_row(self, setup):
+        _, _, corpus, split = setup
+        renamed = Corpus(corpus.user_ids, corpus.sequences, [f"x{k}" for k in range(corpus.n_items)])
+        first = draw_candidates(corpus, split, "test", NEGATIVES, SeededRng(8))
+        got, users = self.draw_counted(
+            renamed, split, "test", NEGATIVES, SeededRng(8),
+            like=(corpus, split, first),
+        )
+        assert np.array_equal(got, first)
+        assert users == split.users
 
 
 def test_rank_of_positive_row_wise():

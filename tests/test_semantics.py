@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from orderlab.corpus import Corpus
 from orderlab.errors import FormatError, InvalidArgument
 from orderlab.numkit import SeededRng
 from orderlab.semantics import (
@@ -12,6 +15,26 @@ from orderlab.semantics import (
 )
 
 from conftest import toy_corpus
+
+
+def reference_save_semantic_tsv(table, corpus, path):
+    """The table writer `save_semantic_tsv` replaced: one f-string per value."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for item, row in zip(corpus.item_ids, table):
+            fh.write(item + "\t" + ",".join(f"{v:.8g}" for v in row) + "\n")
+
+
+class TestSaveTsv:
+    def test_equals_the_per_value_writer(self, tmp_path, small_synth):
+        values = [-0.0, 5e-324, 1e300, 1 / 3, -1e-300, 123456789.0, 0.1, -2.5e-8,
+                  -7.0, float("inf"), float("-inf"), float("nan")]
+        corpus = Corpus(["u0"], [np.array([0, 1, 2, 0])], ["é", "商品", "i2"])
+        tables = [(corpus, np.array(values).reshape(3, 4)), small_synth[::2]]
+        for corpus, table in tables:
+            got, want = tmp_path / "got.tsv", tmp_path / "want.tsv"
+            save_semantic_tsv(table, corpus, str(got))
+            reference_save_semantic_tsv(table, corpus, str(want))
+            assert got.read_bytes() == want.read_bytes()
 
 
 class TestLoadTsv:
@@ -48,7 +71,7 @@ class TestLoadTsv:
         corpus, _, table = small_synth
         p1 = str(tmp_path / "a.tsv")
         save_semantic_tsv(table, corpus, p1)
-        lines = open(p1).read().splitlines()
+        lines = Path(p1).read_text().splitlines()
         p2 = str(tmp_path / "b.tsv")
         with open(p2, "w") as fh:
             fh.write("\n".join(reversed(lines)) + "\n")
