@@ -13,7 +13,8 @@ The joint objective blends both views' recommendation losses with a
 symmetric cross-view InfoNCE term on final sequence representations:
 0.5 * L_sem + 0.5 * L_col + 0.1 * InfoNCE at temperature 0.1
 (`_VIEW_BLEND`, `_CONTRASTIVE_WEIGHT`, `_TEMPERATURE`). All gradients are
-exact.
+exact. Training checks and pads its sequences once; each batch is a row
+slice of that padded matrix, trimmed to its longest sequence.
 """
 from __future__ import annotations
 
@@ -202,16 +203,16 @@ class DualViewModel(BlockModel):
 
     # -- joint objective -----------------------------------------------------
 
-    def joint_loss(self, params: ParamVector, seqs):
+    def joint_loss(self, params: ParamVector, items: np.ndarray, lengths: np.ndarray):
         """Blended recommendation losses + weighted InfoNCE, with exact gradient.
 
+        `items` (B, T) and `lengths` (B,) are a padded batch from `_padded`.
         Recommendation loss per view is the mean over the batch of each
         sequence's mean next-item cross-entropy under that view's tied
         table. The contrastive term uses the batch's final hidden states.
         """
-        if not seqs:
+        if lengths.size == 0:
             raise InvalidArgument("joint_loss needs a non-empty batch")
-        items, lengths = self._padded(seqs)
         if lengths.min() < 2:
             raise InvalidArgument("joint_loss sequences need length >= 2")
         table_sem, table_col, in_cache = self.item_inputs(params)
@@ -262,18 +263,21 @@ class DualViewModel(BlockModel):
     def train(
         self, params: ParamVector, sequences, cfg: TrainConfig, rng: SeededRng
     ) -> tuple[ParamVector, list[float]]:
-        """Same optimizer regime as the target model, on the joint objective."""
-        usable = [np.asarray(s, dtype=np.int64) for s in sequences if len(s) >= 2]
+        """Same optimizer regime as the target model, on the joint objective.
+
+        The usable sequences (length >= 2) are checked and padded once; each
+        batch is a row slice trimmed to its longest sequence.
+        """
+        usable = [s for s in sequences if len(s) >= 2]
         if not usable:
             raise InvalidArgument("no trainable sequences")
+        items, lengths = self._padded(usable)
 
         def loss_grad(p, batch_idx):
-            batch = [usable[i] for i in batch_idx]
-            loss, grad, _ = self.joint_loss(p, batch)
+            batch_len = lengths[batch_idx]
+            loss, grad, _ = self.joint_loss(p, items[batch_idx, : batch_len.max()], batch_len)
             return loss, grad
 
         trained = params.copy()
-        trace = run_training(
-            loss_grad, trained, len(usable), cfg, rng, example_size_fn=lambda i: len(usable[i])
-        )
+        trace = run_training(loss_grad, trained, lengths, cfg, rng)
         return trained, trace

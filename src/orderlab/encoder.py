@@ -243,15 +243,12 @@ def pad_sequences(seqs) -> tuple[np.ndarray, np.ndarray]:
 def term_weight_matrix(lengths: np.ndarray, t_len: int) -> np.ndarray:
     """Weights for next-item terms: weights[b, t] scales the prediction of
     position t+1 from state t. Each sequence's terms get weight 1/(len-1),
-    so a row sums to one sequence-mean loss."""
-    b = lengths.shape[0]
-    weights = np.zeros((b, max(t_len - 1, 0)))
-    for i, ln in enumerate(lengths):
-        n_terms = int(ln) - 1
-        if n_terms <= 0:
-            continue
-        weights[i, :n_terms] = 1.0 / n_terms
-    return weights
+    so a row sums to one sequence-mean loss; a sequence shorter than 2 gets
+    a zero row."""
+    n_terms = np.asarray(lengths, dtype=np.int64) - 1
+    per_term = np.divide(1.0, n_terms, out=np.zeros(n_terms.shape), where=n_terms > 0)
+    in_sequence = np.arange(max(t_len - 1, 0)) < n_terms[:, None]
+    return np.where(in_sequence, per_term[:, None], 0.0)
 
 
 def tied_next_item_loss(states: np.ndarray, table: np.ndarray, items: np.ndarray, term_weights: np.ndarray):

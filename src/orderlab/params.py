@@ -1,5 +1,9 @@
 """Flat parameter vectors with named block views, the models' shared base, and the optimizer.
 
+A model checks and pads a whole sequence set once (`BlockModel._padded`);
+`run_training` then hands out index batches, regrouped by the examples'
+sizes, which the model turns into row slices of that padded matrix.
+
 Every weight block starts from N(0, 0.1) (`_INIT_SCALE`); biases start at zero.
 """
 from __future__ import annotations
@@ -19,18 +23,12 @@ class ParamVector:
 
     Block views share memory with the flat array, so vector algebra on
     `.flat` and per-block math stay consistent. The block ordering is fixed
-    by the registry passed at construction.
+    by the registry passed at construction; the layout is computed once per
+    distinct registry (block names and shapes) and shared.
     """
 
     def __init__(self, registry: Mapping[str, tuple[int, ...]], data: np.ndarray | None = None):
-        self._shapes = dict(registry)
-        self._slices: dict[str, slice] = {}
-        offset = 0
-        for name, shape in self._shapes.items():
-            size = int(np.prod(shape)) if shape else 1
-            self._slices[name] = slice(offset, offset + size)
-            offset += size
-        self.size = offset
+        self._shapes, self._slices, self.size = _layout(registry)
         if data is None:
             self.flat = np.zeros(self.size, dtype=np.float64)
         else:
@@ -44,6 +42,24 @@ class ParamVector:
 
     def copy(self) -> "ParamVector":
         return ParamVector(self._shapes, self.flat)
+
+
+# (block name, shape) pairs -> (shapes, slices, size), shared by every vector of one registry
+_LAYOUTS: dict[tuple, tuple[dict[str, tuple[int, ...]], dict[str, slice], int]] = {}
+
+
+def _layout(registry: Mapping[str, tuple[int, ...]]):
+    key = tuple(registry.items())
+    layout = _LAYOUTS.get(key)
+    if layout is None:
+        slices: dict[str, slice] = {}
+        offset = 0
+        for name, shape in key:
+            size = int(np.prod(shape)) if shape else 1
+            slices[name] = slice(offset, offset + size)
+            offset += size
+        layout = _LAYOUTS[key] = (dict(key), slices, offset)
+    return layout
 
 
 _INIT_SCALE = 0.1  # standard deviation of the initial weights
@@ -84,6 +100,8 @@ class BlockModel:
 
         Returns (items (B, T), lengths (B,)). The padding item 0 lies in the
         vocabulary, so checking the padded matrix checks every real item.
+        Training and gradient sums call it once per sequence set and work on
+        row slices of the result.
         """
         items, lengths = encoder.pad_sequences([self._check_items(s) for s in seqs])
         if items.min() < 0 or items.max() >= self.cfg.vocab:
@@ -120,21 +138,36 @@ class TrainConfig:
 
 
 class Adam:
-    """Adaptive-moment optimizer over a flat parameter array."""
+    """Adaptive-moment optimizer over a flat parameter array.
+
+    The moments are updated in place, and the step runs in two scratch
+    arrays, in the same order of operations as the textbook expressions.
+    """
 
     def __init__(self, size: int, learning_rate: float):
         self.learning_rate = learning_rate
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
+        self._step = np.empty(size)
+        self._denom = np.empty(size)
 
     def step(self, flat_params: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
-        self.m = _BETA1 * self.m + (1.0 - _BETA1) * grad
-        self.v = _BETA2 * self.v + (1.0 - _BETA2) * grad * grad
-        mhat = self.m / (1.0 - _BETA1**self.t)
-        vhat = self.v / (1.0 - _BETA2**self.t)
-        flat_params -= self.learning_rate * mhat / (np.sqrt(vhat) + _ADAM_EPS)
+        step, denom = self._step, self._denom
+        self.m *= _BETA1  # m = b1 m + (1 - b1) g
+        self.m += np.multiply(grad, 1.0 - _BETA1, out=step)
+        self.v *= _BETA2  # v = b2 v + (1 - b2) g g
+        np.multiply(grad, 1.0 - _BETA2, out=step)
+        step *= grad
+        self.v += step
+        np.divide(self.m, 1.0 - _BETA1**self.t, out=step)  # lr m_hat / (sqrt(v_hat) + eps)
+        step *= self.learning_rate
+        np.divide(self.v, 1.0 - _BETA2**self.t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += _ADAM_EPS
+        step /= denom
+        flat_params -= step
 
 
 def clip_to_norm(vec: np.ndarray, max_norm: float) -> np.ndarray:
@@ -164,23 +197,24 @@ def convergence_epoch(trace) -> int | None:
 def run_training(
     loss_grad_fn,
     params: ParamVector,
-    n_examples: int,
+    sizes: np.ndarray,
     cfg: TrainConfig,
     rng: SeededRng,
-    example_size_fn,
 ) -> list[float]:
-    """Generic shuffled-minibatch Adam loop.
+    """Generic shuffled-minibatch Adam loop over examples of the given sizes.
 
     `loss_grad_fn(params, index_batch)` must return the mean loss over the
     batch and the gradient of that mean. Returns the per-epoch loss trace
     (mean of batch losses weighted by batch size). Stops early once the
     convergence rule fires when `cfg.early_stop` is set.
 
-    Each epoch's shuffled order is re-sorted by `example_size_fn` inside
-    windows of `_SORT_WINDOW` batches, which bounds the padding waste of
-    variable-length batches without giving up shuffling.
+    Each epoch's shuffled order is re-sorted by `sizes` (one per example),
+    stably, inside windows of `_SORT_WINDOW` batches, which bounds the
+    padding waste of variable-length batches without giving up shuffling.
     """
     cfg.validate()
+    sizes = np.asarray(sizes)
+    n_examples = sizes.size
     if n_examples == 0:
         raise InvalidArgument("cannot train on an empty example set")
     opt = Adam(params.size, cfg.learning_rate)
@@ -188,10 +222,9 @@ def run_training(
     window = cfg.batch_size * _SORT_WINDOW
     for epoch in range(1, cfg.epochs + 1):
         order = rng.gen.permutation(n_examples)
-        regrouped = []
         for start in range(0, n_examples, window):
-            regrouped.extend(sorted(order[start : start + window], key=example_size_fn))
-        order = np.asarray(regrouped)
+            part = order[start : start + window]
+            part[...] = part[np.argsort(sizes[part], kind="stable")]
         total = 0.0
         for start in range(0, n_examples, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]

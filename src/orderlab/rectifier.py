@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import encoder
 from .errors import DivergenceError, EmptyCleanSet, InvalidArgument, NumericalFailure
 from .numkit import SeededRng
 from .params import ParamVector, clip_to_norm
@@ -150,9 +151,10 @@ def lissa_ihvp(
     full-batch Hessian-vector product and logged for diagnostics.
     """
     cfg.validate()
-    seqs = [np.asarray(s, dtype=np.int64) for s in sequences if len(s) >= 2]
+    seqs = [s for s in sequences if len(s) >= 2]
     if not seqs:
         raise InvalidArgument("no sequences to form the training Hessian")
+    items, lengths = model._padded(seqs)
     n = len(seqs)
     full_idx = np.arange(n)
 
@@ -162,9 +164,13 @@ def lissa_ihvp(
         return np.sort(gen.choice(n, size=_BATCH_USERS, replace=False))
 
     def hvp_on(idx, h):
+        # the minibatch's `dataset_loss`, its rows and weights taken once for both sides
+        rows, row_lengths = items[idx], lengths[idx]
+        weights = encoder.term_weight_matrix(row_lengths, rows.shape[1]) / idx.size
+
         def grad_at(x_flat):
-            chosen = [seqs[i] for i in idx]
-            return model.dataset_loss(ParamVector(model.registry, x_flat), chosen)[1].flat
+            x = ParamVector(model.registry, x_flat)
+            return model.weighted_gradient(x, rows, row_lengths, weights)[1].flat
 
         return hvp(grad_at, params.flat, h)
 
@@ -210,9 +216,12 @@ def validation_gradient(model: SeqRecModel, params: ParamVector, pairs) -> np.nd
         raise EmptyCleanSet("no clean validation pairs")
     if any(len(p) == 0 for p, _ in pairs):
         raise InvalidArgument("sample position 0 needs a non-empty prefix")
-    seqs = [np.append(np.asarray(p, dtype=np.int64), np.int64(t)) for p, t in pairs]
-    weights = [np.concatenate([np.zeros(len(s) - 2), [1.0 / len(pairs)]]) for s in seqs]
-    return model.weighted_gradient(params, seqs, weights)[1].flat
+    items, lengths = model._padded(
+        [np.append(np.asarray(p, dtype=np.int64), np.int64(t)) for p, t in pairs]
+    )
+    weights = np.zeros((len(pairs), items.shape[1] - 1))
+    weights[np.arange(len(pairs)), lengths - 2] = 1.0 / len(pairs)
+    return model.weighted_gradient(params, items, lengths, weights)[1].flat
 
 
 def influence_values(
@@ -272,19 +281,16 @@ def term_sum_gradient(
     model: SeqRecModel, params: ParamVector, sequences, samples, weight_each: float
 ) -> np.ndarray:
     """Gradient of weight_each * sum of the samples' term losses (batched by user)."""
-    by_user: dict[int, list[int]] = {}
+    if len(samples) == 0:
+        raise InvalidArgument("term_sum_gradient over an empty sample set")
     for user, pos in samples:
         _sample_sequence(sequences, user, pos)
-        by_user.setdefault(int(user), []).append(int(pos))
-    users = sorted(by_user)
-    seqs = [sequences[u] for u in users]
-    weights = []
-    for u, s in zip(users, seqs):
-        w = np.zeros(len(s) - 1)
-        for pos in by_user[u]:
-            w[pos - 1] += weight_each
-        weights.append(w)
-    return model.weighted_gradient(params, seqs, weights)[1].flat
+    sample_users, positions = np.asarray(samples, dtype=np.int64).T
+    users, rows = np.unique(sample_users, return_inverse=True)
+    items, lengths = model._padded([sequences[u] for u in users])
+    weights = np.zeros((users.size, items.shape[1] - 1))
+    np.add.at(weights, (rows, positions - 1), weight_each)  # in sample order, duplicates summed
+    return model.weighted_gradient(params, items, lengths, weights)[1].flat
 
 
 @dataclass

@@ -3,8 +3,10 @@
 Item-embedding table + one gated recurrent encoder + tied-weight softmax
 over the full vocabulary. Gradients are exact analytic backpropagation;
 the flat ParamVector view makes the model usable for Hessian-vector and
-influence work without any framework. Sums over many sequences run in
-length-sorted chunks of 64 sequences (`_CHUNK`).
+influence work without any framework. Every gradient path takes a padded
+(B, T) item matrix and a (B, T-1) term-weight matrix: a caller checks and
+pads its sequences once (`_padded`) and hands on row slices. Sums over many
+sequences run in length-sorted chunks of 64 rows (`_CHUNK`).
 """
 from __future__ import annotations
 
@@ -57,25 +59,21 @@ class SeqRecModel(BlockModel):
         cache["lengths"] = lengths
         return states, items, cache
 
-    def batch_term_loss(self, params: ParamVector, seqs, term_weights):
+    def batch_term_loss(self, params: ParamVector, items: np.ndarray, weights: np.ndarray):
         """Weighted sum of next-item cross-entropy terms with its gradient.
 
-        `term_weights[i]` is an array of length len(seqs[i]) - 1; entry t
-        weights the term predicting position t+1 of sequence i. All loss
-        flavours (sequence mean, single sample term, harmful sums) are
-        weight choices over this one code path.
+        `items` is a padded (B, T) batch from `_padded`; `weights` (B, T-1)
+        weights in entry [i, t] the term predicting position t+1 of
+        sequence i, and is 0 on padding. All loss flavours (sequence mean,
+        single sample term, harmful sums) are weight choices over this one
+        code path.
         """
-        states, items, cache = self.batch_states(params, seqs)
-        t_len = items.shape[1]
-        weights = np.zeros((len(seqs), max(t_len - 1, 0)))
-        for i, w in enumerate(term_weights):
-            w = np.asarray(w, dtype=np.float64)
-            if w.size != len(seqs[i]) - 1:
-                raise InvalidArgument("term weight length must be len(seq) - 1")
-            weights[i, : w.size] = w
-        table = params.view("item_embeddings")
+        if weights.shape != (items.shape[0], max(items.shape[1] - 1, 0)):
+            raise InvalidArgument("term weights must have shape (B, T - 1)")
+        table, enc = params.view("item_embeddings"), self._enc_weights(params, "enc")
+        states, cache = encoder.gru_forward(enc, table[items])
         loss, d_states, d_table = encoder.tied_next_item_loss(states, table, items, weights)
-        d_weights, d_x = encoder.gru_backward(self._enc_weights(params, "enc"), cache, d_states)
+        d_weights, d_x = encoder.gru_backward(enc, cache, d_states)
         grad = self.zero_params()
         # the table's gradient through the tied loss, then each input row's at its
         # item id, repeated items summed in row-major order (as np.add.at would)
@@ -86,10 +84,10 @@ class SeqRecModel(BlockModel):
 
     def sample_term_loss(self, params: ParamVector, prefix, target: int):
         """The single cross-entropy term predicting `target` after `prefix`."""
-        seq = np.append(self._check_items(prefix), np.int64(target))
-        w = np.zeros(seq.size - 1)
-        w[-1] = 1.0
-        return self.batch_term_loss(params, [seq], [w])
+        items, _ = self._padded([np.append(self._check_items(prefix), np.int64(target))])
+        weights = np.zeros((1, items.shape[1] - 1))
+        weights[0, -1] = 1.0
+        return self.batch_term_loss(params, items, weights)
 
     # -- training ------------------------------------------------------------
 
@@ -103,58 +101,61 @@ class SeqRecModel(BlockModel):
     ) -> tuple[ParamVector, list[float]]:
         """Shuffled-minibatch Adam on the mean of per-sequence mean losses.
 
-        `exclude` maps sequence index -> target positions to drop from the
-        objective (used for leave-one-sample-out retraining). Returns the
-        trained parameters (input left untouched) and the epoch loss trace.
+        The usable sequences (length >= 2) are checked and padded once; each
+        batch is a row slice trimmed to its longest sequence. `exclude` maps
+        sequence index -> target positions to drop from the objective (used
+        for leave-one-sample-out retraining). Returns the trained parameters
+        (input left untouched) and the epoch loss trace.
         """
         usable = [i for i, s in enumerate(sequences) if len(s) >= 2]
         if not usable:
             raise InvalidArgument("no trainable sequences (all shorter than 2)")
-        seqs = [np.asarray(sequences[i], dtype=np.int64) for i in usable]
+        items, lengths = self._padded([sequences[i] for i in usable])
+        # each sequence's terms weigh 1/(L-1); a batch divides by its size
+        weights = encoder.term_weight_matrix(lengths, items.shape[1])
         remap = {orig: new for new, orig in enumerate(usable)}
-        excl = {remap[i]: s for i, s in (exclude or {}).items() if i in remap}
+        for i, positions in (exclude or {}).items():
+            if i in remap:
+                for pos in positions:
+                    if 1 <= pos < lengths[remap[i]]:
+                        weights[remap[i], pos - 1] = 0.0
 
         def loss_grad(p, batch_idx):
-            batch = [seqs[i] for i in batch_idx]
-            weights = []
-            for j, i in enumerate(batch_idx):
-                w = np.full(len(batch[j]) - 1, 1.0 / (len(batch[j]) - 1))
-                for pos in excl.get(int(i), ()):
-                    if 1 <= pos < len(batch[j]):
-                        w[pos - 1] = 0.0
-                weights.append(w / len(batch))
-            return self.batch_term_loss(p, batch, weights)
+            t_len = lengths[batch_idx].max()
+            batch_w = weights[batch_idx, : t_len - 1]
+            batch_w /= len(batch_idx)
+            return self.batch_term_loss(p, items[batch_idx, :t_len], batch_w)
 
         trained = params.copy()
-        trace = run_training(
-            loss_grad, trained, len(seqs), cfg, rng, example_size_fn=lambda i: len(seqs[i])
-        )
+        trace = run_training(loss_grad, trained, lengths, cfg, rng)
         return trained, trace
 
-    def weighted_gradient(self, params: ParamVector, seqs, weights):
-        """Sum of weighted term losses over many sequences, with gradient.
+    def weighted_gradient(self, params: ParamVector, items, lengths, weights):
+        """Sum of weighted term losses over many padded sequences, with gradient.
 
-        Chunks are length-sorted to bound padding waste; the result is the
-        plain sum over all (sequence, weight) pairs either way.
+        `items`, `lengths` and `weights` are as `_padded` and
+        `batch_term_loss` take them. The rows run in length-sorted chunks of
+        `_CHUNK`, each a row slice trimmed to its longest sequence, to bound
+        padding waste; the result is the plain sum over all rows either way.
         """
-        if not seqs:
+        if len(lengths) == 0:
             raise InvalidArgument("weighted_gradient over an empty sequence set")
-        order = sorted(range(len(seqs)), key=lambda i: len(seqs[i]))
+        order = np.argsort(lengths, kind="stable")
         total = 0.0
         grad = self.zero_params()
-        for start in range(0, len(order), _CHUNK):
+        for start in range(0, order.size, _CHUNK):
             idx = order[start : start + _CHUNK]
-            loss, g = self.batch_term_loss(
-                params, [seqs[i] for i in idx], [weights[i] for i in idx]
-            )
+            t_len = lengths[idx].max()
+            loss, g = self.batch_term_loss(params, items[idx, :t_len], weights[idx, : t_len - 1])
             total += loss
             grad.flat += g.flat
         return total, grad
 
     def dataset_loss(self, params: ParamVector, sequences):
         """Mean over sequences of the per-sequence mean loss, with gradient."""
-        seqs = [np.asarray(s, dtype=np.int64) for s in sequences if len(s) >= 2]
+        seqs = [s for s in sequences if len(s) >= 2]
         if not seqs:
             raise InvalidArgument("dataset_loss over an empty sequence set")
-        weights = [np.full(len(s) - 1, 1.0 / (len(s) - 1) / len(seqs)) for s in seqs]
-        return self.weighted_gradient(params, seqs, weights)
+        items, lengths = self._padded(seqs)
+        weights = encoder.term_weight_matrix(lengths, items.shape[1]) / len(seqs)
+        return self.weighted_gradient(params, items, lengths, weights)

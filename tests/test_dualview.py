@@ -12,6 +12,11 @@ from orderlab.params import ParamVector, TrainConfig
 from conftest import fd_gradient_check, tiny_dualview, toy_corpus
 
 
+def joint_loss(model, params, seqs):
+    """`joint_loss` over a batch of sequences, padded and checked first as training does."""
+    return model.joint_loss(params, *model._padded(seqs))
+
+
 class TestRegistry:
     def test_encoder_blocks_disjoint(self):
         model, params = tiny_dualview()
@@ -59,10 +64,10 @@ class TestJointLoss:
                 r.gen.integers(0, vocab, size=int(r.gen.integers(2, 7)))
                 for _ in range(int(r.gen.integers(1, 4)))
             ]
-            _, grad, _ = model.joint_loss(params, seqs)
+            _, grad, _ = joint_loss(model, params, seqs)
 
             def f(x):
-                return model.joint_loss(ParamVector(model.registry, x), seqs)[0]
+                return joint_loss(model, ParamVector(model.registry, x), seqs)[0]
 
             worst = max(worst, fd_gradient_check(f, grad.flat, params.flat, 1e-5, directions=24))
         assert worst < 1e-4
@@ -70,7 +75,7 @@ class TestJointLoss:
     def test_fd_per_coordinate_small(self):
         model, params = tiny_dualview(vocab=6, sem_dim=8, seed=31)
         seqs = [np.array([0, 3, 1, 5]), np.array([2, 4, 0])]
-        _, grad, _ = model.joint_loss(params, seqs)
+        _, grad, _ = joint_loss(model, params, seqs)
         eps = 1e-5
         worst_abs = 0.0
         for i in range(params.size):
@@ -78,8 +83,8 @@ class TestJointLoss:
             xp[i] += eps
             xm = params.flat.copy()
             xm[i] -= eps
-            fp = model.joint_loss(ParamVector(model.registry, xp), seqs)[0]
-            fm = model.joint_loss(ParamVector(model.registry, xm), seqs)[0]
+            fp = joint_loss(model, ParamVector(model.registry, xp), seqs)[0]
+            fm = joint_loss(model, ParamVector(model.registry, xm), seqs)[0]
             worst_abs = max(worst_abs, abs((fp - fm) / (2 * eps) - grad.flat[i]))
         assert worst_abs < 1e-9
 
@@ -87,7 +92,7 @@ class TestJointLoss:
         monkeypatch.setattr(dualview, "_CONTRASTIVE_WEIGHT", 0.0)
         model, params = tiny_dualview()
         seqs = [np.array([1, 2, 3, 4]), np.array([5, 6, 7])]
-        total, _, parts = model.joint_loss(params, seqs)
+        total, _, parts = joint_loss(model, params, seqs)
         expected = 0.5 * parts["rec_semantic"] + 0.5 * parts["rec_collaborative"]
         assert total == pytest.approx(expected, abs=1e-12)
 
@@ -96,7 +101,7 @@ class TestJointLoss:
         monkeypatch.setattr(dualview, "_CONTRASTIVE_WEIGHT", 0.0)
         model, params = tiny_dualview()
         seqs = [np.array([1, 2, 3, 4])]
-        _, grad, _ = model.joint_loss(params, seqs)
+        _, grad, _ = joint_loss(model, params, seqs)
         for name in model.registry:
             block = grad.view(name)
             if name.startswith(("collab_enc.", "fusion", "gate")) or name == "item_embeddings":
@@ -184,7 +189,7 @@ class TestRejectedInputs:
     def test_joint_loss(self, bad):
         model, params = tiny_dualview()
         with pytest.raises(InvalidArgument):
-            model.joint_loss(params, [[3, 4, 5], bad])
+            joint_loss(model, params, [[3, 4, 5], bad])
 
 
 class TestContrastive:
@@ -266,7 +271,7 @@ class TestTrainDualView:
         trained, trace = model.train(
             params, prefixes, TrainConfig(epochs=3, batch_size=16, early_stop=False), SeededRng(3)
         )
-        _, _, parts = model.joint_loss(trained, prefixes[:16])
+        _, _, parts = joint_loss(model, trained, prefixes[:16])
         assert parts["rec_semantic"] < np.log(corpus.n_items)
         assert parts["rec_collaborative"] < np.log(corpus.n_items)
         assert trace[-1] < trace[0]

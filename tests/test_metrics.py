@@ -238,8 +238,8 @@ def train_on(losses):
     per_epoch = iter(losses)
     params, zero_grad = ParamVector({"w": (2,)}), ParamVector({"w": (2,)})
     cfg = TrainConfig(epochs=len(losses), batch_size=4, early_stop=True)
-    return run_training(lambda p, batch: (next(per_epoch), zero_grad), params, 4, cfg,
-                        SeededRng(0), example_size_fn=lambda i: 1)
+    return run_training(lambda p, batch: (next(per_epoch), zero_grad), params, cfg=cfg,
+                        rng=SeededRng(0), sizes=np.ones(4, dtype=np.int64))
 
 
 def test_an_early_stopped_run_is_reported_converged():

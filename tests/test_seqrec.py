@@ -19,8 +19,8 @@ def tiny_model(vocab=12, hidden=8, scale=0.3, seed=3):
 
 def sequence_loss(model, params, seq):
     """Mean next-item loss over one sequence: uniform term weights on the batched path."""
-    seq = np.asarray(seq)
-    return model.batch_term_loss(params, [seq], [np.full(seq.size - 1, 1.0 / (seq.size - 1))])
+    items, _ = model._padded([seq])
+    return model.batch_term_loss(params, items, np.full((1, items.shape[1] - 1), 1.0 / (items.shape[1] - 1)))
 
 
 def last_step_dist(model, params, prefix):
