@@ -7,12 +7,11 @@ parameter array as little-endian float64. Round-trips are byte-exact.
 from __future__ import annotations
 
 import json
-import os
 import struct
 
 import numpy as np
 
-from .errors import FormatError, reading
+from .errors import FormatError, reading, writing
 
 MAGIC = b"ORLCKPT1"
 FORMAT_VERSION = 1
@@ -27,13 +26,11 @@ def save_checkpoint(path: str, architecture: str, config: dict, flat_params: np.
         "param_count": int(arr.size),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
+    with writing(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         fh.write(arr.tobytes())
-    os.replace(tmp, path)
 
 
 def load_checkpoint(path: str) -> tuple[str, dict, np.ndarray]:

@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyCorpus, FormatError, InvalidArgument, reading
+from .errors import EmptyCorpus, FormatError, InvalidArgument, reading, writing
 from .numkit import SeededRng
 
 log = logging.getLogger(__name__)
@@ -46,8 +45,7 @@ def write_json_sorted(path: str, doc: dict) -> None:
     top-level list, and every piece is written as it is made.
     """
     encode = json.JSONEncoder(sort_keys=True).encode
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with writing(path) as fh:
         for n, key in enumerate(sorted(doc)):
             fh.write(("{" if n == 0 else ", ") + encode(key) + ": ")
             value = doc[key]
@@ -59,7 +57,6 @@ def write_json_sorted(path: str, doc: dict) -> None:
             else:
                 fh.write(encode(value))
         fh.write("}")
-    os.replace(tmp, path)
 
 
 @dataclass
@@ -130,11 +127,15 @@ class Corpus:
 
     @classmethod
     def load(cls, path: str) -> "Corpus":
+        """The snapshot `save` wrote; every item index must lie in its item list."""
         with open(path, encoding="utf-8") as fh, reading(path):
             doc = json.load(fh)
             if doc.get("format") != SNAPSHOT_FORMAT:
                 raise FormatError(f"unexpected corpus snapshot format {doc.get('format')!r}")
             seqs = [np.asarray(s, dtype=np.int64) for s in doc["sequences"]]
+            flat = np.concatenate(seqs)
+            if flat.size and (flat.min() < 0 or flat.max() >= len(doc["items"])):
+                raise FormatError(f"item index outside the {len(doc['items'])} items")
             return cls(list(doc["users"]), seqs, list(doc["items"]))
 
 

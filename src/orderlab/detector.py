@@ -11,11 +11,12 @@ Four signals per train-prefix position k:
                       transitions into and out of position k (one-sided at
                       sequence edges).
 
-Features are computed for a batch of users at once from the padded item
-matrix the dual-view encoder returns: popularity deviation from masked row
-moments, context disruption from one elementwise `Corpus.bigram_logprob`
-call over every transition of the batch. No Python loop runs per user or
-per position.
+Features are computed for a batch of users at once. Each batch is padded
+once (`BlockModel._padded`) and both views encode that one item matrix
+(`BlockModel.encode`); popularity deviation comes from masked row moments,
+context disruption from one elementwise `Corpus.bigram_logprob` call over
+every transition of the batch. No Python loop runs per user or per
+position.
 
 Signals are z-normalized over all scored positions, combined by a weight
 vector, smoothed over each user's neighbouring positions (factor 0.3,
@@ -29,7 +30,6 @@ weights (`_UNIFORM_WEIGHTS`) and a percentile threshold.
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,7 +38,7 @@ from . import injector
 from .corpus import Corpus
 from .dualview import ENCODERS, DualViewModel
 from .encoder import next_step_probs, sigmoid
-from .errors import InvalidArgument
+from .errors import InvalidArgument, writing
 from .numkit import SeededRng
 from .params import ParamVector
 
@@ -107,8 +107,7 @@ class DetectionReport:
         the bytes equal `csv.writer`'s.
         """
         header = ["user", "position", *FEATURE_NAMES, "raw_score", "smoothed_score", "flag", "truth_type"]
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+        with writing(path, newline="") as fh:
             fh.write(",".join(header) + "\r\n")
             for start in range(0, self.users.size, _CSV_ROWS):
                 rows = slice(start, start + _CSV_ROWS)
@@ -122,7 +121,6 @@ class DetectionReport:
                     (truth.get(key, "") for key in zip(users, positions)),
                 ]
                 fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
-        os.replace(tmp, path)
 
 
 def _entropy_rows(x: np.ndarray, log_x: np.ndarray) -> np.ndarray:
@@ -184,11 +182,10 @@ def features(
     positions: list[np.ndarray] = []
     for start in range(0, len(prefixes), batch_users):
         batch = prefixes[start : start + batch_users]
+        items, lengths = model._padded(batch)
         states, probs = [], []
-        for view in ENCODERS:
-            view_states, items, lengths, table, _ = model.batch_view_states(
-                params, view, batch, tables=tables
-            )
+        for prefix, table in zip(ENCODERS.values(), tables):
+            view_states, _ = model.encode(params, prefix, table, items)
             states.append(view_states)
             probs.append(next_step_probs(view_states[:, :-1], table))
         # no prefix predicts position 0: both views call it uniform, a JSD of 0

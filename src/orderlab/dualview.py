@@ -13,8 +13,10 @@ The joint objective blends both views' recommendation losses with a
 symmetric cross-view InfoNCE term on final sequence representations:
 0.5 * L_sem + 0.5 * L_col + 0.1 * InfoNCE at temperature 0.1
 (`_VIEW_BLEND`, `_CONTRASTIVE_WEIGHT`, `_TEMPERATURE`). All gradients are
-exact. Training checks and pads its sequences once; each batch is a row
-slice of that padded matrix, trimmed to its longest sequence.
+exact. Padding, term weights, encoding and backprop live in
+`params.BlockModel`, shared with the target model: training builds its
+`TermSet` once, and `joint_loss` runs `encode` and `encode_backward` once
+per view on the same (items, weights) batch as `SeqRecModel.batch_term_loss`.
 """
 from __future__ import annotations
 
@@ -183,51 +185,34 @@ class DualViewModel(BlockModel):
         d_ids += d_gate_pre @ p.view("gate_w")[:, self.cfg.hidden :]
         grad.view("item_embeddings")[...] += d_ids
 
-    # -- forward -------------------------------------------------------------
-
-    def batch_view_states(self, params: ParamVector, view: str, seqs, tables):
-        """Batched hidden states for one view; returns (states, items, lengths, table, cache).
-
-        `tables` is the (semantic, collaborative) pair of input tables that
-        `item_inputs` gives for `params`. states[:, k] is the view's hidden
-        state after consuming item k.
-        """
-        if view not in ENCODERS:
-            raise InvalidArgument(f"view must be one of {tuple(ENCODERS)}")
-        items, lengths = self._padded(seqs)
-        table_sem, table_col = tables
-        table = table_sem if view == "semantic" else table_col
-        x = table[items]
-        states, cache = encoder.gru_forward(self._enc_weights(params, ENCODERS[view]), x)
-        return states, items, lengths, table, cache
-
     # -- joint objective -----------------------------------------------------
 
-    def joint_loss(self, params: ParamVector, items: np.ndarray, lengths: np.ndarray):
+    def joint_loss(self, params: ParamVector, items: np.ndarray, weights: np.ndarray):
         """Blended recommendation losses + weighted InfoNCE, with exact gradient.
 
-        `items` (B, T) and `lengths` (B,) are a padded batch from `_padded`.
-        Recommendation loss per view is the mean over the batch of each
-        sequence's mean next-item cross-entropy under that view's tied
-        table. The contrastive term uses the batch's final hidden states.
+        `items` (B, T) and `weights` (B, T-1) are a batch as
+        `SeqRecModel.batch_term_loss` takes it, for example a
+        `TermSet.batch`. Recommendation loss per view is the weighted sum of
+        next-item cross-entropies under that view's tied table. The
+        contrastive term uses each row's hidden state at the target of its
+        last weighted term: the final state of a training sequence.
         """
-        if lengths.size == 0:
-            raise InvalidArgument("joint_loss needs a non-empty batch")
-        if lengths.min() < 2:
-            raise InvalidArgument("joint_loss sequences need length >= 2")
-        table_sem, table_col, in_cache = self.item_inputs(params)
         b, t_len = items.shape
-        weights = encoder.term_weight_matrix(lengths, t_len) / b
+        if weights.shape != (b, max(t_len - 1, 0)):
+            raise InvalidArgument("term weights must have shape (B, T - 1)")
+        weighted = weights != 0.0
+        if b == 0 or not weighted.any(axis=1).all():
+            raise InvalidArgument("joint_loss needs a non-empty batch that weighs a term in each row")
+        table_sem, table_col, in_cache = self.item_inputs(params)
 
         grad = self.zero_params()
         alpha, lam = _VIEW_BLEND, _CONTRASTIVE_WEIGHT
-        final_idx = (np.arange(b), lengths - 1)
+        final_idx = (np.arange(b), t_len - 1 - np.argmax(weighted[:, ::-1], axis=1))
         tables = {"semantic": table_sem, "collaborative": table_col}
         coefs = {"semantic": alpha, "collaborative": 1.0 - alpha}
         losses, finals, backward, d_tables = {}, {}, {}, {}
         for view, table in tables.items():
-            w_enc = self._enc_weights(params, ENCODERS[view])
-            states, cache = encoder.gru_forward(w_enc, table[items])
+            states, cache = self.encode(params, ENCODERS[view], table, items)
             losses[view], d_states, d_table = encoder.tied_next_item_loss(
                 states, table, items, weights
             )
@@ -243,13 +228,9 @@ class DualViewModel(BlockModel):
         for view, d_fin in (("semantic", d_fin_sem), ("collaborative", d_fin_col)):
             cache, d_states = backward[view]
             d_states[final_idx] += lam * d_fin
-            prefix = ENCODERS[view]
-            d_enc, d_x = encoder.gru_backward(self._enc_weights(params, prefix), cache, d_states)
-            for name, val in d_enc.items():
-                grad.view(f"{prefix}.{name}")[...] = val
-            # each input row's gradient at its item id, repeated items summed in
-            # row-major order after the tied-loss part (as np.add.at would)
-            d_tables[view] = encoder.scatter_rows(d_tables[view], items, d_x)
+            d_tables[view] = self.encode_backward(
+                params, ENCODERS[view], cache, items, d_states, d_tables[view], grad
+            )
         self._item_inputs_backward(
             params, in_cache, d_tables["semantic"], d_tables["collaborative"], grad
         )
@@ -263,21 +244,13 @@ class DualViewModel(BlockModel):
     def train(
         self, params: ParamVector, sequences, cfg: TrainConfig, rng: SeededRng
     ) -> tuple[ParamVector, list[float]]:
-        """Same optimizer regime as the target model, on the joint objective.
-
-        The usable sequences (length >= 2) are checked and padded once; each
-        batch is a row slice trimmed to its longest sequence.
-        """
-        usable = [s for s in sequences if len(s) >= 2]
-        if not usable:
-            raise InvalidArgument("no trainable sequences")
-        items, lengths = self._padded(usable)
+        """Same optimizer regime and `training_terms` as the target model, on the joint objective."""
+        terms = self.training_terms(sequences)
 
         def loss_grad(p, batch_idx):
-            batch_len = lengths[batch_idx]
-            loss, grad, _ = self.joint_loss(p, items[batch_idx, : batch_len.max()], batch_len)
+            loss, grad, _ = self.joint_loss(p, *terms.batch(batch_idx, len(batch_idx)))
             return loss, grad
 
         trained = params.copy()
-        trace = run_training(loss_grad, trained, lengths, cfg, rng)
+        trace = run_training(loss_grad, trained, terms.lengths, cfg, rng)
         return trained, trace

@@ -1,8 +1,11 @@
-"""Exception families shared across the toolkit.
+"""Exception families shared across the toolkit, and the file access around them.
 
-Each family maps to a distinct CLI exit code (see harness.cli).
+Each family maps to a distinct CLI exit code (see harness.cli). `reading`
+names the file a parse failure came from; `writing` replaces a file only
+once its new contents are complete.
 """
 import contextlib
+import os
 import struct
 
 
@@ -51,3 +54,13 @@ def reading(path: str):
         raise FormatError(f"{path}: {exc}") from exc
     except (KeyError, IndexError, TypeError, ValueError, AttributeError, struct.error) as exc:
         raise FormatError(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def writing(path: str, mode: str = "w", newline: str | None = None):
+    """Yield a file open on `path`.tmp; once the block ends without an error,
+    move it onto `path` in one step. Text is UTF-8; `mode` "wb" writes bytes."""
+    tmp = f"{path}.tmp"
+    with open(tmp, mode, encoding=None if "b" in mode else "utf-8", newline=newline) as fh:
+        yield fh
+    os.replace(tmp, path)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import types
 import typing
 from dataclasses import dataclass, field
@@ -197,13 +196,6 @@ class ExperimentConfig:
                 validate()
         cfg.validate()
         return cfg
-
-    def save(self, path: str) -> None:
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path: str) -> "ExperimentConfig":

@@ -138,11 +138,13 @@ def _last_two_states(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each sequence's hidden state before and after its last item, (B, d_h) each.
 
-    The padded states and the forward cache are freed on return, before
-    the caller allocates its score blocks.
+    The sequences are padded once and encoded; the padded states and the
+    forward cache are freed on return, before the caller allocates its
+    score blocks.
     """
-    states, _, cache = model.batch_states(params, seqs)
-    rows, last = np.arange(len(seqs)), cache["lengths"] - 1
+    items, lengths = model._padded(seqs)
+    states, _ = model.encode(params, "enc", params.view("item_embeddings"), items)
+    rows, last = np.arange(len(seqs)), lengths - 1
     return states[rows, last - 1], states[rows, last]
 
 

@@ -37,7 +37,7 @@ from .. import detector, injector, rectifier, semantics as semantics_mod
 from ..checkpoint import load_checkpoint, save_checkpoint
 from ..corpus import Corpus, build_corpus, leave_one_out, load_interactions, synth_corpus
 from ..dualview import DualViewConfig, DualViewModel
-from ..errors import FormatError, InvalidArgument, reading
+from ..errors import FormatError, InvalidArgument, reading, writing
 from ..numkit import SeededRng
 from ..params import ParamVector
 from ..seqrec import ModelConfig, SeqRecModel
@@ -78,11 +78,9 @@ def _jsonable(obj):
 
 
 def write_json(path: str, obj) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with writing(path) as fh:
         json.dump(_jsonable(obj), fh, sort_keys=True, indent=2)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def read_json(path: str):
@@ -125,12 +123,10 @@ MANIFEST = (
 
 
 def _write_influence_csv(path: str, report, truth: dict) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with writing(path) as fh:
         fh.write("user,position,truth_type,influence,harmful\n")
         for (u, p), v in zip(report.samples, report.values):
             fh.write(f"{u},{p},{truth.get((u, p), '')},{float(v)!r},{int(v > 0.0)}\n")
-    os.replace(tmp, path)
 
 
 def _read_detection(path: str) -> dict:
@@ -484,7 +480,7 @@ class Pipeline:
         saved, current = self.path("config.json"), _jsonable(self.cfg.to_dict())
         if self.resume and os.path.exists(saved) and read_json(saved) != current:
             raise InvalidArgument(f"{saved} holds another config; resume needs the run's own")
-        self.cfg.save(saved)
+        write_json(saved, current)
         for name in STAGES:
             start = time.perf_counter()
             try:
@@ -556,10 +552,8 @@ def fake_order_effect_sweep(
     keys = ["variant", "seed", "convergence_epochs"] + [
         k for k in rows[0] if k.startswith(("HR@", "NDCG@"))
     ]
-    tmp = f"{csv_path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with writing(csv_path) as fh:
         fh.write(",".join(keys) + "\n")
         for row in rows:
             fh.write(",".join(repr(row[k]) if isinstance(row[k], float) else str(row[k]) for k in keys) + "\n")
-    os.replace(tmp, csv_path)
     return rows

@@ -1,8 +1,13 @@
 """Flat parameter vectors with named block views, the models' shared base, and the optimizer.
 
-A model checks and pads a whole sequence set once (`BlockModel._padded`);
-`run_training` then hands out index batches, regrouped by the examples'
-sizes, which the model turns into row slices of that padded matrix.
+`BlockModel` holds the batched path both models run. `_padded` checks and
+pads a sequence set once. `training_terms` keeps a training set's usable
+sequences (length >= 2), padded once, each term weighted 1/(L-1) and an
+excluded term 0; a batch is a row slice trimmed to its longest sequence
+(`TermSet.batch`). `encode` runs one recurrent encoder over an input
+table's rows at a padded item matrix, and `encode_backward` backpropagates
+its state gradient into the encoder's blocks and the table.
+`run_training` hands out index batches, regrouped by the examples' sizes.
 
 Every weight block starts from N(0, 0.1) (`_INIT_SCALE`); biases start at zero.
 """
@@ -65,6 +70,27 @@ def _layout(registry: Mapping[str, tuple[int, ...]]):
 _INIT_SCALE = 0.1  # standard deviation of the initial weights
 
 
+@dataclass
+class TermSet:
+    """Sequences checked and padded once, with a weight for each next-item term.
+
+    `items` (B, T) and `lengths` (B,) are as `encoder.pad_sequences` gives
+    them. `weights` (B, T-1) weighs in [i, t] the term that predicts
+    position t+1 of row i, and is 0 on padding.
+    """
+
+    items: np.ndarray
+    lengths: np.ndarray
+    weights: np.ndarray
+
+    def batch(self, rows: np.ndarray, divisor) -> tuple[np.ndarray, np.ndarray]:
+        """The rows `rows`, trimmed to their longest sequence: (items, weights / divisor)."""
+        t_len = self.lengths[rows].max()
+        weights = self.weights[rows, : t_len - 1]
+        weights /= divisor
+        return self.items[rows, :t_len], weights
+
+
 class BlockModel:
     """What the recommender and the dual-view model share.
 
@@ -108,9 +134,50 @@ class BlockModel:
             raise InvalidArgument("item index outside the vocabulary")
         return items, lengths
 
+    def training_terms(self, sequences, exclude: dict[int, set] | None = None) -> TermSet:
+        """The terms of the training objective over `sequences`.
+
+        The usable sequences (length >= 2) are checked and padded once, and
+        each of a sequence's terms weighs 1/(L-1). `exclude` maps a
+        sequence's index in `sequences` to target positions whose terms
+        weigh 0 (leave-one-sample-out retraining).
+        """
+        usable = [(i, s) for i, s in enumerate(sequences) if len(s) >= 2]
+        if not usable:
+            raise InvalidArgument("no trainable sequences (all shorter than 2)")
+        items, lengths = self._padded([s for _, s in usable])
+        weights = encoder.term_weight_matrix(lengths, items.shape[1])
+        row_of = {i: row for row, (i, _) in enumerate(usable)}
+        for i, positions in (exclude or {}).items():
+            if i in row_of:
+                for pos in positions:
+                    if 1 <= pos < lengths[row_of[i]]:
+                        weights[row_of[i], pos - 1] = 0.0
+        return TermSet(items, lengths, weights)
+
     def _enc_weights(self, params: ParamVector, prefix: str) -> dict[str, np.ndarray]:
         """The 9 recurrent-encoder blocks stored under `prefix.`."""
         return {name: params.view(f"{prefix}.{name}") for name in encoder.encoder_shapes(1, 1)}
+
+    def encode(self, params: ParamVector, prefix: str, table: np.ndarray, items: np.ndarray):
+        """The encoder under `prefix.` run over the rows of `table` at the padded `items` (B, T).
+
+        Returns (states (B, T, d_h), cache); states[:, k] is the state after
+        consuming item k.
+        """
+        return encoder.gru_forward(self._enc_weights(params, prefix), table[items])
+
+    def encode_backward(self, params, prefix, cache, items, d_states, d_table, grad) -> np.ndarray:
+        """Backprop through `encode` from the state gradient `d_states`.
+
+        Writes the encoder's 9 blocks into `grad`, and returns `d_table` plus
+        each input row's gradient at its item id, repeated items summed in
+        row-major order after `d_table` (as np.add.at would).
+        """
+        d_weights, d_x = encoder.gru_backward(self._enc_weights(params, prefix), cache, d_states)
+        for name, val in d_weights.items():
+            grad.view(f"{prefix}.{name}")[...] = val
+        return encoder.scatter_rows(d_table, items, d_x)
 
 
 # Adam's moment decays and denominator guard

@@ -25,10 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import encoder
 from .errors import DivergenceError, EmptyCleanSet, InvalidArgument, NumericalFailure
 from .numkit import SeededRng
-from .params import ParamVector, clip_to_norm
+from .params import ParamVector, TermSet, clip_to_norm
 from .seqrec import SeqRecModel
 
 log = logging.getLogger(__name__)
@@ -151,11 +150,8 @@ def lissa_ihvp(
     full-batch Hessian-vector product and logged for diagnostics.
     """
     cfg.validate()
-    seqs = [s for s in sequences if len(s) >= 2]
-    if not seqs:
-        raise InvalidArgument("no sequences to form the training Hessian")
-    items, lengths = model._padded(seqs)
-    n = len(seqs)
+    terms = model.training_terms(sequences)
+    n = terms.lengths.size
     full_idx = np.arange(n)
 
     def minibatch(gen):
@@ -164,13 +160,10 @@ def lissa_ihvp(
         return np.sort(gen.choice(n, size=_BATCH_USERS, replace=False))
 
     def hvp_on(idx, h):
-        # the minibatch's `dataset_loss`, its rows and weights taken once for both sides
-        rows, row_lengths = items[idx], lengths[idx]
-        weights = encoder.term_weight_matrix(row_lengths, rows.shape[1]) / idx.size
-
+        # the minibatch's `dataset_loss`, from the training terms padded once
         def grad_at(x_flat):
             x = ParamVector(model.registry, x_flat)
-            return model.weighted_gradient(x, rows, row_lengths, weights)[1].flat
+            return model.weighted_gradient(x, terms, idx, idx.size)[1].flat
 
         return hvp(grad_at, params.flat, h)
 
@@ -210,18 +203,14 @@ def _sample_sequence(sequences, user: int, pos: int):
 
 
 def validation_gradient(model: SeqRecModel, params: ParamVector, pairs) -> np.ndarray:
-    """Mean sample-term gradient over (prefix, target) validation pairs."""
+    """Mean sample-term gradient over (prefix, target) validation pairs: the
+    `term_sum_gradient` of each pair's last term in its prefix + target sequence."""
     pairs = list(pairs)
     if not pairs:
         raise EmptyCleanSet("no clean validation pairs")
-    if any(len(p) == 0 for p, _ in pairs):
-        raise InvalidArgument("sample position 0 needs a non-empty prefix")
-    items, lengths = model._padded(
-        [np.append(np.asarray(p, dtype=np.int64), np.int64(t)) for p, t in pairs]
-    )
-    weights = np.zeros((len(pairs), items.shape[1] - 1))
-    weights[np.arange(len(pairs)), lengths - 2] = 1.0 / len(pairs)
-    return model.weighted_gradient(params, items, lengths, weights)[1].flat
+    seqs = [np.append(np.asarray(p, dtype=np.int64), np.int64(t)) for p, t in pairs]
+    samples = [(i, len(p)) for i, (p, _) in enumerate(pairs)]
+    return term_sum_gradient(model, params, seqs, samples, 1.0 / len(pairs))
 
 
 def influence_values(
@@ -290,7 +279,8 @@ def term_sum_gradient(
     items, lengths = model._padded([sequences[u] for u in users])
     weights = np.zeros((users.size, items.shape[1] - 1))
     np.add.at(weights, (rows, positions - 1), weight_each)  # in sample order, duplicates summed
-    return model.weighted_gradient(params, items, lengths, weights)[1].flat
+    terms = TermSet(items, lengths, weights)
+    return model.weighted_gradient(params, terms, np.arange(users.size), 1)[1].flat
 
 
 @dataclass

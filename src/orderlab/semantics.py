@@ -15,12 +15,11 @@ file is never held as one string. `load_semantic_tsv` parses each row with
 from __future__ import annotations
 
 import logging
-import os
 
 import numpy as np
 
 from .corpus import Corpus
-from .errors import FormatError, InvalidArgument
+from .errors import FormatError, InvalidArgument, writing
 from .numkit import SeededRng, pca_fit
 
 log = logging.getLogger(__name__)
@@ -78,11 +77,9 @@ def load_semantic_tsv(path: str, corpus: Corpus) -> np.ndarray:
 
 def save_semantic_tsv(table: np.ndarray, corpus: Corpus, path: str) -> None:
     row_format = "\t" + ",".join(["%.8g"] * table.shape[1]) + "\n"
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with writing(path) as fh:
         for item, row in zip(corpus.item_ids, table):
             fh.write(item + row_format % tuple(row.tolist()))
-    os.replace(tmp, path)
 
 
 def synth_semantics(

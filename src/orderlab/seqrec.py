@@ -3,10 +3,12 @@
 Item-embedding table + one gated recurrent encoder + tied-weight softmax
 over the full vocabulary. Gradients are exact analytic backpropagation;
 the flat ParamVector view makes the model usable for Hessian-vector and
-influence work without any framework. Every gradient path takes a padded
-(B, T) item matrix and a (B, T-1) term-weight matrix: a caller checks and
-pads its sequences once (`_padded`) and hands on row slices. Sums over many
-sequences run in length-sorted chunks of 64 rows (`_CHUNK`).
+influence work without any framework. Every gradient path is
+`batch_term_loss`, on a padded (B, T) item matrix and a (B, T-1)
+term-weight matrix. Padding, term weights, encoding and backprop live in
+`params.BlockModel`: a caller builds a `TermSet` once and hands on its row
+slices. Sums over many sequences run in length-sorted chunks of 64 rows
+(`_CHUNK`).
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import numpy as np
 from . import encoder
 from .errors import InvalidArgument
 from .numkit import SeededRng
-from .params import BlockModel, ParamVector, TrainConfig, run_training
+from .params import BlockModel, ParamVector, TermSet, TrainConfig, run_training
 
 _CHUNK = 64  # sequences per batched call of `weighted_gradient`
 
@@ -50,15 +52,6 @@ class SeqRecModel(BlockModel):
 
     # -- forward / losses ----------------------------------------------------
 
-    def batch_states(self, params: ParamVector, seqs) -> tuple[np.ndarray, np.ndarray, dict]:
-        """Padded batched forward: (states (B,T,d), items (B,T), cache)."""
-        items, lengths = self._padded(seqs)
-        table = params.view("item_embeddings")
-        x = table[items]
-        states, cache = encoder.gru_forward(self._enc_weights(params, "enc"), x)
-        cache["lengths"] = lengths
-        return states, items, cache
-
     def batch_term_loss(self, params: ParamVector, items: np.ndarray, weights: np.ndarray):
         """Weighted sum of next-item cross-entropy terms with its gradient.
 
@@ -70,16 +63,14 @@ class SeqRecModel(BlockModel):
         """
         if weights.shape != (items.shape[0], max(items.shape[1] - 1, 0)):
             raise InvalidArgument("term weights must have shape (B, T - 1)")
-        table, enc = params.view("item_embeddings"), self._enc_weights(params, "enc")
-        states, cache = encoder.gru_forward(enc, table[items])
+        table = params.view("item_embeddings")
+        states, cache = self.encode(params, "enc", table, items)
         loss, d_states, d_table = encoder.tied_next_item_loss(states, table, items, weights)
-        d_weights, d_x = encoder.gru_backward(enc, cache, d_states)
         grad = self.zero_params()
-        # the table's gradient through the tied loss, then each input row's at its
-        # item id, repeated items summed in row-major order (as np.add.at would)
-        grad.view("item_embeddings")[...] = encoder.scatter_rows(d_table, items, d_x)
-        for name, val in d_weights.items():
-            grad.view(f"enc.{name}")[...] = val
+        # the table's gradient through the tied loss, then each input row's at its item id
+        grad.view("item_embeddings")[...] = self.encode_backward(
+            params, "enc", cache, items, d_states, d_table, grad
+        )
         return loss, grad
 
     def sample_term_loss(self, params: ParamVector, prefix, target: int):
@@ -101,61 +92,39 @@ class SeqRecModel(BlockModel):
     ) -> tuple[ParamVector, list[float]]:
         """Shuffled-minibatch Adam on the mean of per-sequence mean losses.
 
-        The usable sequences (length >= 2) are checked and padded once; each
-        batch is a row slice trimmed to its longest sequence. `exclude` maps
-        sequence index -> target positions to drop from the objective (used
-        for leave-one-sample-out retraining). Returns the trained parameters
-        (input left untouched) and the epoch loss trace.
+        Runs on `training_terms(sequences, exclude)`; each batch divides its
+        term weights by its size. `exclude` maps sequence index -> target
+        positions to drop from the objective (used for leave-one-sample-out
+        retraining). Returns the trained parameters (input left untouched)
+        and the epoch loss trace.
         """
-        usable = [i for i, s in enumerate(sequences) if len(s) >= 2]
-        if not usable:
-            raise InvalidArgument("no trainable sequences (all shorter than 2)")
-        items, lengths = self._padded([sequences[i] for i in usable])
-        # each sequence's terms weigh 1/(L-1); a batch divides by its size
-        weights = encoder.term_weight_matrix(lengths, items.shape[1])
-        remap = {orig: new for new, orig in enumerate(usable)}
-        for i, positions in (exclude or {}).items():
-            if i in remap:
-                for pos in positions:
-                    if 1 <= pos < lengths[remap[i]]:
-                        weights[remap[i], pos - 1] = 0.0
+        terms = self.training_terms(sequences, exclude)
 
         def loss_grad(p, batch_idx):
-            t_len = lengths[batch_idx].max()
-            batch_w = weights[batch_idx, : t_len - 1]
-            batch_w /= len(batch_idx)
-            return self.batch_term_loss(p, items[batch_idx, :t_len], batch_w)
+            return self.batch_term_loss(p, *terms.batch(batch_idx, len(batch_idx)))
 
         trained = params.copy()
-        trace = run_training(loss_grad, trained, lengths, cfg, rng)
+        trace = run_training(loss_grad, trained, terms.lengths, cfg, rng)
         return trained, trace
 
-    def weighted_gradient(self, params: ParamVector, items, lengths, weights):
-        """Sum of weighted term losses over many padded sequences, with gradient.
+    def weighted_gradient(self, params: ParamVector, terms: TermSet, rows: np.ndarray, divisor):
+        """Sum of the term losses of `terms`' rows `rows`, weights divided by `divisor`, with gradient.
 
-        `items`, `lengths` and `weights` are as `_padded` and
-        `batch_term_loss` take them. The rows run in length-sorted chunks of
-        `_CHUNK`, each a row slice trimmed to its longest sequence, to bound
-        padding waste; the result is the plain sum over all rows either way.
+        The rows run in length-sorted chunks of `_CHUNK`, each a
+        `TermSet.batch`, to bound padding waste; the result is the plain sum
+        over the rows either way.
         """
-        if len(lengths) == 0:
-            raise InvalidArgument("weighted_gradient over an empty sequence set")
-        order = np.argsort(lengths, kind="stable")
+        rows = rows[np.argsort(terms.lengths[rows], kind="stable")]
         total = 0.0
         grad = self.zero_params()
-        for start in range(0, order.size, _CHUNK):
-            idx = order[start : start + _CHUNK]
-            t_len = lengths[idx].max()
-            loss, g = self.batch_term_loss(params, items[idx, :t_len], weights[idx, : t_len - 1])
+        for start in range(0, rows.size, _CHUNK):
+            loss, g = self.batch_term_loss(params, *terms.batch(rows[start : start + _CHUNK], divisor))
             total += loss
             grad.flat += g.flat
         return total, grad
 
     def dataset_loss(self, params: ParamVector, sequences):
         """Mean over sequences of the per-sequence mean loss, with gradient."""
-        seqs = [s for s in sequences if len(s) >= 2]
-        if not seqs:
-            raise InvalidArgument("dataset_loss over an empty sequence set")
-        items, lengths = self._padded(seqs)
-        weights = encoder.term_weight_matrix(lengths, items.shape[1]) / len(seqs)
-        return self.weighted_gradient(params, items, lengths, weights)
+        terms = self.training_terms(sequences)
+        rows = np.arange(terms.lengths.size)
+        return self.weighted_gradient(params, terms, rows, rows.size)

@@ -6,6 +6,7 @@ import pytest
 from orderlab.corpus import SynthConfig
 from orderlab.errors import InvalidArgument
 from orderlab.harness.config import DataConfig, EvalConfig, ExperimentConfig, ModelSpec
+from orderlab.harness.pipeline import write_json
 from orderlab.injector import InjectionConfig
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
@@ -24,7 +25,7 @@ def custom_config():
 @pytest.mark.parametrize("cfg", [ExperimentConfig(), custom_config()])
 def test_save_load_round_trip(tmp_path, cfg):
     path = str(tmp_path / "config.json")
-    cfg.save(path)
+    write_json(path, cfg.to_dict())  # as a pipeline run writes its config.json
     loaded = ExperimentConfig.load(path)
     assert loaded == cfg
     assert isinstance(loaded.data.synth, SynthConfig)

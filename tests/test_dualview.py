@@ -3,8 +3,8 @@ import pytest
 
 from orderlab.detector import features
 from orderlab import dualview
-from orderlab.dualview import DualViewConfig, DualViewModel, contrastive_loss
-from orderlab.encoder import next_step_probs
+from orderlab.dualview import ENCODERS, DualViewConfig, DualViewModel, contrastive_loss
+from orderlab.encoder import next_step_probs, term_weight_matrix
 from orderlab.errors import DegenerateVector, InvalidArgument
 from orderlab.numkit import SeededRng
 from orderlab.params import ParamVector, TrainConfig
@@ -13,8 +13,9 @@ from conftest import fd_gradient_check, tiny_dualview, toy_corpus
 
 
 def joint_loss(model, params, seqs):
-    """`joint_loss` over a batch of sequences, padded and checked first as training does."""
-    return model.joint_loss(params, *model._padded(seqs))
+    """`joint_loss` over a batch of sequences, padded, checked and weighted first as training does."""
+    items, lengths = model._padded(seqs)
+    return model.joint_loss(params, items, term_weight_matrix(lengths, items.shape[1]) / len(seqs))
 
 
 class TestRegistry:
@@ -109,10 +110,16 @@ class TestJointLoss:
         assert np.abs(grad.view("adapter_hidden_w")).max() > 0
 
 
+def encode_view(model, params, view, seqs):
+    """One view's hidden states (B, T, d) of a padded batch, and that view's input table."""
+    table = dict(zip(ENCODERS, model.item_inputs(params)[:2]))[view]
+    items, _ = model._padded(seqs)
+    return model.encode(params, ENCODERS[view], table, items)[0], table
+
+
 def view_states(model, params, view, seq):
     """One view's hidden states (T, d) and next-step distributions (T-1, V) of one sequence."""
-    tables = model.item_inputs(params)[:2]
-    states, _, _, table, _ = model.batch_view_states(params, view, [seq], tables)
+    states, table = encode_view(model, params, view, [seq])
     return states[0], next_step_probs(states[0, :-1], table)
 
 
@@ -161,12 +168,6 @@ class TestEncode:
         _, dists = view_states(model, params, "semantic", np.array([1, 2, 3]))
         np.testing.assert_allclose(dists, 1.0 / model.cfg.vocab)
 
-    def test_bad_view(self):
-        model, params = tiny_dualview()
-        tables = model.item_inputs(params)[:2]
-        with pytest.raises(InvalidArgument):
-            model.batch_view_states(params, "hybrid", [np.array([1])], tables)
-
 
 # each replaces the second sequence of a valid batch; tiny_dualview has vocab 10 and max_len 64
 BAD_SEQUENCES = {
@@ -181,10 +182,9 @@ BAD_SEQUENCES = {
 class TestRejectedInputs:
     def test_batch_view_states(self, bad):
         model, params = tiny_dualview()
-        tables = model.item_inputs(params)[:2]
         for view in ("semantic", "collaborative"):
             with pytest.raises(InvalidArgument):
-                model.batch_view_states(params, view, [[3, 4, 5], bad], tables)
+                encode_view(model, params, view, [[3, 4, 5], bad])
 
     def test_joint_loss(self, bad):
         model, params = tiny_dualview()

@@ -176,6 +176,21 @@ def test_corrupt_artifact_on_resume_exits_3(fresh, tmp_path, caplog, name, corru
     assert f"FormatError: {path}: " in caplog.text
 
 
+@pytest.mark.parametrize("name", ["corpus_clean.json", "corpus_poisoned.json"])
+@pytest.mark.parametrize("item", ["n_items", -1])
+def test_corpus_item_outside_the_vocabulary_on_resume_exits_3(fresh, tmp_path, caplog, name, item):
+    config, out, _ = fresh
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    (run / "metrics.json").unlink()
+    path = run / name
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["sequences"][5][3] = len(doc["items"]) if item == "n_items" else item
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["pipeline", "--config", config, "--out", str(run), "--resume"]) == 3
+    assert f"FormatError: {path}: item index outside the {len(doc['items'])} items" in caplog.text
+
+
 def test_each_negative_set_is_drawn_once_per_process(tmp_path, monkeypatch):
     """Clean and poisoned corpora, valid and test mode: 2 draws per user for
     the corpus drawn first and 2 per user that injection changed for the

@@ -43,9 +43,10 @@ def reference_ranks(model, params, corpus, split, mode, negatives, rng, batch_us
             if mode == "test":
                 prefix = np.append(prefix, split.valid_targets[i])
             inputs.append(prefix)
-        states, _, cache = model.batch_states(params, inputs)
+        items, lengths = model._padded(inputs)
+        states, _ = model.encode(params, "enc", table, items)
         for j, i in enumerate(part):
-            final = states[j, cache["lengths"][j] - 1]
+            final = states[j, lengths[j] - 1]
             user = split.users[i]
             target = int(split.test_targets[i] if mode == "test" else split.valid_targets[i])
             user_rng = rng.child(f"neg-{mode}-{corpus.user_ids[user]}")

@@ -9,12 +9,13 @@ The library must give the same bytes.
 import numpy as np
 import pytest
 
-from orderlab import encoder, params as params_module, rectifier
+from orderlab import detector, encoder, params as params_module, rectifier
+from orderlab.dualview import ENCODERS
 from orderlab.numkit import SeededRng
 from orderlab.params import Adam, ParamVector, TrainConfig, clip_to_norm, run_training
 from orderlab.seqrec import ModelConfig, SeqRecModel
 
-from conftest import init_params_at_scale, tiny_dualview
+from conftest import init_params_at_scale, tiny_dualview, toy_corpus
 
 _BETA1, _BETA2, _ADAM_EPS = params_module._BETA1, params_module._BETA2, params_module._ADAM_EPS
 
@@ -115,15 +116,15 @@ def list_dualview_train(model, params, sequences, cfg, rng):
     usable = [np.asarray(s, dtype=np.int64) for s in sequences if len(s) >= 2]
 
     def loss_grad(p, batch_idx):
-        loss, grad, _ = model.joint_loss(p, *model._padded([usable[i] for i in batch_idx]))
+        items, lengths = model._padded([usable[i] for i in batch_idx])
+        weights = loop_term_weight_matrix(lengths, items.shape[1]) / len(batch_idx)
+        loss, grad, _ = model.joint_loss(p, items, weights)
         return loss, grad
 
     trained = params.copy()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(encoder, "term_weight_matrix", loop_term_weight_matrix)
-        trace = sorted_window_training(
-            loss_grad, trained, len(usable), cfg, rng, example_size_fn=lambda i: len(usable[i])
-        )
+    trace = sorted_window_training(
+        loss_grad, trained, len(usable), cfg, rng, example_size_fn=lambda i: len(usable[i])
+    )
     return trained, trace
 
 
@@ -164,6 +165,41 @@ def list_term_sum_gradient(model, params, sequences, samples, weight_each):
             w[pos - 1] += weight_each
         weights.append(w)
     return list_weighted_gradient(model, params, seqs, weights)[1].flat
+
+
+def two_pad_features(model, params, corpus, batch_users):
+    """`detector.features` over every train prefix, each batch padded once per view."""
+    prefixes = [corpus.train_prefix(u) for u in range(corpus.n_users)]
+    tables = model.item_inputs(params)[:2]
+    log_pop = np.log1p(corpus.counts.astype(np.float64))
+    feats, users, positions = [], [], []
+    for start in range(0, len(prefixes), batch_users):
+        batch = prefixes[start : start + batch_users]
+        states, probs = [], []
+        for prefix, table in zip(ENCODERS.values(), tables):
+            items, lengths = model._padded(batch)
+            view_states, _ = encoder.gru_forward(model._enc_weights(params, prefix), table[items])
+            states.append(view_states)
+            probs.append(encoder.next_step_probs(view_states[:, :-1], table))
+        jsd = np.zeros(items.shape)
+        jsd[:, 1:] = detector._jsd_rows(*probs)
+        disagreement = (1.0 - detector._cosine_rows(*states)) / 2.0
+        valid = np.arange(items.shape[1]) < lengths[:, None]
+        x = log_pop[items]
+        mu = x.mean(axis=1, where=valid, keepdims=True)
+        sigma = x.std(axis=1, where=valid, keepdims=True)
+        pop_dev = np.abs(x - mu) / (sigma + 1e-8)
+        step = valid[:, 1:]
+        terms = np.zeros((len(batch), items.shape[1] + 1))
+        terms[:, 1:-1][step] = -corpus.bigram_logprob(items[:, :-1][step], items[:, 1:][step])
+        n_terms = np.zeros(terms.shape)
+        n_terms[:, 1:-1] = step
+        context = (terms[:, :-1] + terms[:, 1:]) / np.maximum(n_terms[:, :-1] + n_terms[:, 1:], 1)
+        rows, cols = np.nonzero(valid)
+        feats.append(np.stack([jsd, disagreement, pop_dev, context], axis=-1)[valid])
+        users.append(start + rows)
+        positions.append(cols)
+    return np.concatenate(feats), np.concatenate(users), np.concatenate(positions)
 
 
 # --- a ragged corpus ---------------------------------------------------------
@@ -250,6 +286,14 @@ def test_term_sum_gradient_matches_the_per_sequence_path(weight_each):
     assert_same_bytes(got, list_term_sum_gradient(model, params, seqs, samples, weight_each))
 
 
+def test_detector_features_match_the_two_pad_path():
+    model, params = tiny_dualview(vocab=VOCAB)
+    corpus = toy_corpus([s for s in ragged_sequences() if len(s) >= 3], VOCAB)
+    got = detector.features(model, params, corpus, batch_users=16)
+    for a, b in zip(got, two_pad_features(model, params, corpus, 16)):
+        assert_same_bytes(a, b)
+
+
 def test_adam_matches_the_allocating_step():
     gen = SeededRng(2).gen
     flat = gen.normal(size=257)
@@ -299,6 +343,13 @@ def test_dualview_training_pads_once(pad_calls, epochs):
     seqs = ragged_sequences(n=40)
     model.train(params, seqs, TrainConfig(epochs=epochs, batch_size=8, early_stop=False), SeededRng(1))
     assert pad_calls == [38]
+
+
+def test_detector_features_pad_each_batch_once(pad_calls):
+    model, params = tiny_dualview(vocab=VOCAB)
+    corpus = toy_corpus([s for s in ragged_sequences(n=40) if len(s) >= 3], VOCAB)
+    detector.features(model, params, corpus, batch_users=16)
+    assert pad_calls == [16, 16, corpus.n_users - 32]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

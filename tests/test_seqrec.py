@@ -23,9 +23,15 @@ def sequence_loss(model, params, seq):
     return model.batch_term_loss(params, items, np.full((1, items.shape[1] - 1), 1.0 / (items.shape[1] - 1)))
 
 
+def batch_states(model, params, seqs):
+    """Hidden states (B, T, d) of a batch, padded once and encoded as evaluation does."""
+    items, _ = model._padded(seqs)
+    return model.encode(params, "enc", params.view("item_embeddings"), items)[0]
+
+
 def last_step_dist(model, params, prefix):
     """The next-item distribution after `prefix`, as evaluation scores it."""
-    states, _, _ = model.batch_states(params, [np.asarray(prefix)])
+    states = batch_states(model, params, [np.asarray(prefix)])
     return next_step_probs(states[:, -1], params.view("item_embeddings"))[0]
 
 
@@ -34,7 +40,7 @@ class TestForward:
         model, _ = tiny_model()
         zero = model.zero_params()
         seq = np.array([0, 1, 2, 3])
-        states, _, _ = model.batch_states(zero, [seq])
+        states = batch_states(model, zero, [seq])
         np.testing.assert_array_equal(states @ zero.view("item_embeddings").T, 0.0)
         np.testing.assert_allclose(last_step_dist(model, zero, seq), 1.0 / 12, atol=1e-15)
         loss, _ = sequence_loss(model, zero, seq)
@@ -45,24 +51,24 @@ class TestForward:
         a = np.array([1, 2, 3, 4, 5])
         b = a.copy()
         b[3] = 9  # perturb a later input
-        states, _, _ = model.batch_states(params, [a, b])
+        states = batch_states(model, params, [a, b])
         np.testing.assert_array_equal(states[0, :3], states[1, :3])
         assert not np.allclose(states[0, 3:], states[1, 3:])
 
     def test_out_of_vocab(self):
         model, params = tiny_model()
         with pytest.raises(InvalidArgument):
-            model.batch_states(params, [[0, 99]])
+            batch_states(model, params, [[0, 99]])
 
     def test_empty_rejected(self):
         model, params = tiny_model()
         with pytest.raises(InvalidArgument):
-            model.batch_states(params, [[]])
+            batch_states(model, params, [[]])
 
     def test_too_long(self):
         model, params = tiny_model()
         with pytest.raises(InvalidArgument):
-            model.batch_states(params, [np.zeros(65, dtype=np.int64)])
+            batch_states(model, params, [np.zeros(65, dtype=np.int64)])
 
     @pytest.mark.parametrize("prefix, target", [([1, -1], 2), ([1, 12], 2), ([1, 2], 12), ([1, 2], -1)])
     def test_sample_term_checks_prefix_and_target(self, prefix, target):
