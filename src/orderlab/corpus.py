@@ -127,7 +127,9 @@ class Corpus:
 
     @classmethod
     def load(cls, path: str) -> "Corpus":
-        """The snapshot `save` wrote; every item index must lie in its item list."""
+        """The snapshot `save` wrote; every item index must lie in its item list,
+        and no user id may repeat (a user's evaluation negatives are drawn from
+        a stream named by its id)."""
         with open(path, encoding="utf-8") as fh, reading(path):
             doc = json.load(fh)
             if doc.get("format") != SNAPSHOT_FORMAT:
@@ -136,7 +138,11 @@ class Corpus:
             flat = np.concatenate(seqs)
             if flat.size and (flat.min() < 0 or flat.max() >= len(doc["items"])):
                 raise FormatError(f"item index outside the {len(doc['items'])} items")
-            return cls(list(doc["users"]), seqs, list(doc["items"]))
+            users = list(doc["users"])
+            if len(set(users)) < len(users):
+                repeated = next(user for user, n in Counter(users).items() if n > 1)
+                raise FormatError(f"user id {repeated!r} appears more than once")
+            return cls(users, seqs, list(doc["items"]))
 
 
 @dataclass

@@ -47,6 +47,18 @@ Backward:
   for the input projection and one per sequence (K = 3 d_h) for d_x,
   whatever the block. So the block sizes change no bit of any result.
 
+Full-vocabulary softmax (`tied_next_item_loss`, `next_step_probs`):
+- Every logit of a row h is at most b = max_k |h_k| * max_v sum_k
+  |table_vk| in size (Hölder). A row with b <= `_EXP_BOUND` (64) is
+  exponentiated as it is: exp cannot overflow, and the row sum cannot
+  underflow. Any other row, a NaN bound included, subtracts its own max
+  first. The choice is made row by row, so each row's bits depend only on
+  that row. GRU states lie in (-1, 1), so in practice every row takes the
+  unshifted path, and no pass over the (rows, V) block looks for a max.
+- The loss applies each row's logit-gradient scale w / denom to the
+  (rows, d) operands of its two gradient products, not to the (rows, V)
+  block.
+
 `scatter_rows` adds the input gradient d_x into an embedding-table
 gradient by item id, in the same order as np.add.at.
 """
@@ -57,6 +69,7 @@ import numpy as np
 GATE_NAMES = ("update", "reset", "cand")
 
 _LOSS_ROWS = 4096  # bounds the (rows, V) logit workspace of the tied loss
+_EXP_BOUND = 64.0  # a softmax row whose |logits| are provably at most this skips the max shift
 _GATE_ROWS = 256  # bounds the (rows, 3 d_h) all-gate blocks of the GRU kernels
 
 
@@ -251,6 +264,24 @@ def term_weight_matrix(lengths: np.ndarray, t_len: int) -> np.ndarray:
     return np.where(in_sequence, per_term[:, None], 0.0)
 
 
+def _shift_unbounded_rows(logits: np.ndarray, states: np.ndarray, table: np.ndarray):
+    """Subtract its max, in place, from each row of logits = states @ table.T
+    whose bound max_k |h_k| * max_v sum_k |table_vk| is not at most
+    `_EXP_BOUND` (a NaN bound included). Returns None when no row is shifted,
+    else the (mask, maxima) of the shifted rows. A zero-size vocabulary
+    raises ValueError (a max over no table rows).
+    """
+    table_norm = (np.abs(table) @ np.ones(table.shape[1])).max()
+    magnitude = np.abs(states)
+    # the block's largest bound: when it is within, so is every row's
+    if magnitude.max(initial=0.0) * table_norm <= _EXP_BOUND:
+        return None
+    shifted = ~(magnitude.max(axis=-1) * table_norm <= _EXP_BOUND)
+    maxima = logits[shifted].max(axis=-1)
+    logits[shifted] -= maxima[..., None]
+    return shifted, maxima
+
+
 def tied_next_item_loss(states: np.ndarray, table: np.ndarray, items: np.ndarray, term_weights: np.ndarray):
     """Weighted next-item cross-entropy with a tied output table.
 
@@ -260,9 +291,18 @@ def tied_next_item_loss(states: np.ndarray, table: np.ndarray, items: np.ndarray
     of at most `_LOSS_ROWS` rows. Returns (loss, d_states, d_table); the
     gradients are exact for the weighted sum of term losses, and d_states
     is 0 at every step whose term has weight 0.
+
+    A row whose logit bound max_k |h_k| * max_v sum_k |table_vk| is at most
+    `_EXP_BOUND` is exponentiated unshifted; any other row subtracts its own
+    max first, row by row. With e = exp(logits) and denom = sum(e) per row,
+    a term's loss is log(denom) - target_logit (plus the max on a shifted
+    row). Let g be e with denom subtracted at the target and s = w / denom:
+    then d_states = s (g @ table), and d_table = ((s h)^T @ g)^T, the
+    transpose of a (d, V) buffer. So the scale never passes over the
+    (rows, V) block.
     """
     d_states = np.zeros_like(states)
-    d_table = np.zeros_like(table)
+    d_table_t = np.zeros(table.shape[::-1])
     loss = 0.0
     rows, cols = np.nonzero(term_weights)
     for start in range(0, rows.size, _LOSS_ROWS):
@@ -271,28 +311,34 @@ def tied_next_item_loss(states: np.ndarray, table: np.ndarray, items: np.ndarray
         w = term_weights[r, c]
         targets = items[r, c + 1]
         picked = np.arange(r.size)
-        work = h @ table.T  # logits, then reused as exp / probs / d_logits
-        target_logit = work[picked, targets]
-        m = work.max(axis=1)
-        work -= m[:, None]
+        work = h @ table.T  # logits, then reused as exp, then as exp minus denom at the targets
+        ce = -work[picked, targets]
+        shift = _shift_unbounded_rows(work, h, table)
         np.exp(work, out=work)
         denom = work.sum(axis=1)
-        ce = -(target_logit - m - np.log(denom))
+        ce += np.log(denom)
+        if shift is not None:
+            ce[shift[0]] += shift[1]
         loss += float(w @ ce)
 
-        work *= (w / denom)[:, None]
-        work[picked, targets] -= w
-        d_table += work.T @ h
+        work[picked, targets] -= denom
+        scale = (w / denom)[:, None]
+        d_table_t += np.multiply(h, scale).T @ work
         # h's buffer takes the state gradients: one fresh (n, d) temporary more made glibc
         # trim and re-fault the heap on every training call. Each (r, c) pair appears once.
-        d_states[r, c] = np.matmul(work, table, out=h)
-    return loss, d_states, d_table
+        d_states[r, c] = np.multiply(np.matmul(work, table, out=h), scale, out=h)
+    return loss, d_states, d_table_t.T
 
 
 def next_step_probs(states: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Softmax(states @ table.T) along the vocabulary axis, computed stably."""
+    """Softmax(states @ table.T) along the vocabulary axis.
+
+    A row whose logit bound max_k |h_k| * max_v sum_k |table_vk| is at most
+    `_EXP_BOUND` is exponentiated as it is; any other row subtracts its own
+    max first, row by row. A zero-size vocabulary raises ValueError.
+    """
     logits = states @ table.T
-    logits -= logits.max(axis=-1, keepdims=True)
+    _shift_unbounded_rows(logits, states, table)
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=-1, keepdims=True)
     return logits

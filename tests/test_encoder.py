@@ -7,6 +7,8 @@ import pytest
 
 from orderlab import encoder
 
+from conftest import fd_gradient_check
+
 
 def reference_sigmoid(x):
     t = np.exp(-np.abs(x))
@@ -426,3 +428,71 @@ def test_tied_loss_without_weighted_terms_is_zero(t_len):
     assert loss == 0.0
     assert not d_states.any() and not d_table.any()
     assert d_states.shape == states.shape and d_table.shape == table.shape
+
+
+def bounded_and_unbounded_rows(n=6, d_h=8, v=30, seed=5):
+    """(h, table): rows of h alternate between a logit bound of half `_EXP_BOUND`
+    (exponentiated unshifted) and four times it (shifted by the row max)."""
+    gen = np.random.default_rng(seed)
+    table = gen.normal(0.0, 0.5, size=(v, d_h))
+    h = gen.uniform(-1.0, 1.0, size=(n, d_h))
+    h /= np.abs(h).max(axis=1, keepdims=True)  # max_k |h_k| = 1 in every row
+    ratio = np.where(np.arange(n) % 2 == 0, 0.5, 4.0)
+    return h * (ratio * encoder._EXP_BOUND / np.abs(table).sum(axis=1).max())[:, None], table
+
+
+def one_term_per_row(h, table, targets, w=0.5):
+    """tied_next_item_loss with row i of h scoring targets[i] as the only term of
+    sequence i; returns the loss and the state gradient of each term's row."""
+    n, d_h = h.shape
+    states = np.stack([h, np.zeros((n, d_h))], axis=1)
+    items = np.stack([np.zeros(n, dtype=np.int64), targets], axis=1)
+    loss, d_states, _ = encoder.tied_next_item_loss(states, table, items, np.full((n, 1), w))
+    return loss, d_states[:, 0]
+
+
+def test_tied_loss_chooses_the_shift_row_by_row():
+    """Each row's state gradient equals, bit for bit, the same row computed in a
+    batch of copies of itself, whether its neighbours take the other path or not."""
+    h, table = bounded_and_unbounded_rows()
+    n = h.shape[0]
+    targets = np.arange(n) * 7 % table.shape[0]
+    _, mixed = one_term_per_row(h, table, targets)
+    for i in range(n):
+        _, alone = one_term_per_row(np.repeat(h[i : i + 1], n, axis=0), table, np.full(n, targets[i]))
+        np.testing.assert_array_equal(mixed[i], alone[i])
+
+
+def test_tied_loss_shifts_rows_whose_logits_would_overflow():
+    """A shared table column of 100 adds +-1000 to every logit of a row (the softmax
+    is unchanged): exp would overflow or underflow to a zero sum without the shift.
+    Tier-1 turns any RuntimeWarning into an error."""
+    b, t_len, d_h, v = 4, 6, 8, 30
+    gen, states, table, items = tied_loss_inputs(b, t_len, d_h, v, seed=11)
+    table[:, 0] = 100.0
+    states[..., 0] = np.where(np.arange(b) % 2 == 0, 10.0, -10.0)[:, None]
+    weights = tied_loss_weights("ragged", gen, b, t_len)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        loss, d_states, d_table = encoder.tied_next_item_loss(states, table, items, weights)
+    assert np.isfinite(loss) and np.isfinite(d_states).all() and np.isfinite(d_table).all()
+    ref_loss, ref_d_states, ref_d_table = reference_tied_loss(states, table, items, weights)
+    assert loss == pytest.approx(ref_loss, rel=0, abs=1e-12)
+    np.testing.assert_allclose(d_states, ref_d_states, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(d_table, ref_d_table, rtol=0, atol=1e-12)
+
+
+def test_tied_loss_gradient_matches_central_differences_unshifted():
+    b, t_len, d_h, v = 3, 5, 6, 12
+    gen, _, table, items = tied_loss_inputs(b, t_len, d_h, v, seed=13)
+    states = np.tanh(gen.normal(size=(b, t_len, d_h)))  # GRU states lie in (-1, 1)
+    assert np.abs(states).max() * np.abs(table).sum(axis=1).max() <= encoder._EXP_BOUND
+    weights = tied_loss_weights("all_weighted", gen, b, t_len)
+    _, d_states, d_table = encoder.tied_next_item_loss(states, table, items, weights)
+    n = states.size
+
+    def loss_at(x):
+        return encoder.tied_next_item_loss(x[:n].reshape(states.shape), x[n:].reshape(table.shape), items, weights)[0]
+
+    point = np.concatenate([states.ravel(), table.ravel()])
+    assert fd_gradient_check(loss_at, np.concatenate([d_states.ravel(), d_table.ravel()]), point, 1e-5) < 1e-5

@@ -68,6 +68,21 @@ def test_resume_recomputes_missing_artifacts_identically(fresh):
     assert resume(config, out, "influence.json", "rectified.ckpt") == metrics
 
 
+def test_fresh_runs_write_identical_bytes(tmp_path):
+    """Every file but timings.json, not only metrics.json: the softmax kernels
+    choose their path from the data, and a repeat or a resume is checked
+    against a fresh run's bytes."""
+    config = write_config(tmp_path / "tiny.json", TINY)
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["pipeline", "--config", config, "--out", str(out)]) == 0
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1])) and "metrics.json" in names
+    for name in names:
+        if name != "timings.json":
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("doc, code", [
     ({"seed": 1, "no_such_key": 1}, 2),  # InvalidArgument
     (None, 3),  # missing config file: OSError
@@ -189,6 +204,21 @@ def test_corpus_item_outside_the_vocabulary_on_resume_exits_3(fresh, tmp_path, c
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["pipeline", "--config", config, "--out", str(run), "--resume"]) == 3
     assert f"FormatError: {path}: item index outside the {len(doc['items'])} items" in caplog.text
+
+
+@pytest.mark.parametrize("name", ["corpus_clean.json", "corpus_poisoned.json"])
+def test_corpus_with_a_repeated_user_id_on_resume_exits_3(fresh, tmp_path, caplog, name):
+    """Two users with one id would share the stream of their evaluation negatives."""
+    config, out, _ = fresh
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    (run / "metrics.json").unlink()
+    path = run / name
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["users"][-1] = doc["users"][0]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["pipeline", "--config", config, "--out", str(run), "--resume"]) == 3
+    assert f"FormatError: {path}: user id {doc['users'][0]!r} appears more than once" in caplog.text
 
 
 def test_each_negative_set_is_drawn_once_per_process(tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from orderlab import encoder
 from orderlab.detector import _cosine_rows, _jsd_rows
 from orderlab.encoder import next_step_probs
 from orderlab.errors import InvalidArgument, NumericalFailure
@@ -73,6 +74,27 @@ class TestSoftmax:
         rows = next_step_probs(states, np.eye(2))
         for state, row in zip(states, rows):
             np.testing.assert_array_equal(row, softmax(state))
+
+    def test_shift_is_chosen_row_by_row(self):
+        """Rows whose logit bound is within `_EXP_BOUND` (unshifted) and rows over
+        it (shifted by the row max), mixed in one (B, T, d) batch: each row equals,
+        bit for bit, the same row in a batch of copies of itself."""
+        gen = np.random.default_rng(4)
+        table = gen.normal(0.0, 0.5, size=(40, 8))
+        states = gen.uniform(-1.0, 1.0, size=(3, 4, 8))
+        states /= np.abs(states).max(axis=-1, keepdims=True)
+        ratio = np.where(np.arange(12).reshape(3, 4) % 3 == 0, 4.0, 0.5)
+        states *= (ratio * encoder._EXP_BOUND / np.abs(table).sum(axis=1).max())[..., None]
+        mixed = next_step_probs(states, table)
+        for index in np.ndindex(states.shape[:2]):
+            alone = next_step_probs(np.broadcast_to(states[index], states.shape).copy(), table)
+            np.testing.assert_array_equal(mixed[index], alone[index])
+
+    @pytest.mark.parametrize("offset", [1000.0, -1000.0])
+    def test_logits_past_the_exp_range_are_shifted(self, offset):
+        # unshifted, exp would overflow (+1000) or underflow to a zero sum (-1000)
+        logits = np.array([0.0, 1.0, 2.0]) + offset
+        np.testing.assert_allclose(softmax(logits), softmax([0.0, 1.0, 2.0]), rtol=0, atol=1e-15)
 
 
 class TestJensenShannon:
