@@ -46,5 +46,7 @@ def load_checkpoint(path: str) -> tuple[str, dict, np.ndarray]:
         raw = fh.read(count * 8)
         if len(raw) != count * 8:
             raise FormatError("truncated parameter payload")
+        if fh.read(1):
+            raise FormatError("bytes after the parameter payload")
         params = np.frombuffer(raw, dtype="<f8").astype(np.float64)
         return header["architecture"], header["config"], params

@@ -15,23 +15,38 @@ Cell, per step t (h_0 = 0):
 
 Weights stay 9 blocks (`encoder_shapes`); the kernels stack them per call.
 
+Two input layouts:
+- Cells: x (B, T, d_in) holds each cell's input row.
+- Table: x (B, T) holds item ids into a `table` (V, d_in). Each table row
+  is projected once, so this layout is the cheaper order of the same
+  product when V < B * T. `params.BlockModel.encode` takes it exactly
+  then, and passes `table[items]` as cells otherwise. Both layouts keep x
+  as argument 1, so x.shape[:2] is (B, T) either way.
+
 Forward, fused and time-major, on contiguous per-gate buffers:
-- The input projection x @ [W_z; W_r; W_h]^T runs over blocks of steps
-  of at most `_GATE_ROWS` rows. Each block is copied gate by gate into
-  one (T, 3, B, d_h) buffer, so gates[t, k] is gate k's contiguous
-  (B, d_h) block at step t: each step's elementwise work runs on
-  contiguous blocks. `zr` = gates[:, :2] (update, reset) and `c` =
-  gates[:, 2] are its views. One buffer, not one per gate, also keeps
-  glibc's default, self-raising trim threshold above a call's heap use,
-  so its pages are not handed back and faulted in on every call.
+- The pre-activations of every gate and step live in one (T, 3, B, d_h)
+  buffer, so gates[t, k] is gate k's contiguous (B, d_h) block at step
+  t: each step's elementwise work runs on contiguous blocks. `zr` =
+  gates[:, :2] (update, reset) and `c` = gates[:, 2] are its views. One
+  buffer, not one per gate, also keeps glibc's default, self-raising trim
+  threshold above a call's heap use, so its pages are not handed back
+  and faulted in on every call.
+- Cells: the input projection x @ [W_z; W_r; W_h]^T runs over blocks of
+  steps of at most `_GATE_ROWS` rows, each copied gate by gate into the
+  buffer.
+- Table: one (V, d_in) @ (d_in, 3 d_h) product plus the bias, then one
+  np.take of its rows fills the buffer. Each cell's pre-activation is
+  the same dot product of the same operands. A BLAS that computes an
+  output row alike whatever the number of rows (OpenBLAS does; the tests
+  check it) so gives the cell layout's states bit for bit.
 - The update and reset rows of the input weights, bias and recurrent
   weights are halved once per call. A power-of-two scale is exact, so
   sigmoid(a) = 0.5 (1 + tanh(a / 2)) needs no multiply inside the loop.
 - Step t runs one product h_{t-1} @ [U_z; U_r]^T and one (r_t * h_{t-1})
   @ U_h^T, and overwrites zr[t] and c[t] with its activations.
-- The cache holds `x`, `hs` (T+1, B, d_h) with hs[0] = h_0 = 0 and
-  hs[t+1] = h_t, and the activation views `zr` and `c`. The states
-  returned are the view hs[1:] as (B, T, d_h).
+- The cache holds `x` (or `items` and `table`), `hs` (T+1, B, d_h) with
+  hs[0] = h_0 = 0 and hs[t+1] = h_t, and the activation views `zr` and
+  `c`. The states returned are the view hs[1:] as (B, T, d_h).
 
 Backward:
 - The pre-activation gradients live in `d_zr` (T, B, 2 d_h), so that the
@@ -39,13 +54,21 @@ Backward:
   in `d_c` (T, B, d_h).
 - The loop keeps only the two products that carry the recurrence,
   dpc @ U_h and [dpz, dpr] @ [U_z; U_r].
-- After the loop, the weight and bias gradients are products over all
-  steps at once, taken from each buffer. d_x is one product with
+- After the loop, the recurrent weight and bias gradients are products
+  and sums over all steps at once, taken from each buffer.
+- Cells: d_W_in is a product over all cells. d_x is one product with
   K = 3 d_h per sequence; the two buffers are joined for a block of
   sequences at a time (at most `_GATE_ROWS` rows).
+- Table: each item's pre-activation gradients are summed first, into S
+  (V, 3 d_h), by np.add.at in blocks of at most `_GATE_ROWS` cells
+  (`_item_sums`), so no (B * T, 3 d_h) index array or joined copy exists
+  whole. Then d_W_in = S^T table, and the table's gradient is S W_in. The
+  sums are regrouped by item, so these gradients equal the cell layout's
+  (plus `scatter_rows`) only to rounding.
 - numpy runs a stacked product as one BLAS call per matrix: one per step
   for the input projection and one per sequence (K = 3 d_h) for d_x,
-  whatever the block. So the block sizes change no bit of any result.
+  whatever the block, and np.add.at adds the item sums one cell at a
+  time. So the block sizes change no bit of any result.
 
 Full-vocabulary softmax (`tied_next_item_loss`, `next_step_probs`):
 - Every logit of a row h is at most b = max_k |h_k| * max_v sum_k
@@ -59,8 +82,8 @@ Full-vocabulary softmax (`tied_next_item_loss`, `next_step_probs`):
   (rows, d) operands of its two gradient products, not to the (rows, V)
   block.
 
-`scatter_rows` adds the input gradient d_x into an embedding-table
-gradient by item id, in the same order as np.add.at.
+`scatter_rows` adds the cell layout's input gradient d_x into an
+embedding-table gradient by item id, in the same order as np.add.at.
 """
 from __future__ import annotations
 
@@ -107,25 +130,37 @@ def _halved_zr(w, kind: str) -> np.ndarray:
     return stacked
 
 
-def gru_forward(w, x: np.ndarray):
-    """Run the cell over x of shape (B, T, d_in).
+def gru_forward(w, x: np.ndarray, table: np.ndarray | None = None):
+    """Run the cell over x of shape (B, T, d_in), or over the rows of `table`.
 
-    `w` maps the 9 block names to arrays. Returns (states, cache) where
-    states has shape (B, T, d_h); states[:, t] depends only on x[:, :t+1].
+    With `table` (V, d_in), x is instead a (B, T) integer matrix of its row
+    ids, and step t of sequence b reads table[x[b, t]]. `w` maps the 9
+    block names to arrays. Returns (states, cache) where states has shape
+    (B, T, d_h); states[:, t] depends only on x[:, :t+1].
     """
-    b, t_len, _ = x.shape
+    b, t_len = x.shape[:2]
     d_h = w["update_bias"].shape[0]
     # pre-activations of every gate and step, time-major, the update and reset
     # halves pre-scaled by 0.5; gates[t, k] is gate k's contiguous (B, d_h) block
-    x_tm, w_in, bias = x.transpose(1, 0, 2), _halved_zr(w, "in").T, _halved_zr(w, "bias")
-    gates = np.empty((t_len, 3, b, d_h))
-    n_steps = max(1, _GATE_ROWS // max(b, 1))
-    pre = np.empty((min(t_len, n_steps), b, 3 * d_h))
-    for start in range(0, t_len, n_steps):
-        steps = slice(start, min(start + n_steps, t_len))
-        block = np.matmul(x_tm[steps], w_in, out=pre[: steps.stop - start])
-        block += bias
-        gates[steps] = block.reshape(-1, b, 3, d_h).transpose(0, 2, 1, 3)
+    w_in, bias = _halved_zr(w, "in").T, _halved_zr(w, "bias")
+    if table is None:
+        x_tm = x.transpose(1, 0, 2)
+        gates = np.empty((t_len, 3, b, d_h))
+        n_steps = max(1, _GATE_ROWS // max(b, 1))
+        pre = np.empty((min(t_len, n_steps), b, 3 * d_h))
+        for start in range(0, t_len, n_steps):
+            steps = slice(start, min(start + n_steps, t_len))
+            block = np.matmul(x_tm[steps], w_in, out=pre[: steps.stop - start])
+            block += bias
+            gates[steps] = block.reshape(-1, b, 3, d_h).transpose(0, 2, 1, 3)
+        cache = {"x": x}
+    else:
+        proj = table @ w_in
+        proj += bias
+        # gates[t, k, b] is row 3 x[b, t] + k of the projection taken as (3 V, d_h) rows
+        rows = x.T[:, None, :] * 3 + np.arange(3)[:, None]
+        gates = np.take(proj.reshape(-1, d_h), rows, axis=0)
+        cache = {"items": x, "table": table}
     zr, c = gates[:, :2], gates[:, 2]
     # small products run faster on contiguous right operands than on transposed views
     rec_zr = np.ascontiguousarray(0.5 * np.concatenate([w["update_rec"], w["reset_rec"]]).T)
@@ -151,7 +186,7 @@ def gru_forward(w, x: np.ndarray):
         np.subtract(c_t, h, out=h_next)
         h_next *= g[0]
         h_next += h
-    cache = {"x": x, "hs": hs, "zr": zr, "c": c}
+    cache.update(hs=hs, zr=zr, c=c)
     return hs[1:].transpose(1, 0, 2), cache
 
 
@@ -159,9 +194,11 @@ def gru_backward(w, cache, d_states: np.ndarray):
     """Backprop through the recurrence.
 
     d_states is dLoss/d(states) accumulated from every consumer of the
-    hidden states. Returns (d_weights, d_x) with d_x of shape (B, T, d_in).
+    hidden states. Returns (d_weights, d_x) with d_x of shape (B, T, d_in);
+    on the table path of `gru_forward`, d_x is instead the table's gradient
+    (V, d_in) through the input layer.
     """
-    x, hs, cs = cache["x"], cache["hs"], cache["c"]
+    hs, cs = cache["hs"], cache["c"]
     t_len, b, d_h = cs.shape
     h_prev, z, r = hs[:-1], cache["zr"][:, 0], cache["zr"][:, 1]
     rec_zr = np.concatenate([w["update_rec"], w["reset_rec"]])
@@ -198,14 +235,19 @@ def gru_backward(w, cache, d_states: np.ndarray):
 
     n = t_len * b
     flat_zr, flat_c = d_zr.reshape(n, 2 * d_h), d_c.reshape(n, d_h)
-    x_flat = x.transpose(1, 0, 2).reshape(n, -1)  # a time-major copy
-    d_in = np.concatenate([flat_zr.T @ x_flat, flat_c.T @ x_flat])
-    del x_flat
     d_rec_zr = flat_zr.T @ h_prev.reshape(n, d_h)
     d_rec_c = flat_c.T @ np.multiply(r, h_prev).reshape(n, d_h)
     d_bias = np.concatenate([flat_zr.sum(axis=0), flat_c.sum(axis=0)])
-    # d_x takes one K = 3 d_h product per sequence, its gates joined a few sequences at a time
     w_in = _stacked(w, "in")
+    if "table" in cache:
+        table = cache["table"]
+        d_item = _item_sums(d_zr, d_c, cache["items"], table.shape[0])
+        return _by_gate(d_item.T @ table, d_rec_zr, d_rec_c, d_bias), d_item @ w_in
+    x = cache["x"]
+    x_flat = x.transpose(1, 0, 2).reshape(n, -1)  # a time-major copy
+    d_in = np.concatenate([flat_zr.T @ x_flat, flat_c.T @ x_flat])
+    del x_flat
+    # d_x takes one K = 3 d_h product per sequence, its gates joined a few sequences at a time
     d_x = np.empty(x.shape)
     n_seqs = max(1, _GATE_ROWS // t_len)
     joined = np.empty((t_len, min(b, n_seqs), 3 * d_h))
@@ -213,13 +255,43 @@ def gru_backward(w, cache, d_states: np.ndarray):
         seqs = slice(start, min(start + n_seqs, b))
         d_pre = np.concatenate([d_zr[:, seqs], d_c[:, seqs]], axis=-1, out=joined[:, : seqs.stop - start])
         np.matmul(d_pre.transpose(1, 0, 2), w_in, out=d_x[seqs])
+    return _by_gate(d_in, d_rec_zr, d_rec_c, d_bias), d_x
+
+
+def _by_gate(d_in, d_rec_zr, d_rec_c, d_bias) -> dict[str, np.ndarray]:
+    """The 9 weight gradients from the gate-stacked ones."""
+    d_h = d_rec_c.shape[0]
     d_weights = {}
     for k, gate in enumerate(GATE_NAMES):
         rows = slice(k * d_h, (k + 1) * d_h)
         d_weights[f"{gate}_in"] = d_in[rows]
         d_weights[f"{gate}_rec"] = d_rec_zr[rows] if k < 2 else d_rec_c
         d_weights[f"{gate}_bias"] = d_bias[rows]
-    return d_weights, d_x
+    return d_weights
+
+
+def _item_sums(d_zr: np.ndarray, d_c: np.ndarray, items: np.ndarray, v: int) -> np.ndarray:
+    """Each item's pre-activation gradients summed over its cells: (V, 3 d_h).
+
+    np.add.at adds each buffer's cells, d_zr (T, B, 2 d_h) then d_c
+    (T, B, d_h), into the flat sums at their item's columns, in blocks of
+    at most `_GATE_ROWS` cells, so no (B * T, 3 d_h) index array exists
+    whole. The two buffers fill disjoint columns, so every entry is one
+    sequential sum over its item's cells in time-major order, whatever the
+    block size.
+    """
+    t_len, b, width_zr = d_zr.shape
+    width = width_zr + d_c.shape[2]
+    sums = np.zeros((v, width))
+    n_steps = max(1, _GATE_ROWS // max(b, 1))
+    offsets = items.T * width
+    for part, cols in ((d_zr, np.arange(width_zr)), (d_c, np.arange(width_zr, width))):
+        index = np.empty((min(t_len, n_steps), b, cols.size), dtype=np.intp)
+        for start in range(0, t_len, n_steps):
+            steps = slice(start, min(start + n_steps, t_len))
+            block = np.add(offsets[steps, :, None], cols, out=index[: steps.stop - start])
+            np.add.at(sums.ravel(), block.ravel(), part[steps].ravel())
+    return sums
 
 
 def scatter_rows(d_table: np.ndarray, items: np.ndarray, d_x: np.ndarray) -> np.ndarray:

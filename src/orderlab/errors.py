@@ -59,8 +59,14 @@ def reading(path: str):
 @contextlib.contextmanager
 def writing(path: str, mode: str = "w", newline: str | None = None):
     """Yield a file open on `path`.tmp; once the block ends without an error,
-    move it onto `path` in one step. Text is UTF-8; `mode` "wb" writes bytes."""
+    move it onto `path` in one step, else remove it and re-raise. Text is
+    UTF-8; `mode` "wb" writes bytes."""
     tmp = f"{path}.tmp"
-    with open(tmp, mode, encoding=None if "b" in mode else "utf-8", newline=newline) as fh:
-        yield fh
+    fh = open(tmp, mode, encoding=None if "b" in mode else "utf-8", newline=newline)
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.remove(tmp)
+        raise
     os.replace(tmp, path)

@@ -6,7 +6,9 @@ sequences (length >= 2), padded once, each term weighted 1/(L-1) and an
 excluded term 0; a batch is a row slice trimmed to its longest sequence
 (`TermSet.batch`). `encode` runs one recurrent encoder over an input
 table's rows at a padded item matrix, and `encode_backward` backpropagates
-its state gradient into the encoder's blocks and the table.
+its state gradient into the encoder's blocks and the table. Both project
+the table's rows, not the cells', when the table has fewer rows than the
+item matrix has cells (`_over_table`).
 `run_training` hands out index batches, regrouped by the examples' sizes.
 
 Every weight block starts from N(0, 0.1) (`_INIT_SCALE`); biases start at zero.
@@ -163,21 +165,40 @@ class BlockModel:
         """The encoder under `prefix.` run over the rows of `table` at the padded `items` (B, T).
 
         Returns (states (B, T, d_h), cache); states[:, k] is the state after
-        consuming item k.
+        consuming item k. When the table has fewer rows than the batch has
+        cells, the kernel projects each table row once and gathers the
+        projections (`gru_forward`'s table path); otherwise it projects
+        each cell's row of `table[items]`. Both give the same states.
         """
-        return encoder.gru_forward(self._enc_weights(params, prefix), table[items])
+        enc = self._enc_weights(params, prefix)
+        if _over_table(table.shape[0], items):
+            return encoder.gru_forward(enc, items, table=table)
+        return encoder.gru_forward(enc, table[items])
 
     def encode_backward(self, params, prefix, cache, items, d_states, d_table, grad) -> np.ndarray:
         """Backprop through `encode` from the state gradient `d_states`.
 
         Writes the encoder's 9 blocks into `grad`, and returns `d_table` plus
-        each input row's gradient at its item id, repeated items summed in
-        row-major order after `d_table` (as np.add.at would).
+        the gradient through the encoder's inputs. The path follows
+        `encode`'s rule. Over the table, each item's pre-activation
+        gradients are summed first, then projected once, and the result is
+        added to `d_table`. Over the cells, each cell's input gradient is
+        added at its item id, repeated items summed in row-major order after
+        `d_table` (as np.add.at would). The two sums group the same terms
+        differently, so they agree to rounding.
         """
-        d_weights, d_x = encoder.gru_backward(self._enc_weights(params, prefix), cache, d_states)
+        d_weights, d_inputs = encoder.gru_backward(self._enc_weights(params, prefix), cache, d_states)
         for name, val in d_weights.items():
             grad.view(f"{prefix}.{name}")[...] = val
-        return encoder.scatter_rows(d_table, items, d_x)
+        if _over_table(d_table.shape[0], items):
+            return d_table + d_inputs
+        return encoder.scatter_rows(d_table, items, d_inputs)
+
+
+def _over_table(n_rows: int, items: np.ndarray) -> bool:
+    """Whether an encoder projects the rows of its input table (fewer than the cells of `items`)
+    rather than every cell."""
+    return n_rows < items.size
 
 
 # Adam's moment decays and denominator guard

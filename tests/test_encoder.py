@@ -1,13 +1,16 @@
 """The fused recurrent cell, the embedding scatter and the tied loss against plain references,
-and the sigmoid."""
+the sigmoid, and the cell's table path against its cell path."""
 import warnings
 
 import numpy as np
 import pytest
 
 from orderlab import encoder
+from orderlab.numkit import SeededRng
+from orderlab.params import ParamVector
+from orderlab.seqrec import ModelConfig, SeqRecModel
 
-from conftest import fd_gradient_check
+from conftest import fd_gradient_check, init_params_at_scale, tiny_dualview
 
 
 def reference_sigmoid(x):
@@ -496,3 +499,142 @@ def test_tied_loss_gradient_matches_central_differences_unshifted():
 
     point = np.concatenate([states.ravel(), table.ravel()])
     assert fd_gradient_check(loss_at, np.concatenate([d_states.ravel(), d_table.ravel()]), point, 1e-5) < 1e-5
+
+
+# --- the table path: each table row projected once, each item's gradient summed once ---
+
+
+def table_path_inputs(case, b, t_len, v, d_h, seed=0):
+    """(w, table, items, d_states): items repeat, or are one item in every cell, or are
+    right-padded with item 0 at ragged lengths, and d_states is 0 past each length."""
+    gen = np.random.default_rng(seed)
+    w = {name: gen.normal(0.0, 0.3, size=shape) for name, shape in encoder.encoder_shapes(d_h, d_h).items()}
+    table = gen.normal(size=(v, d_h))
+    lengths = np.full(b, t_len)
+    if case == "one_item":
+        items = np.full((b, t_len), v - 1)
+    else:
+        items = gen.integers(0, v, size=(b, t_len))
+    if case == "ragged":
+        lengths = gen.integers(1, t_len + 1, size=b)
+        lengths[0], lengths[-1] = 1, t_len
+        items = np.where(np.arange(t_len) < lengths[:, None], items, 0)
+    d_states = gen.normal(size=(b, t_len, d_h)) * (np.arange(t_len) < lengths[:, None])[..., None]
+    return w, table, items, d_states
+
+
+TABLE_CASES = [
+    ("random", 32, 28, 150, 48),  # the seq-long batch shapes
+    ("random", 64, 29, 150, 48),
+    ("one_item", 6, 9, 30, 8),
+    ("ragged", 17, 12, 20, 8),
+    ("ragged", 40, 30, 150, 16),
+    ("random", 3, 40, 7, 8),  # V far below B * T
+]
+
+
+def assert_close_to_scale(actual, expected, tol, err_msg=""):
+    """Every entry within `tol` of the largest |expected|."""
+    assert actual.shape == expected.shape, err_msg
+    assert np.abs(actual - expected).max() <= tol * np.abs(expected).max(), err_msg
+
+
+@pytest.mark.parametrize("case, b, t_len, v, d_h", TABLE_CASES)
+def test_table_path_states_equal_the_dense_path_bit_for_bit(case, b, t_len, v, d_h):
+    w, table, items, _ = table_path_inputs(case, b, t_len, v, d_h, seed=b + t_len)
+    assert v < items.size
+    states, _ = encoder.gru_forward(w, table[items])
+    table_states, _ = encoder.gru_forward(w, items, table=table)
+    assert table_states.shape == states.shape
+    assert np.array_equal(table_states, states)
+
+
+@pytest.mark.parametrize("case, b, t_len, v, d_h", TABLE_CASES)
+def test_table_path_gradients_equal_the_dense_path_and_scatter(case, b, t_len, v, d_h):
+    w, table, items, d_states = table_path_inputs(case, b, t_len, v, d_h, seed=b * t_len)
+    _, cache = encoder.gru_forward(w, table[items])
+    d_weights, d_x = encoder.gru_backward(w, cache, d_states)
+    expected_table = encoder.scatter_rows(np.zeros(table.shape), items, d_x)
+    _, table_cache = encoder.gru_forward(w, items, table=table)
+    table_weights, d_table = encoder.gru_backward(w, table_cache, d_states)
+    assert_close_to_scale(d_table, expected_table, 1e-12)
+    assert table_weights.keys() == d_weights.keys()
+    for name, grad in d_weights.items():
+        assert_close_to_scale(table_weights[name], grad, 1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 10**6])
+def test_table_path_block_size_changes_no_bit(monkeypatch, rows):
+    w, table, items, d_states = table_path_inputs("ragged", 40, 30, 150, 16, seed=9)
+    states, cache = encoder.gru_forward(w, items, table=table)
+    d_weights, d_table = encoder.gru_backward(w, cache, d_states)
+    monkeypatch.setattr(encoder, "_GATE_ROWS", rows)
+    blocked_states, blocked_cache = encoder.gru_forward(w, items, table=table)
+    blocked_weights, blocked_d_table = encoder.gru_backward(w, blocked_cache, d_states)
+    np.testing.assert_array_equal(blocked_states, states)
+    np.testing.assert_array_equal(blocked_d_table, d_table)
+    for name, grad in d_weights.items():
+        np.testing.assert_array_equal(blocked_weights[name], grad, err_msg=name)
+
+
+@pytest.fixture
+def input_paths(monkeypatch):
+    """Records, for each `gru_forward` call, whether it took the table path."""
+    taken = []
+    forward = encoder.gru_forward
+
+    def recorded(w, x, table=None):
+        taken.append(table is not None)
+        return forward(w, x, table=table)
+
+    monkeypatch.setattr(encoder, "gru_forward", recorded)
+    return taken
+
+
+@pytest.mark.parametrize("extra_rows", [-1, 0, 1])
+def test_encode_projects_the_table_exactly_when_it_has_fewer_rows_than_cells(input_paths, extra_rows):
+    items = np.array([[1, 2, 3, 4], [2, 2, 0, 0], [4, 1, 3, 0]])  # 12 cells
+    model = SeqRecModel(ModelConfig(vocab=items.size + extra_rows, hidden=8))
+    params = init_params_at_scale(model, SeededRng(5), 0.3)
+    table = params.view("item_embeddings")
+    states, cache = model.encode(params, "enc", table, items)
+    assert input_paths == [extra_rows < 0]
+    d_states = np.random.default_rng(5).normal(size=states.shape)
+    d_table = np.random.default_rng(6).normal(size=table.shape)
+    grad = model.zero_params()
+    d_inputs = model.encode_backward(params, "enc", cache, items, d_states, d_table, grad)
+    # the cell path by hand: each cell's row of the table, each cell's gradient added at its item
+    enc = model._enc_weights(params, "enc")
+    dense_states, dense_cache = encoder.gru_forward(enc, table[items])
+    d_weights, d_x = encoder.gru_backward(enc, dense_cache, d_states)
+    assert np.array_equal(states, dense_states)
+    assert_close_to_scale(d_inputs, encoder.scatter_rows(d_table, items, d_x), 1e-12)
+    for name, val in d_weights.items():
+        assert_close_to_scale(grad.view(f"enc.{name}"), val, 1e-12, err_msg=name)
+
+
+def test_seqrec_gradient_matches_central_differences_on_the_table_path(input_paths):
+    model = SeqRecModel(ModelConfig(vocab=6, hidden=8, max_len=64))
+    params = init_params_at_scale(model, SeededRng(11), 0.3)
+    items, lengths = model._padded([[0, 3, 1, 5, 2], [4, 4, 1], [2, 0, 5, 3]])  # 15 cells, 6 rows
+    weights = encoder.term_weight_matrix(lengths, items.shape[1]) / 3
+    _, grad = model.batch_term_loss(params, items, weights)
+    assert input_paths == [True]
+
+    def loss_at(x):
+        return model.batch_term_loss(ParamVector(model.registry, x), items, weights)[0]
+
+    assert fd_gradient_check(loss_at, grad.flat, params.flat, 1e-5, directions=24) < 1e-6
+
+
+def test_dualview_gradient_matches_central_differences_on_the_table_path(input_paths):
+    model, params = tiny_dualview(vocab=6, sem_dim=8, seed=31)
+    items, lengths = model._padded([[0, 3, 1, 5], [2, 4, 0], [1, 1, 2, 5]])  # 12 cells, 6 rows
+    weights = encoder.term_weight_matrix(lengths, items.shape[1]) / 3
+    _, grad, _ = model.joint_loss(params, items, weights)
+    assert input_paths == [True, True]
+
+    def loss_at(x):
+        return model.joint_loss(ParamVector(model.registry, x), items, weights)[0]
+
+    assert fd_gradient_check(loss_at, grad.flat, params.flat, 1e-5, directions=24) < 1e-6

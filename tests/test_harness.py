@@ -12,7 +12,7 @@ import pytest
 import orderlab
 from orderlab import rectifier
 from orderlab.checkpoint import load_checkpoint, save_checkpoint
-from orderlab.errors import FormatError
+from orderlab.errors import FormatError, writing
 from orderlab.harness import metrics, pipeline
 from orderlab.harness.cli import main
 from orderlab.harness.config import ExperimentConfig
@@ -171,6 +171,7 @@ def without_entries(blob):
 
 @pytest.mark.parametrize("name, corrupt", [
     ("target_clean.ckpt", lambda blob: blob[:10]),
+    ("target_clean.ckpt", lambda blob: blob + bytes(8)),
     ("corpus_poisoned.json", lambda blob: blob[: len(blob) // 2]),
     ("manifest.json", lambda blob: blob.replace(b'"orderlab-manifest/1"', b'"bogus"')),
     ("manifest.json", without_entries),
@@ -179,7 +180,7 @@ def without_entries(blob):
     ("detection.json", lambda blob: b"{}"),
     ("influence.json", lambda blob: b"{}"),
     ("categories.json", lambda blob: b"{}"),
-], ids=["checkpoint-cut", "corpus-cut", "manifest-format", "manifest-key", "trace-cut",
+], ids=["checkpoint-cut", "checkpoint-extra", "corpus-cut", "manifest-format", "manifest-key", "trace-cut",
         "trace-key", "detection-key", "influence-key", "categories-key"])
 def test_corrupt_artifact_on_resume_exits_3(fresh, tmp_path, caplog, name, corrupt):
     config, out, _ = fresh
@@ -344,6 +345,22 @@ def test_checkpoint_of_another_architecture_is_refused(tmp_path):
     assert load_checkpoint(path)[0] == "dualview-gru/1"
     with pytest.raises(FormatError):
         load(path)
+
+
+@pytest.mark.parametrize("mode", ["w", "wb"])
+def test_writing_leaves_no_file_when_its_block_raises(tmp_path, mode):
+    path = tmp_path / "a.json"
+    path.write_text("old", encoding="utf-8")
+    with pytest.raises(RuntimeError, match="half written"):
+        with writing(str(path), mode) as fh:
+            fh.write(b"new" if "b" in mode else "new")
+            raise RuntimeError("half written")
+    assert sorted(os.listdir(tmp_path)) == ["a.json"]
+    assert path.read_text(encoding="utf-8") == "old"
+    with writing(str(path), mode) as fh:
+        fh.write(b"new" if "b" in mode else "new")
+    assert sorted(os.listdir(tmp_path)) == ["a.json"]
+    assert path.read_text(encoding="utf-8") == "new"
 
 
 class NoMallopt:

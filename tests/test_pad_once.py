@@ -4,6 +4,8 @@ The references below build every batch the earlier way: sequences checked
 and padded per batch, a list of per-sequence weight arrays, chunks in
 `sorted(key=len)` order, `term_weight_matrix` filled row by row, an Adam
 step that allocates its temporaries, and windows re-sorted with `sorted`.
+They encode through the model's own `encode` and `encode_backward`, so both
+sides take the same input path (over the table's rows or over the cells).
 The library must give the same bytes.
 """
 import numpy as np
@@ -77,14 +79,11 @@ def list_batch_term_loss(model, params, seqs, term_weights):
     for i, w in enumerate(term_weights):
         weights[i, : w.size] = w
     table = params.view("item_embeddings")
-    enc = model._enc_weights(params, "enc")
-    states, cache = encoder.gru_forward(enc, table[items])
+    # the model's own encoder calls, so that both sides take the same input path
+    states, cache = model.encode(params, "enc", table, items)
     loss, d_states, d_table = encoder.tied_next_item_loss(states, table, items, weights)
-    d_weights, d_x = encoder.gru_backward(enc, cache, d_states)
     grad = model.zero_params()
-    grad.view("item_embeddings")[...] = encoder.scatter_rows(d_table, items, d_x)
-    for name, val in d_weights.items():
-        grad.view(f"enc.{name}")[...] = val
+    grad.view("item_embeddings")[...] = model.encode_backward(params, "enc", cache, items, d_states, d_table, grad)
     return loss, grad
 
 
@@ -178,7 +177,7 @@ def two_pad_features(model, params, corpus, batch_users):
         states, probs = [], []
         for prefix, table in zip(ENCODERS.values(), tables):
             items, lengths = model._padded(batch)
-            view_states, _ = encoder.gru_forward(model._enc_weights(params, prefix), table[items])
+            view_states, _ = model.encode(params, prefix, table, items)
             states.append(view_states)
             probs.append(encoder.next_step_probs(view_states[:, :-1], table))
         jsd = np.zeros(items.shape)

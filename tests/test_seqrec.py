@@ -192,6 +192,14 @@ class TestCheckpoint:
         assert cfg == {"vocab": 12}
         assert flat.tobytes() == params.flat.astype("<f8").tobytes()
 
+    def test_bytes_after_the_payload_are_refused(self, tmp_path):
+        model, params = tiny_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), model.ARCH, {"vocab": 12}, params.flat)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(FormatError, match="bytes after the parameter payload"):
+            load_checkpoint(str(path))
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.ckpt"
         p.write_bytes(b"NOTACKPT" + b"\x00" * 16)
