@@ -11,7 +11,9 @@ Four signals per train-prefix position k:
                       transitions into and out of position k (one-sided at
                       sequence edges).
 
-Features are computed for a batch of users at once. Each batch is padded
+Features are computed for a batch of users at once. Users go in batches
+sorted by prefix length, so a batch pads only to its own longest prefix,
+and rows come back in (user, position) order. Each batch is padded
 once (`BlockModel._padded`) and both views encode that one item matrix
 (`BlockModel.encode`); popularity deviation comes from masked row moments,
 context disruption from one elementwise `Corpus.bigram_logprob` call over
@@ -170,7 +172,8 @@ def features(
     `prefixes` overrides the scored sequences (used for the calibration
     slice); popularity and bigram statistics always come from `corpus`, so
     calibration features live on the production scale. Returns
-    (features (N, 4), users (N,), positions (N,)).
+    (features (N, 4), users (N,), positions (N,)), rows in (user, position)
+    order; users are batched `batch_users` at a time in prefix-length order.
     """
     if prefixes is None:
         prefixes = [corpus.train_prefix(u) for u in range(corpus.n_users)]
@@ -180,9 +183,10 @@ def features(
     feats: list[np.ndarray] = []
     users: list[np.ndarray] = []
     positions: list[np.ndarray] = []
-    for start in range(0, len(prefixes), batch_users):
-        batch = prefixes[start : start + batch_users]
-        items, lengths = model._padded(batch)
+    order = np.argsort([len(p) for p in prefixes], kind="stable")
+    for start in range(0, len(order), batch_users):
+        part = order[start : start + batch_users]
+        items, lengths = model._padded([prefixes[u] for u in part])
         states, probs = [], []
         for prefix, table in zip(ENCODERS.values(), tables):
             view_states, _ = model.encode(params, prefix, table, items)
@@ -201,7 +205,7 @@ def features(
 
         # terms[:, k] is -log P of the step from k-1 into k; both ends stay 0
         step = valid[:, 1:]
-        terms = np.zeros((len(batch), items.shape[1] + 1))
+        terms = np.zeros((len(part), items.shape[1] + 1))
         terms[:, 1:-1][step] = -corpus.bigram_logprob(items[:, :-1][step], items[:, 1:][step])
         n_terms = np.zeros(terms.shape)
         n_terms[:, 1:-1] = step
@@ -209,11 +213,15 @@ def features(
 
         rows, cols = np.nonzero(valid)
         feats.append(np.stack([jsd, disagreement, pop_dev, context], axis=-1)[valid])
-        users.append(start + rows)
+        users.append(part[rows])
         positions.append(cols)
     if not feats:
         raise InvalidArgument("no positions to score")
-    return np.concatenate(feats), np.concatenate(users), np.concatenate(positions)
+    users = np.concatenate(users)
+    # a user's rows are contiguous with ascending positions, so a stable sort
+    # by user gives (user, position) order
+    back = np.argsort(users, kind="stable")
+    return np.concatenate(feats)[back], users[back], np.concatenate(positions)[back]
 
 
 def unified_score(feats: np.ndarray, weights, stats: FeatureStats) -> np.ndarray:

@@ -21,7 +21,7 @@ class NumericalFailure(OrderlabError):
     """An iterative or floating-point computation failed (NaN, non-convergence)."""
 
 
-class DegenerateVector(OrderlabError):
+class DegenerateVector(NumericalFailure):
     """A vector operation received a zero-norm argument."""
 
 

@@ -12,14 +12,7 @@ import ctypes
 import logging
 import sys
 
-from ..errors import (
-    DivergenceError,
-    EmptyCleanSet,
-    EmptyCorpus,
-    FormatError,
-    InvalidArgument,
-    NumericalFailure,
-)
+from ..errors import EmptyCleanSet, EmptyCorpus, FormatError, InvalidArgument, NumericalFailure
 from .config import ExperimentConfig
 from .pipeline import SWEEP_VARIANTS, Pipeline, fake_order_effect_sweep
 
@@ -45,7 +38,7 @@ KEEP_FREED_BYTES = 32 * 1024 * 1024
 EXIT_CODES = (
     (InvalidArgument, 2),
     ((FormatError, OSError), 3),
-    ((NumericalFailure, DivergenceError), 4),
+    (NumericalFailure, 4),
     ((EmptyCorpus, EmptyCleanSet), 5),
 )
 

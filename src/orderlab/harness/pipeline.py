@@ -122,11 +122,12 @@ MANIFEST = (
 )
 
 
-def _write_influence_csv(path: str, report, truth: dict) -> None:
+def _write_influence_csv(path: str, doc: dict, truth: dict) -> None:
+    harmful = set(doc["harmful"])
     with writing(path) as fh:
         fh.write("user,position,truth_type,influence,harmful\n")
-        for (u, p), v in zip(report.samples, report.values):
-            fh.write(f"{u},{p},{truth.get((u, p), '')},{float(v)!r},{int(v > 0.0)}\n")
+        for (u, p), v in zip(doc["samples"], doc["values"]):
+            fh.write(f"{u},{p},{truth.get((u, p), '')},{v!r},{int((u, p) in harmful)}\n")
 
 
 def _read_detection(path: str) -> dict:
@@ -368,25 +369,15 @@ class Pipeline:
             pairs = [(prefix, int(t)) for prefix, t in zip(split.prefixes, split.valid_targets)]
             suspicious = [(u, p) for u, p in self.ctx["suspicious"] if p >= 1]  # need a prefix
             prefixes = [corpus.train_prefix(u) for u in range(corpus.n_users)]
-            report = rectifier.influence_report(
+            doc = rectifier.influence_report(
                 self.ctx["target_model"], self.ctx["poisoned_params"], prefixes, suspicious,
                 pairs, self.cfg.influence, self.root.child("influence"),
             )
-            doc = {
-                "samples": report.samples,
-                "values": [float(v) for v in report.values],
-                "harmful": report.harmful,
-                "threshold": 0.0,
-                "scale": report.scale,
-                "residual": report.residual,
-                "validation_grad_norm": report.validation_grad_norm,
-                "clean_validation_pairs": len(pairs),
-            }
-            return report, doc
+            return doc, doc
 
         truth = self.ctx["manifest"].truth()
         files = {
-            "influence.csv": (lambda path, report: _write_influence_csv(path, report, truth), None),
+            "influence.csv": (lambda path, doc: _write_influence_csv(path, doc, truth), None),
             "influence.json": (write_json, _read_influence),
         }
         _, doc = self.artifacts(files, score)
@@ -405,12 +396,11 @@ class Pipeline:
                 for p in range(1, len(prefixes[u]))
                 if (u, p) not in flagged
             ]
-            rectified, trace = rectifier.rectify(
+            return rectifier.rectify(
                 model, self.ctx["poisoned_params"], prefixes, self.ctx["harmful"], clean_pool,
                 lambda params: ndcg(self.ranks(params, "poisoned")["valid"], 10),
                 self.cfg.rectify, self.root.child("rectify"),
             )
-            return rectified, dataclasses.asdict(trace)
 
         files = {
             "rectified.ckpt": _checkpoint(model, dataclasses.asdict(model.cfg)),

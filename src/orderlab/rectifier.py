@@ -17,11 +17,18 @@ then down by 1e-5 times the mean gradient of up to 1,024 clean samples
 (`_DESCENT_RATE`, `_CLEAN_BATCH`). Rectify keeps the best round by
 validation NDCG and stops once a round falls more than 2% below the input
 model's (`_VAL_DROP_TOL`).
+
+Both halves return the documents their pipeline stages write:
+`influence_report` gives the influence.json dict (samples, values, the
+harmful samples, threshold, LiSSA scale and residual, the norm of g_v and
+the number of validation pairs), and `rectify` gives the kept parameters
+with the rectify_trace.json dict. `lissa_ihvp` returns a plain
+(estimate, scale, residual) tuple.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,13 +135,6 @@ def lissa_solve(apply_hvp, v: np.ndarray, depth: int, damping: float, scale: flo
     return h / scale
 
 
-@dataclass
-class IhvpResult:
-    estimate: np.ndarray
-    scale: float
-    residual: float
-
-
 def lissa_ihvp(
     model: SeqRecModel,
     params: ParamVector,
@@ -142,12 +142,13 @@ def lissa_ihvp(
     v: np.ndarray,
     cfg: InfluenceConfig,
     rng: SeededRng,
-) -> IhvpResult:
+) -> tuple[np.ndarray, float, float]:
     """Approximate H^{-1} v for the training loss of `model` on `sequences`.
 
-    Repeats run over independent minibatch orderings and are averaged; the
-    residual ||(H + damping I) est - v|| / ||v|| is evaluated with one
-    full-batch Hessian-vector product and logged for diagnostics.
+    Returns (estimate, scale, residual). Repeats run over independent
+    minibatch orderings and are averaged; the residual
+    ||(H + damping I) est - v|| / ||v|| is evaluated with one full-batch
+    Hessian-vector product and logged for diagnostics.
     """
     cfg.validate()
     terms = model.training_terms(sequences)
@@ -187,7 +188,7 @@ def lissa_ihvp(
     else:
         residual = 0.0
     log.info("lissa: scale=%.4g residual=%.4g", scale, residual)
-    return IhvpResult(estimate, scale, residual)
+    return estimate, scale, residual
 
 
 # --- influence -----------------------------------------------------------
@@ -229,19 +230,6 @@ def influence_values(
     return out
 
 
-@dataclass
-class InfluenceReport:
-    samples: list[tuple[int, int]]
-    values: np.ndarray
-    scale: float
-    residual: float
-    validation_grad_norm: float
-
-    @property
-    def harmful(self) -> list[tuple[int, int]]:
-        return [s for s, v in zip(self.samples, self.values) if v > 0.0]
-
-
 def influence_report(
     model: SeqRecModel,
     params: ParamVector,
@@ -250,18 +238,28 @@ def influence_report(
     validation_pairs,
     cfg: InfluenceConfig,
     rng: SeededRng,
-) -> InfluenceReport:
-    """Score every suspicious (user, position) sample against clean validation."""
+) -> dict:
+    """Score every suspicious (user, position) sample against clean validation.
+
+    Returns the influence.json document: the samples, their influence
+    values, the harmful samples (value above the threshold, 0), the LiSSA
+    scale and residual, the norm of g_v and the number of validation pairs.
+    """
     g_v = validation_gradient(model, params, validation_pairs)
-    ihvp_res = lissa_ihvp(model, params, sequences, g_v, cfg, rng)
-    values = influence_values(model, params, sequences, ihvp_res.estimate, suspicious)
-    return InfluenceReport(
-        [(int(u), int(p)) for u, p in suspicious],
-        values,
-        ihvp_res.scale,
-        ihvp_res.residual,
-        float(np.linalg.norm(g_v)),
-    )
+    estimate, scale, residual = lissa_ihvp(model, params, sequences, g_v, cfg, rng)
+    samples = [(int(u), int(p)) for u, p in suspicious]
+    values = influence_values(model, params, sequences, estimate, samples).tolist()
+    threshold = 0.0
+    return {
+        "samples": samples,
+        "values": values,
+        "harmful": [s for s, v in zip(samples, values) if v > threshold],
+        "threshold": threshold,
+        "scale": scale,
+        "residual": residual,
+        "validation_grad_norm": float(np.linalg.norm(g_v)),
+        "clean_validation_pairs": len(validation_pairs),
+    }
 
 
 # --- rectification ---------------------------------------------------------
@@ -283,14 +281,6 @@ def term_sum_gradient(
     return model.weighted_gradient(params, terms, np.arange(users.size), 1)[1].flat
 
 
-@dataclass
-class RectifyTrace:
-    rounds: list[dict] = field(default_factory=list)
-    initial_value: float = 0.0
-    best_round: int = 0
-    stopped_early: bool = False
-
-
 def rectify(
     model: SeqRecModel,
     params: ParamVector,
@@ -300,7 +290,7 @@ def rectify(
     eval_fn,
     cfg: RectifyConfig,
     rng: SeededRng,
-) -> tuple[ParamVector, RectifyTrace]:
+) -> tuple[ParamVector, dict]:
     """Alternate targeted ascent on harmful samples with clean-set descent.
 
     Per round: ascent step `_ASCENT_RATE` * sum of harmful term gradients
@@ -308,13 +298,14 @@ def rectify(
     mean gradient over a seeded clean-sample batch; validation performance
     is evaluated every round and the best checkpoint (including the input)
     is returned. Stops early when validation drops more than
-    `_VAL_DROP_TOL` relative.
+    `_VAL_DROP_TOL` relative. The trace is the rectify_trace.json document:
+    each round's step norm and validation value, the input's value, the
+    kept round (0 for the input) and whether the loop stopped early.
     """
     cfg.validate()
-    trace = RectifyTrace()
     current = params.copy()
     base_value = float(eval_fn(current))
-    trace.initial_value = base_value
+    trace = {"rounds": [], "initial_value": base_value, "best_round": 0, "stopped_early": False}
     best_value = base_value
     best_params = current.copy()
     if not harmful:
@@ -335,7 +326,7 @@ def rectify(
         if not np.all(np.isfinite(current.flat)):
             raise NumericalFailure(f"non-finite parameters after round {round_idx}")
         value = float(eval_fn(current))
-        trace.rounds.append(
+        trace["rounds"].append(
             {
                 "round": round_idx,
                 "ascent_step_norm": float(np.linalg.norm(step)),
@@ -345,9 +336,9 @@ def rectify(
         if value > best_value:
             best_value = value
             best_params = current.copy()
-            trace.best_round = round_idx
+            trace["best_round"] = round_idx
         if value < (1.0 - _VAL_DROP_TOL) * base_value:
-            trace.stopped_early = True
+            trace["stopped_early"] = True
             log.info("rectify: early stop at round %d (validation fell to %.4f)", round_idx, value)
             break
     return best_params, trace

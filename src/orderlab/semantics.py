@@ -37,7 +37,8 @@ def load_semantic_tsv(path: str, corpus: Corpus) -> np.ndarray:
     """Read `item<TAB>v1,v2,...,vd` rows covering every vocabulary item.
 
     Rows are reordered to dense item-index order; values may be stored in
-    single precision and are widened to float64 on load.
+    single precision and are widened to float64 on load. An item listed
+    twice is a FormatError.
     """
     vectors: dict[str, np.ndarray] = {}
     dim = None
@@ -60,6 +61,8 @@ def load_semantic_tsv(path: str, corpus: Corpus) -> np.ndarray:
                 raise FormatError(
                     f"{path}:{lineno}: item {item!r} has {vec.size} dims, expected {dim}"
                 )
+            if item in vectors:
+                raise FormatError(f"{path}:{lineno}: item {item!r} appears more than once")
             vectors[item] = vec
     missing = [it for it in corpus.item_ids if it not in vectors]
     if missing:

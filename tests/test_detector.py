@@ -8,12 +8,15 @@ from orderlab import detector
 from orderlab.detector import (
     FEATURE_NAMES,
     DetectionReport,
+    FeatureStats,
     _jsd_rows,
     features,
     fit_weights,
     smooth_by_user,
     tune_threshold,
+    unified_score,
 )
+from orderlab.errors import InvalidArgument
 from orderlab.numkit import SeededRng
 
 from conftest import tiny_dualview, toy_corpus
@@ -99,6 +102,23 @@ class TestFeatures:
         np.testing.assert_array_equal(split[1], users)
         np.testing.assert_array_equal(split[2], positions)
 
+    def test_length_sorted_batches_match_user_order_batches(self, ragged_features):
+        """Batches cut in prefix-length order give the features of batches
+        cut in user order, in (user, position) order: JSD to rounding, the
+        other three bit for bit."""
+        corpus = ragged_features[0]
+        model, params = tiny_dualview()
+        prefixes = [RAGGED[k] for k in (2, 0, 1, 2, 0, 1, 2)]  # lengths 5, 1, 2, 5, 1, 2, 5
+        parts = []
+        for start in range(0, len(prefixes), 2):  # one call per user-order batch
+            f, u, p = features(model, params, corpus, prefixes=prefixes[start : start + 2])
+            parts.append((f, start + u, p))
+        ref_feats, ref_users, ref_positions = map(np.concatenate, zip(*parts))
+        feats, users, positions = features(model, params, corpus, prefixes=prefixes, batch_users=2)
+        np.testing.assert_array_equal(users, ref_users)
+        np.testing.assert_array_equal(positions, ref_positions)
+        np.testing.assert_array_equal(feats[:, 1:], ref_feats[:, 1:])
+        np.testing.assert_allclose(feats[:, 0], ref_feats[:, 0], rtol=1e-12, atol=0)
 
     def test_no_prefix_means_no_divergence(self, ragged_features):
         _, feats, _, positions = ragged_features
@@ -176,6 +196,28 @@ class TestSmoothByUser:
         monkeypatch.setattr(detector, "_SMOOTHING", 0.0)
         raw = np.array([1.0, 4.0, -2.0, 0.5])
         np.testing.assert_array_equal(smooth_by_user(raw, np.zeros(4, dtype=np.int64)), raw)
+
+
+class TestUnifiedScore:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_constant_feature_normalises_to_zero(self):
+        feats = SeededRng(5).gen.standard_normal((50, 4))
+        feats[:, 2] = 3.7
+        stats = FeatureStats.fit(feats)
+        assert stats.std[2] == 1e-8
+        norm = stats.apply(feats)
+        # the column's mean carries rounding (here 2.7e-15), which the floor scales by 1e8
+        np.testing.assert_allclose(norm[:, 2], 0.0, atol=1e-6)
+        np.testing.assert_allclose(norm[:, [0, 1, 3]].mean(axis=0), 0.0, atol=1e-12)
+        np.testing.assert_allclose(norm[:, [0, 1, 3]].std(axis=0), 1.0, rtol=1e-12)
+        w = np.array([0.1, 0.2, 0.3, 0.4])
+        np.testing.assert_allclose(unified_score(feats, w, stats), norm @ w, rtol=1e-12)
+
+    @pytest.mark.parametrize("weights", [[0.5, 0.5, 0.0], [0.2] * 5, [[0.25] * 4]])
+    def test_weights_of_the_wrong_length_are_rejected(self, weights):
+        feats = SeededRng(6).gen.standard_normal((10, 4))
+        with pytest.raises(InvalidArgument, match="need 4 weights"):
+            unified_score(feats, weights, FeatureStats.fit(feats))
 
 
 class TestFitWeights:

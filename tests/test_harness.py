@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 import orderlab
-from orderlab import rectifier
+from orderlab import dualview, errors, rectifier
 from orderlab.checkpoint import load_checkpoint, save_checkpoint
 from orderlab.errors import FormatError, writing
 from orderlab.harness import metrics, pipeline
-from orderlab.harness.cli import main
+from orderlab.harness.cli import EXIT_CODES, main
 from orderlab.harness.config import ExperimentConfig
 from orderlab.harness.pipeline import SWEEP_VARIANTS, Pipeline, _checkpoint
 from orderlab.numkit import SeededRng
@@ -138,19 +138,17 @@ def test_invalid_config_writes_no_file(tmp_path, section):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("max_len, code", [(20, 2), (29, 0)])
-def test_overlong_tsv_sequence_is_rejected_before_the_corpus_is_written(tmp_path, max_len, code):
-    """A tsv corpus's lengths are known once it is built; the data stage
-    checks them against model.max_len before it writes the corpus. The
-    longest of these users has 30 orders, of which evaluation feeds 29."""
+def tsv_config(tmp_path, max_len=29, vector_items=range(12)):
+    """A config reading 20 users' orders over items i0..i11 (user u0 has 30
+    orders, the others 8) and one semantic row per entry of `vector_items`."""
     orders = tmp_path / "orders.tsv"
     orders.write_text("".join(
         f"u{u}\ti{(u + t) % 12}\t{t}\n" for u in range(20) for t in range(30 if u == 0 else 8)
     ))
     vectors = tmp_path / "vectors.tsv"
-    rows = np.random.default_rng(0).standard_normal((12, 16))
+    rows = np.random.default_rng(0).standard_normal((len(vector_items), 16))
     vectors.write_text("".join(
-        f"i{k}\t" + ",".join(map(repr, row.tolist())) + "\n" for k, row in enumerate(rows)
+        f"i{k}\t" + ",".join(map(repr, row.tolist())) + "\n" for k, row in zip(vector_items, rows)
     ))
     doc = dict(
         TINY,
@@ -158,9 +156,49 @@ def test_overlong_tsv_sequence_is_rejected_before_the_corpus_is_written(tmp_path
         semantics={"source": "tsv", "path": str(vectors)},
         model={"hidden": 8, "max_len": max_len},
     )
+    return write_config(tmp_path / "c.json", doc)
+
+
+@pytest.mark.parametrize("max_len, code", [(20, 2), (29, 0)])
+def test_overlong_tsv_sequence_is_rejected_before_the_corpus_is_written(tmp_path, max_len, code):
+    """A tsv corpus's lengths are known once it is built; the data stage
+    checks them against model.max_len before it writes the corpus. The
+    longest of these users has 30 orders, of which evaluation feeds 29."""
     out = tmp_path / "out"
-    assert main(["synth", "--config", write_config(tmp_path / "c.json", doc), "--out", str(out)]) == code
+    assert main(["synth", "--config", tsv_config(tmp_path, max_len), "--out", str(out)]) == code
     assert (out / "corpus_clean.json").exists() == (code == 0)
+
+
+def test_semantic_tsv_with_a_repeated_item_exits_3(tmp_path, caplog):
+    config = tsv_config(tmp_path, vector_items=[*range(12), 5])
+    assert main(["synth", "--config", config, "--out", str(tmp_path / "out")]) == 3
+    assert f"FormatError: {tmp_path / 'vectors.tsv'}:13: item 'i5' appears more than once" in caplog.text
+
+
+def test_degenerate_contrastive_batch_exits_4(fresh, tmp_path, monkeypatch, caplog):
+    """A zero-norm representation in the dual-view training is a numerical
+    failure, not an unexpected one."""
+    contrastive = dualview.contrastive_loss
+    monkeypatch.setattr(
+        dualview, "contrastive_loss", lambda rep_sem, *args: contrastive(0.0 * rep_sem, *args)
+    )
+    config, _, _ = fresh
+    assert main(["train-detector", "--config", config, "--out", str(tmp_path / "out")]) == 4
+    assert "DegenerateVector: zero-norm representation" in caplog.text
+    assert "unexpected failure" not in caplog.text
+
+
+def test_every_error_class_has_an_exit_code_other_than_1():
+    classes = [
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.OrderlabError)
+        and cls is not errors.OrderlabError  # the base is never raised itself
+    ]
+    assert errors.DegenerateVector in classes
+    for cls in classes:
+        # main's rule: the first family that holds the class, else 1
+        code = next((code for families, code in EXIT_CODES if issubclass(cls, families)), 1)
+        assert code != 1, cls.__name__
 
 
 def without_entries(blob):

@@ -7,7 +7,6 @@ from orderlab.numkit import SeededRng
 from orderlab.params import ParamVector, TrainConfig
 from orderlab.rectifier import (
     InfluenceConfig,
-    InfluenceReport,
     RectifyConfig,
     estimate_scale,
     hvp,
@@ -134,14 +133,29 @@ class TestInfluenceAlgebra:
             rtol=1e-12,
         )
 
-    def test_filter_harmful(self):
-        values = np.array([0.5, -0.2, 0.0])
-        report = InfluenceReport([(0, 1), (0, 2), (1, 3)], values, 1.0, 0.0, 1.0)
-        assert report.harmful == [(0, 1)]
-        report.values = np.array([-1.0, -0.5, -0.1])
-        assert report.harmful == []
-        report.samples, report.values = [], np.array([])
-        assert report.harmful == []
+    def test_filter_harmful(self, monkeypatch):
+        """influence_report returns the influence.json document; a sample is
+        harmful when its value is above the threshold 0."""
+        model, params = tiny_model(vocab=6, hidden=8, seed=21)
+        seqs = [np.array([0, 1, 2, 3, 4]), np.array([5, 4, 3, 2])]
+        pairs = [(np.array([0, 1]), 2), (np.array([3]), 4)]
+        cfg = InfluenceConfig(lissa_depth=2, scale_power_iters=2, repeats=1)
+        three = [(0, 1), (0, 2), (1, 3)]
+        for samples, values, harmful in [
+            (three, [0.5, -0.2, 0.0], [(0, 1)]),
+            (three, [-1.0, -0.5, -0.1], []),
+            ([], [], []),
+        ]:
+            monkeypatch.setattr(rectifier, "influence_values", lambda *args, v=values: np.array(v))
+            doc = influence_report(model, params, seqs, samples, pairs, cfg, SeededRng(3))
+            assert doc["harmful"] == harmful
+            assert doc["samples"] == samples and doc["values"] == values
+            assert doc["threshold"] == 0.0 and doc["clean_validation_pairs"] == 2
+            assert sorted(doc) == sorted([
+                "samples", "values", "harmful", "threshold", "scale", "residual",
+                "validation_grad_norm", "clean_validation_pairs",
+            ])
+            assert all(type(doc[k]) is float for k in ("scale", "residual", "validation_grad_norm"))
 
 
 class TestValidationGradient:
@@ -184,8 +198,8 @@ class TestLissaOnModel:
         )
         v = gen.standard_normal(trained.size)
         cfg = InfluenceConfig(lissa_depth=300, repeats=1, damping=0.2)  # 12 users: full-batch HVPs
-        res = lissa_ihvp(model, trained, seqs, v, cfg, SeededRng(26))
-        assert res.residual < 0.01
+        _, _, residual = lissa_ihvp(model, trained, seqs, v, cfg, SeededRng(26))
+        assert residual < 0.01
 
 
 class TestRectify:
@@ -196,7 +210,9 @@ class TestRectify:
             model, params, seqs, [], [(0, 1)], lambda p: 1.0, RectifyConfig(), SeededRng(1)
         )
         np.testing.assert_array_equal(out.flat, params.flat)
-        assert trace.rounds == []
+        assert trace == {
+            "rounds": [], "initial_value": 1.0, "best_round": 0, "stopped_early": False
+        }
 
     def test_single_round_matches_hand_update(self):
         model, params = tiny_model(vocab=6, hidden=8, seed=27)
@@ -264,7 +280,7 @@ class TestRectify:
         out, trace = rectify(
             model, params, seqs, harmful, [], eval_fn, RectifyConfig(), SeededRng(35)
         )
-        assert trace.stopped_early
+        assert trace["stopped_early"] and trace["best_round"] == 0
         np.testing.assert_array_equal(out.flat, params.flat)  # input was best
 
 

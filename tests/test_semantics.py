@@ -53,6 +53,13 @@ class TestLoadTsv:
         with pytest.raises(FormatError, match="i1"):
             load_semantic_tsv(str(p), corpus)
 
+    def test_repeated_item_named_with_its_line(self, tmp_path):
+        corpus = toy_corpus([[0, 1, 0, 1, 0]], n_items=2)
+        p = tmp_path / "sem.tsv"
+        p.write_text("i0\t1,2,3,4,5,6,7,8\n# note\ni1\t1,2,3,4,5,6,7,8\ni0\t8,7,6,5,4,3,2,1\n")
+        with pytest.raises(FormatError, match=f"{p}:4: item 'i0' appears more than once"):
+            load_semantic_tsv(str(p), corpus)
+
     def test_ragged_dims(self, tmp_path):
         corpus = toy_corpus([[0, 1, 0, 1, 0]], n_items=2)
         p = tmp_path / "sem.tsv"
