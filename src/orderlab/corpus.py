@@ -280,9 +280,16 @@ class SynthConfig:
     max_length: int = 200
 
     def validate(self) -> None:
-        """Reject a generator no stage can use: each user needs 2 target orders and a prefix."""
+        """Reject a generator no stage can use: each user needs 2 target orders and a
+        prefix, and each category an item."""
         if self.users < 1 or not (1 <= self.categories <= self.items):
             raise InvalidArgument("synthetic data needs users >= 1 and 1 <= categories <= items")
+        block = -(-self.items // self.categories)  # items per category, the last takes the rest
+        if block * (self.categories - 1) >= self.items:
+            raise InvalidArgument(
+                f"{self.items} items in blocks of {block} leave category {self.categories - 1} "
+                f"of {self.categories} empty"
+            )
         if not (3 <= self.min_length <= self.mean_length and self.min_length <= self.max_length):
             raise InvalidArgument(
                 "synthetic lengths need 3 <= min_length <= mean_length and min_length <= max_length"

@@ -75,7 +75,13 @@ class FeatureStats:
 
     @classmethod
     def fit(cls, features: np.ndarray) -> "FeatureStats":
-        mean = features.mean(axis=0)
+        """Column means and standard deviations, the latter floored at 1e-8.
+
+        A constant column's mean is its value, not a sum's rounding of it, so
+        that the column normalises to exactly 0.
+        """
+        constant = (features == features[0]).all(axis=0)
+        mean = np.where(constant, features[0], features.mean(axis=0))
         std = np.maximum(features.std(axis=0), 1e-8)
         return cls(mean, std)
 

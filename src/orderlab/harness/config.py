@@ -126,14 +126,18 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
     def validate(self) -> None:
-        """Rules across sections, for synthetic sources, whose sizes the config fixes.
+        """The seed's rule, and the rules across sections for synthetic sources,
+        whose sizes the config fixes.
 
+        The seed is a non-negative integer, as numpy's seed sequence needs.
         Evaluation feeds a model each sequence but its last item; the PCA
         reduction keeps `model.hidden` components of the semantic table, so
         hidden is at most its dimension and its item count less one; and
         synthetic semantics are built from the synthetic corpus's categories.
         A tsv corpus's lengths are checked when the data stage builds it.
         """
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise InvalidArgument(f"seed must be a non-negative integer, got {self.seed!r}")
         synth = self.data.synth
         if self.data.source == "tsv" and self.semantics.source == "synth":
             raise InvalidArgument("semantics.source 'synth' needs data.source 'synth'")
@@ -178,9 +182,7 @@ class ExperimentConfig:
         kwargs = {}
         for key, value in doc.items():
             if key == "seed":
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise InvalidArgument(f"seed must be an integer, got {value!r}")
-                kwargs["seed"] = value
+                kwargs["seed"] = value  # checked by validate
             elif key in nested:
                 if key == "data" and isinstance(value, dict) and "synth" in value:
                     value = dict(value)

@@ -10,9 +10,10 @@ position:
 * sequential - two non-adjacent items inside a window swap places.
 
 `inject` works in one pass. It draws the affected users from its "plan"
-stream; then, user by user in index order, `_plan_user` draws that user's
-positions from the same stream, and the ops are applied at once: swaps,
-then runs, then substitutes, whose items come from the "apply" stream.
+stream. Then, user by user in index order, `_plant_user` draws that
+user's positions from the same stream and writes the fakes straight into
+a copy of the user's sequence: swaps, then runs, then substitutes, whose
+items come from the "apply" stream.
 
 Every realized manipulation is recorded in a manifest, which holds:
 
@@ -116,8 +117,6 @@ class FakeOrderManifest:
             return cls.from_json(json.load(fh))
 
 
-# --- planning -------------------------------------------------------------
-
 def _split_budget(budget: int, mix) -> tuple[int, int, int]:
     """Integer split of the per-user budget across types, largest-remainder."""
     raw = np.asarray(mix, dtype=np.float64) * budget
@@ -132,18 +131,29 @@ def _partners(p: int, free: np.ndarray, window: int) -> list[int]:
     return [q for q in range(lo, hi + 1) if abs(q - p) >= 2 and free[q]]
 
 
-def _plan_user(
-    user: int, prefix: np.ndarray, budget: int, cfg: InjectionConfig, gen: np.random.Generator
-) -> list[tuple]:
-    """One user's ops in apply order: ("sequential", p, q) swaps, then
-    ("repetitive", anchor, k) runs, then ("semantic", p) substitutes.
+def _plant_user(
+    user: int,
+    seq: np.ndarray,
+    budget: int,
+    cfg: InjectionConfig,
+    gen: np.random.Generator,
+    unit: np.ndarray,
+    apply_rng: SeededRng,
+) -> list[ManifestEntry]:
+    """Plant one user's fake orders into `seq`, in place, and return their
+    manifest entries: swaps, then runs, then substitutes.
 
-    Positions are mutually exclusive train-prefix indices >= 1 (every
-    manipulated position keeps a left neighbour). A run also reserves its
-    anchor, so no other op rewrites the item it copies. Odd or unplaceable
-    swap slots fall back to substitutes; what finds no room is left out.
+    Positions are drawn from `gen`; they are mutually exclusive
+    train-prefix indices >= 1 (every manipulated position keeps a left
+    neighbour). A run also reserves its anchor, so no other fake rewrites
+    the item it copies. Odd or unplaceable swap slots fall back to
+    substitutes; what finds no room is left out. Each substitute is drawn
+    from `apply_rng` among the items of low cosine to the one it replaces
+    (`unit` is the semantic table with unit rows), or is the single
+    lowest-cosine item when none lies below `cfg.semantic_cos_max`.
     """
-    free = np.zeros(len(prefix), dtype=bool)
+    n = len(seq) - 2  # the train prefix; the last two orders are the targets
+    free = np.zeros(n, dtype=bool)
     free[1:] = True  # position 0 never manipulated
     n_rep, n_sem, n_seq = _split_budget(budget, cfg.type_mix)
 
@@ -171,7 +181,7 @@ def _plan_user(
         for run_len in range(min(cfg.repeat_len, n_rep), 0, -1):  # shorter runs when none fits
             anchors = [
                 a
-                for a in range(len(prefix) - run_len)
+                for a in range(n - run_len)
                 if (a == 0 or free[a]) and free[a + 1 : a + 1 + run_len].all()
             ]
             if anchors:
@@ -193,81 +203,36 @@ def _plan_user(
         subs.append(p)
         free[p] = False
 
-    # a swap of equal items (after the swaps before it) is moved to the
-    # first free partner in its window that holds another item, or dropped
-    ops = []
-    work = prefix.copy()
+    # a swap of equal items is moved to the first free partner in its
+    # window that holds another item, or dropped
+    entries = []
     for p, q in swaps:
-        if work[p] == work[q]:
-            moved = next((c for c in _partners(p, free, cfg.swap_window) if work[c] != work[p]), None)
+        if seq[p] == seq[q]:
+            moved = next((c for c in _partners(p, free, cfg.swap_window) if seq[c] != seq[p]), None)
             if moved is None:
                 log.warning("dropped swap (%d, %d) for user %d", p, q, user)
                 continue
             free[moved] = False
             p, q = min(p, moved), max(p, moved)
-        work[p], work[q] = work[q], work[p]
-        ops.append(("sequential", p, q))
-    return ops + [("repetitive", a, k) for a, k in runs] + [("semantic", p) for p in subs]
-
-
-# --- application ----------------------------------------------------------
-
-def inject_repetitive(seq: np.ndarray, anchor: int, k: int):
-    """Copy the anchor item over the k following positions (truncated at the
-    sequence end). Returns (modified sequence, manifest entries without user)."""
-    if anchor < 0 or anchor >= len(seq):
-        raise InvalidArgument(f"anchor {anchor} outside sequence of length {len(seq)}")
-    out = seq.copy()
-    entries = []
-    item = int(seq[anchor])
-    stop = min(anchor + k, len(seq) - 1)
-    for pos in range(anchor + 1, stop + 1):
-        entries.append((pos, "repetitive", int(seq[pos]), item))
-        out[pos] = item
-    return out, entries
-
-
-def low_cosine_candidates(unit: np.ndarray, item: int, cos_max: float) -> np.ndarray:
-    """Items whose embedding cosine to `item` is below cos_max; falls back
-    to the single global-minimum-cosine item when none qualify. `unit` is
-    the semantic table with unit rows (`semantics.unit_rows`)."""
-    sims = unit @ unit[item]
-    sims[item] = np.inf
-    candidates = np.flatnonzero(sims < cos_max)
-    if candidates.size == 0:
-        candidates = np.asarray([int(np.argmin(sims))])
-    return candidates
-
-
-def inject_semantic(
-    seq: np.ndarray,
-    position: int,
-    unit: np.ndarray,
-    rng: SeededRng,
-    cos_max: float,
-):
-    """Replace one position with an item drawn uniformly among those of low
-    cosine to it; `unit` is the semantic table with unit rows."""
-    out = seq.copy()
-    original = int(seq[position])
-    candidates = low_cosine_candidates(unit, original, cos_max)
-    injected = int(candidates[int(rng.gen.integers(candidates.size))])
-    out[position] = injected
-    return out, [(position, "semantic", original, injected)]
-
-
-def inject_sequential(seq: np.ndarray, p: int, q: int):
-    """Swap two non-adjacent items; both endpoints become fake positions."""
-    if abs(p - q) < 2:
-        raise InvalidArgument("swap endpoints must be non-adjacent")
-    if seq[p] == seq[q]:
-        raise InvalidArgument("swap endpoints hold identical items")
-    out = seq.copy()
-    out[p], out[q] = seq[q], seq[p]
-    return out, [
-        (p, "sequential", int(seq[p]), int(seq[q])),
-        (q, "sequential", int(seq[q]), int(seq[p])),
-    ]
+        x, y = int(seq[p]), int(seq[q])
+        seq[p], seq[q] = y, x
+        entries.append(ManifestEntry(user, p, "sequential", x, y))
+        entries.append(ManifestEntry(user, q, "sequential", y, x))
+    for a, k in runs:
+        item = int(seq[a])
+        for p in range(a + 1, a + k + 1):
+            entries.append(ManifestEntry(user, p, "repetitive", int(seq[p]), item))
+        seq[a + 1 : a + k + 1] = item
+    for p in subs:
+        original = int(seq[p])
+        sims = unit @ unit[original]
+        sims[original] = np.inf
+        candidates = np.flatnonzero(sims < cfg.semantic_cos_max)
+        if candidates.size == 0:
+            candidates = np.argmin(sims, keepdims=True)
+        seq[p] = injected = int(candidates[int(apply_rng.gen.integers(candidates.size))])
+        entries.append(ManifestEntry(user, p, "semantic", original, injected))
+    return entries
 
 
 def inject(
@@ -292,22 +257,14 @@ def inject(
     entries: list[ManifestEntry] = []
     truncated = 0
     for user in users.tolist():
-        prefix = corpus.train_prefix(user)
-        budget = int(round(cfg.intensity * len(prefix)))
-        if budget <= 0 or len(prefix) < 3:
+        n = len(corpus.train_prefix(user))
+        budget = int(round(cfg.intensity * n))
+        if budget <= 0 or n < 3:
             continue
-        seq = sequences[user]
-        before = len(entries)
-        for kind, *at in _plan_user(user, prefix, budget, cfg, gen):
-            if kind == "sequential":
-                seq, locs = inject_sequential(seq, *at)
-            elif kind == "repetitive":
-                seq, locs = inject_repetitive(seq, *at)
-            else:
-                seq, locs = inject_semantic(seq, at[0], unit, apply_rng, cfg.semantic_cos_max)
-            entries.extend(ManifestEntry(user, *loc) for loc in locs)
-        sequences[user] = seq
-        truncated += len(entries) - before < budget
+        sequences[user] = sequences[user].copy()
+        planted = _plant_user(user, sequences[user], budget, cfg, gen, unit, apply_rng)
+        entries += planted
+        truncated += len(planted) < budget
     if truncated:
         log.warning("injection budget truncated for %d users", truncated)
 

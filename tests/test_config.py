@@ -56,6 +56,7 @@ def test_partial_document_keeps_defaults():
     {"seed": "x"},
     {"seed": 1.5},
     {"seed": True},
+    {"seed": -3},
     {"eval": {"negatives": 1.5}},
     {"eval": {"negatives": True}},
     {"eval": {"negatives": -1}},

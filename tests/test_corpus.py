@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -283,6 +284,25 @@ class TestSynthCorpus:
     def test_infeasible_config(self):
         with pytest.raises(InvalidArgument):
             synth_corpus(SynthConfig(items=2, categories=5), SeededRng(1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(items=st.integers(1, 40), data=st.data())
+    def test_validate_accepts_exactly_the_splits_that_fill_every_category(self, items, data):
+        # a stay probability of 0 jumps at every order: 2,000 orders visit every category
+        categories = data.draw(st.integers(1, items))
+        cfg = SynthConfig(users=200, items=items, categories=categories, mean_length=10, stay_prob=0.0)
+        try:
+            cfg.validate()
+            accepted = True
+        except InvalidArgument:
+            accepted = False
+        with mock.patch.object(SynthConfig, "validate", lambda self: None):
+            try:
+                _, cats = synth_corpus(cfg, SeededRng(items))
+                filled = np.unique(cats).size == categories
+            except IndexError:  # an empty category has no item to draw
+                filled = False
+        assert accepted == filled
 
     @pytest.mark.parametrize("categories", [1, 2, 4, 8])
     @pytest.mark.parametrize("stay_prob", [0.0, 0.5, 0.85, 1.0])

@@ -204,10 +204,9 @@ class TestUnifiedScore:
         feats = SeededRng(5).gen.standard_normal((50, 4))
         feats[:, 2] = 3.7
         stats = FeatureStats.fit(feats)
-        assert stats.std[2] == 1e-8
         norm = stats.apply(feats)
-        # the column's mean carries rounding (here 2.7e-15), which the floor scales by 1e8
-        np.testing.assert_allclose(norm[:, 2], 0.0, atol=1e-6)
+        # a summed mean carries rounding (here 2.7e-15), which the 1e-8 std floor would scale by 1e8
+        np.testing.assert_array_equal(norm[:, 2], 0.0)
         np.testing.assert_allclose(norm[:, [0, 1, 3]].mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(norm[:, [0, 1, 3]].std(axis=0), 1.0, rtol=1e-12)
         w = np.array([0.1, 0.2, 0.3, 0.4])

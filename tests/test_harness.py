@@ -96,6 +96,9 @@ def test_fresh_runs_write_identical_bytes(tmp_path):
     ({"seed": 1, "rectify": {"max_rounds": 0}}, 2),
     ({"seed": 1, "influence": {"scale_power_iters": 0}}, 2),
     ({"seed": 1, "detector": {"default_percentile": 150}}, 2),
+    ({"seed": -3}, 2),  # numpy seeds only from non-negative integers
+    # blocks of 3 items fill 3 of 4 categories and leave the last empty
+    ({"seed": 1, "data": {"synth": {"items": 9, "categories": 4}}, "model": {"hidden": 8}}, 2),
 ])
 def test_cli_exit_codes(tmp_path, doc, code):
     config = tmp_path / "config.json"
@@ -104,6 +107,12 @@ def test_cli_exit_codes(tmp_path, doc, code):
     out = tmp_path / "out"
     assert main(["synth", "--config", str(config), "--out", str(out)]) == code
     assert (out / "corpus_clean.json").exists() == (code == 0)
+
+
+def test_negative_seed_override_exits_2(tmp_path):
+    out = tmp_path / "out"
+    assert main(["synth", "--seed", "-1", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section", [

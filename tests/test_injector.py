@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 
 from orderlab.errors import InvalidArgument
 from orderlab.injector import (
+    TYPES,
     FakeOrderManifest,
     InjectionConfig,
     inject,
-    inject_repetitive,
-    inject_semantic,
-    inject_sequential,
-    low_cosine_candidates,
 )
 from orderlab.numkit import SeededRng
 from orderlab.semantics import synth_semantics, unit_rows
@@ -84,86 +81,158 @@ class TestPlanAllocation:
             inject(corpus, table, InjectionConfig(type_mix=(1.0, 1.0, 0.0)), SeededRng(1))
 
 
-class TestRepetitive:
-    def test_definition(self):
-        seq = np.array([10, 11, 12, 13, 14])
-        out, entries = inject_repetitive(seq, anchor=1, k=2)
-        np.testing.assert_array_equal(out, [10, 11, 11, 11, 14])
-        assert [(p, k) for p, k, *_ in entries] == [(2, "repetitive"), (3, "repetitive")]
-        assert [e[2] for e in entries] == [12, 13]  # originals recoverable
+REPETITIVE, SEMANTIC, SEQUENTIAL = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
 
-    def test_k_zero(self):
-        seq = np.array([1, 2, 3])
-        out, entries = inject_repetitive(seq, 0, 0)
-        np.testing.assert_array_equal(out, seq)
-        assert entries == []
+
+def plant_one_type(corpus, table, mix, seed, intensity=0.4, **knobs):
+    """`inject` with a pure `type_mix`: (poisoned corpus, manifest entries),
+    which are all of that type."""
+    cfg = InjectionConfig(0.6, intensity, type_mix=mix, **knobs)
+    poisoned, manifest = inject(corpus, table, cfg, SeededRng(seed))
+    assert {e.kind for e in manifest.entries} == {TYPES[mix.index(1.0)]}
+    return poisoned, manifest.entries
+
+
+def swap_corpus():
+    """30 users of 22 distinct items over 40. At intensity 0.4 each budget is
+    8, an even number that always fits, so a pure sequential mix plants
+    swaps only (an odd or unplaceable slot would fall back to a substitute)."""
+    gen = SeededRng(14).gen
+    corpus = toy_corpus([gen.permutation(40)[:22] for _ in range(30)], n_items=40)
+    return corpus, gen.standard_normal((40, 8))
+
+
+def run_anchors(entries):
+    """(user, position) -> its run's anchor: a run is a maximal block of
+    consecutive repetitive positions, and its anchor precedes it."""
+    marked = {(e.user, e.position) for e in entries}
+    anchors = {}
+    for u, p in sorted(marked):
+        anchors[u, p] = anchors[u, p - 1] if (u, p - 1) in marked else p - 1
+    return anchors
+
+
+def swap_pairs(entries):
+    """A swap's two entries follow each other in the manifest, lower position first."""
+    return list(zip(entries[0::2], entries[1::2]))
+
+
+class TestRepetitive:
+    def test_definition(self, small_synth):
+        corpus, _, table = small_synth
+        poisoned, entries = plant_one_type(corpus, table, REPETITIVE, 3)
+        anchors = run_anchors(entries)
+        for e in entries:
+            a = anchors[e.user, e.position]
+            assert e.injected_item == poisoned.sequences[e.user][e.position]
+            assert e.injected_item == poisoned.sequences[e.user][a] == corpus.sequences[e.user][a]
+            assert e.original_item == corpus.sequences[e.user][e.position]  # originals recoverable
+
+    def test_k_zero(self, small_synth):
+        # no repetitive share: no run is planted, and every anchor item stays where it was
+        corpus, _, table = small_synth
+        cfg = InjectionConfig(0.6, 0.4, type_mix=(0.0, 0.5, 0.5))
+        _, manifest = inject(corpus, table, cfg, SeededRng(4))
+        assert manifest.entries and "repetitive" not in {e.kind for e in manifest.entries}
 
     def test_truncated_at_end(self):
-        seq = np.array([1, 2, 3])
-        out, entries = inject_repetitive(seq, 1, 10)
-        np.testing.assert_array_equal(out, [1, 2, 2])
-        assert len(entries) == 1
+        # runs far longer than the prefixes are cut to fit inside them
+        gen = SeededRng(5).gen
+        corpus = toy_corpus([gen.permutation(12)[:7] for _ in range(30)], n_items=12)
+        table, _ = two_category_semantics(12)
+        poisoned, entries = plant_one_type(corpus, table, REPETITIVE, 5, intensity=1.0, repeat_len=10)
+        for e in entries:
+            assert 1 <= e.position < len(corpus.train_prefix(e.user))
+        for clean, dirty in zip(corpus.sequences, poisoned.sequences):
+            np.testing.assert_array_equal(dirty[-2:], clean[-2:])
 
     def test_run_length_oracle(self):
-        seq = np.arange(20)
-        out, _ = inject_repetitive(seq, 5, 3)
-        runs = 1
-        best = 1
-        for a, b in zip(out[:-1], out[1:]):
-            runs = runs + 1 if a == b else 1
-            best = max(best, runs)
-        assert best >= 4  # anchor plus k replacements
+        # prefixes of 18 distinct items at intensity 0.2: a budget of 4 holds a full run of 3
+        corpus = toy_corpus([np.arange(20)] * 10, n_items=20)
+        table, _ = two_category_semantics(20)
+        poisoned, entries = plant_one_type(corpus, table, REPETITIVE, 6, intensity=0.2)
+        for u in {e.user for e in entries}:
+            out = poisoned.sequences[u]
+            runs = 1
+            best = 1
+            for a, b in zip(out[:-1], out[1:]):
+                runs = runs + 1 if a == b else 1
+                best = max(best, runs)
+            assert best >= 4  # anchor plus k replacements
 
 
 class TestSemanticInjection:
     def test_lands_in_other_category(self):
         table, cats = two_category_semantics(20)
-        seq = np.array([0, 1, 2, 3, 4])
-        rng = SeededRng(5)
-        for _ in range(20):
-            out, entries = inject_semantic(seq, 2, unit_rows(table), rng, 0.2)
-            injected = entries[0][3]
-            assert cats[injected] != cats[2]
-            assert injected != 2
+        gen = SeededRng(5).gen
+        corpus = toy_corpus([gen.permutation(20)[:12] for _ in range(20)], n_items=20)
+        poisoned, entries = plant_one_type(corpus, table, SEMANTIC, 5, semantic_cos_max=0.2)
+        for e in entries:
+            assert cats[e.injected_item] != cats[e.original_item]
+            assert poisoned.sequences[e.user][e.position] == e.injected_item
 
-    def test_low_cosine_when_possible(self):
-        table, _ = two_category_semantics(20)
+    def test_low_cosine_when_possible(self, small_synth):
+        corpus, _, table = small_synth
         unit = unit_rows(table)
-        cands = low_cosine_candidates(unit, 0, 0.2)
-        assert all(unit[c] @ unit[0] < 0.2 for c in cands)
+        _, entries = plant_one_type(corpus, table, SEMANTIC, 7)
+        assert all(unit[e.injected_item] @ unit[e.original_item] < 0.2 for e in entries)
 
-    def test_fallback_to_global_minimum(self):
-        # all items nearly identical: no candidate below threshold
-        rows = np.ones((5, 8)) + 1e-3 * SeededRng(6).gen.standard_normal((5, 8))
-        cands = low_cosine_candidates(unit_rows(rows), 0, 0.2)
-        assert len(cands) == 1 and cands[0] != 0
+    def test_fallback_to_global_minimum(self, small_synth):
+        # no cosine lies below -2: each substitute is the single lowest-cosine item
+        corpus, _, table = small_synth
+        unit = unit_rows(table)
+        _, entries = plant_one_type(corpus, table, SEMANTIC, 8, semantic_cos_max=-2.0)
+        for e in entries:
+            sims = unit @ unit[e.original_item]
+            sims[e.original_item] = np.inf
+            assert e.injected_item == int(np.argmin(sims))
 
 
 class TestSequentialInjection:
     def test_swap(self):
-        seq = np.array([1, 2, 3, 4])
-        out, entries = inject_sequential(seq, 0, 2)
-        np.testing.assert_array_equal(out, [3, 2, 1, 4])
-        assert {(e[0], e[2], e[3]) for e in entries} == {(0, 1, 3), (2, 3, 1)}
+        corpus, table = swap_corpus()
+        poisoned, entries = plant_one_type(corpus, table, SEQUENTIAL, 9)
+        for a, b in swap_pairs(entries):
+            assert a.user == b.user and a.position < b.position
+            assert (a.original_item, a.injected_item) == (b.injected_item, b.original_item)
+            assert poisoned.sequences[a.user][a.position] == a.injected_item
+            assert poisoned.sequences[b.user][b.position] == b.injected_item
 
     def test_involution(self):
-        seq = np.array([1, 2, 3, 4])
-        once, _ = inject_sequential(seq, 0, 2)
-        twice, _ = inject_sequential(once, 0, 2)
-        np.testing.assert_array_equal(twice, seq)
+        # swapping every recorded pair back restores the clean sequences
+        corpus, table = swap_corpus()
+        poisoned, entries = plant_one_type(corpus, table, SEQUENTIAL, 10)
+        sequences = [s.copy() for s in poisoned.sequences]
+        for a, b in swap_pairs(entries):
+            seq = sequences[a.user]
+            seq[a.position], seq[b.position] = seq[b.position], seq[a.position]
+        for got, want in zip(sequences, corpus.sequences):
+            np.testing.assert_array_equal(got, want)
 
     def test_multiset_preserved(self):
-        seq = np.array([5, 6, 7, 8, 9])
-        out, _ = inject_sequential(seq, 1, 4)
-        assert sorted(out.tolist()) == sorted(seq.tolist())
+        corpus, table = swap_corpus()
+        poisoned, entries = plant_one_type(corpus, table, SEQUENTIAL, 11)
+        for u in {e.user for e in entries}:
+            assert sorted(poisoned.sequences[u].tolist()) == sorted(corpus.sequences[u].tolist())
 
     def test_adjacent_rejected(self):
-        with pytest.raises(InvalidArgument):
-            inject_sequential(np.array([1, 2, 3]), 0, 1)
+        # a window of 2 leaves exactly one partner distance: 2
+        corpus, table = swap_corpus()
+        _, entries = plant_one_type(corpus, table, SEQUENTIAL, 12, swap_window=2)
+        assert {b.position - a.position for a, b in swap_pairs(entries)} == {2}
 
     def test_identical_items_rejected(self):
-        with pytest.raises(InvalidArgument):
-            inject_sequential(np.array([1, 2, 1]), 0, 2)
+        # two items only: equal endpoints abound, and no swap exchanges them
+        gen = SeededRng(13).gen
+        corpus = toy_corpus([gen.integers(0, 2, size=15) for _ in range(30)], n_items=2)
+        table = gen.standard_normal((2, 8))
+        cfg = InjectionConfig(0.6, 0.6, type_mix=SEQUENTIAL)
+        poisoned, manifest = inject(corpus, table, cfg, SeededRng(13))
+        pairs = swap_pairs([e for e in manifest.entries if e.kind == "sequential"])
+        assert pairs
+        for a, b in pairs:
+            assert a.original_item != b.original_item
+            assert poisoned.sequences[a.user][a.position] != corpus.sequences[a.user][a.position]
 
 
 class TestApplyPlan:
