@@ -102,7 +102,6 @@ def main(argv=None) -> int:
         cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
         if args.seed is not None:
             cfg.seed = args.seed
-            cfg.validate()
         if args.command == "effect-sweep":
             rows = fake_order_effect_sweep(cfg, args.out, tuple(args.variants), resume=args.resume)
             for row in rows:

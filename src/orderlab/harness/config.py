@@ -2,7 +2,10 @@
 
 The root seed fans out to stages through fixed labels (numkit.SeededRng
 children), so any stage is independently reproducible. Configs round-trip
-through their file form losslessly.
+through their file form losslessly: one recursive builder (`_build`) turns
+a JSON document into the nested config dataclasses, checking each value
+against its field's annotation, and `ExperimentConfig.validate` checks the
+ranges of every section and the rules across them.
 """
 from __future__ import annotations
 
@@ -51,6 +54,32 @@ def _fits(value, hint) -> bool:
 
 def _type_name(hint) -> str:
     return hint.__name__ if isinstance(hint, type) else str(hint)
+
+
+def _build(klass, doc):
+    """A `klass` config dataclass from its JSON object `doc`.
+
+    A field annotated with a config dataclass is built from its own object,
+    a JSON list becomes the tuple its field is annotated with, and every
+    other value must fit its annotation (`_fits`). Absent keys keep the
+    class defaults; the values' ranges are left to `validate`.
+    """
+    if not isinstance(doc, dict):
+        raise InvalidArgument(f"config section for {klass.__name__} must be an object")
+    hints = typing.get_type_hints(klass)
+    kwargs = {}
+    for key, value in doc.items():
+        if key not in hints:
+            raise InvalidArgument(f"unknown config key {key!r} for {klass.__name__}")
+        hint = hints[key]
+        if dataclasses.is_dataclass(hint):
+            value = _build(hint, value)
+        elif not _fits(value, hint):
+            raise InvalidArgument(f"{klass.__name__}.{key} must be {_type_name(hint)}, got {value!r}")
+        elif typing.get_origin(hint) is tuple:
+            value = tuple(value)
+        kwargs[key] = value
+    return klass(**kwargs)
 
 
 @dataclass
@@ -126,8 +155,12 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
     def validate(self) -> None:
-        """The seed's rule, and the rules across sections for synthetic sources,
-        whose sizes the config fixes.
+        """Every section's own rules, then the seed's rule and the rules across
+        sections for synthetic sources, whose sizes the config fixes.
+
+        Each section with a `validate` method is checked first (`DataConfig`
+        checks its `synth`), so one call checks a whole config, however it
+        was built.
 
         The seed is a non-negative integer, as numpy's seed sequence needs.
         Evaluation feeds a model each sequence but its last item; the PCA
@@ -136,6 +169,10 @@ class ExperimentConfig:
         synthetic semantics are built from the synthetic corpus's categories.
         A tsv corpus's lengths are checked when the data stage builds it.
         """
+        for f in dataclasses.fields(self):
+            validate = getattr(getattr(self, f.name), "validate", None)
+            if validate is not None:
+                validate()
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
             raise InvalidArgument(f"seed must be a non-negative integer, got {self.seed!r}")
         synth = self.data.synth
@@ -159,43 +196,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        def build(klass, sub):
-            if not isinstance(sub, dict):
-                raise InvalidArgument(f"config section for {klass.__name__} must be an object")
-            hints = typing.get_type_hints(klass)
-            for key, value in sub.items():
-                if key not in hints:
-                    raise InvalidArgument(f"unknown config key {key!r} for {klass.__name__}")
-                if not _fits(value, hints[key]):
-                    raise InvalidArgument(
-                        f"{klass.__name__}.{key} must be {_type_name(hints[key])}, got {value!r}"
-                    )
-            return klass(**sub)
-
-        if not isinstance(doc, dict):
-            raise InvalidArgument("a config must be a JSON object")
-        nested = {  # section name -> its config class
-            f.name: type(f.default_factory())
-            for f in dataclasses.fields(cls)
-            if f.default_factory is not dataclasses.MISSING
-        }
-        kwargs = {}
-        for key, value in doc.items():
-            if key == "seed":
-                kwargs["seed"] = value  # checked by validate
-            elif key in nested:
-                if key == "data" and isinstance(value, dict) and "synth" in value:
-                    value = dict(value)
-                    value["synth"] = build(SynthConfig, value["synth"])
-                kwargs[key] = build(nested[key], value)
-            else:
-                raise InvalidArgument(f"unknown config key {key!r}")
-        cfg = cls(**kwargs)
-        cfg.injection.type_mix = tuple(cfg.injection.type_mix)  # JSON has no tuples
-        for section in nested:
-            validate = getattr(getattr(cfg, section), "validate", None)
-            if validate is not None:
-                validate()
+        cfg = _build(cls, doc)
         cfg.validate()
         return cfg
 

@@ -168,17 +168,11 @@ def convergence_report(traces: dict[str, list[float]]) -> dict:
     Never-converged traces report their full length, flagged."""
     out = {}
     for name, trace in traces.items():
-        epoch = convergence_epoch(trace)
-        if epoch is None:
-            out[name] = {
-                "epochs": len(trace),
-                "reported": round_up_to_cadence(max(len(trace), 1), _CADENCE),
-                "converged": False,
-            }
-        else:
-            out[name] = {
-                "epochs": epoch,
-                "reported": round_up_to_cadence(epoch, _CADENCE),
-                "converged": True,
-            }
+        epoch = convergence_epoch(trace)  # at least 2 when converged
+        epochs = len(trace) if epoch is None else epoch
+        out[name] = {
+            "epochs": epochs,
+            "reported": round_up_to_cadence(max(epochs, 1), _CADENCE),
+            "converged": epoch is not None,
+        }
     return out

@@ -63,23 +63,11 @@ SWEEP_VARIANTS = ("clean", "repetitive", "semantic", "sequential")
 SPLIT_OF = {"corpus": "split", "poisoned": "poisoned_split"}  # ctx keys: corpus -> its split
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
-
-
 def write_json(path: str, obj) -> None:
+    """Write `obj`, whose values must be JSON-native (dicts keyed by str,
+    lists, tuples, str, int, float, bool, None), sorted and indented."""
     with writing(path) as fh:
-        json.dump(_jsonable(obj), fh, sort_keys=True, indent=2)
+        json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
@@ -107,14 +95,18 @@ def _checkpoint(model, config: dict):
     return lambda path, params: save_checkpoint(path, model.ARCH, config, params.flat), load
 
 
-def _under(key: str, parse=lambda value: value):
-    """Save/load pair of a JSON report that keeps one value under `key`."""
-    return lambda path, value: write_json(path, {key: value}), lambda path: parse(read_json(path)[key])
+def _under(key: str, parse=lambda value: value, dump=lambda value: value):
+    """Save/load pair of a JSON report that keeps one value under `key`,
+    written as `dump` gives it and read back through `parse`."""
+    return (
+        lambda path, value: write_json(path, {key: dump(value)}),
+        lambda path: parse(read_json(path)[key]),
+    )
 
 
 JSON = (write_json, read_json)
 TRACE = _under("trace")
-CATEGORIES = _under("categories", lambda cats: np.asarray(cats, dtype=np.int64))
+CATEGORIES = _under("categories", lambda cats: np.asarray(cats, dtype=np.int64), np.ndarray.tolist)
 CORPUS = (lambda path, corpus: corpus.save(path), lambda path: Corpus.load(path))
 MANIFEST = (
     lambda path, manifest: manifest.save(path),
@@ -144,6 +136,7 @@ class Pipeline:
     """Holds the configuration, the output directory and loaded artifacts."""
 
     def __init__(self, cfg: ExperimentConfig, out_dir: str, resume: bool = False):
+        cfg.validate()  # before the output directory exists
         self.cfg = cfg
         self.out = out_dir
         self.resume = resume
@@ -266,18 +259,24 @@ class Pipeline:
             return semantics_mod.load_semantic_tsv(sem.path, corpus)
         raise InvalidArgument(f"unknown semantics source {sem.source!r}")
 
-    def _train_target(self, corpus: Corpus, ckpt: str, trace_name: str):
-        model = self.ctx["target_model"]
+    def _train(self, model, corpus: Corpus, train_cfg, label: str, ckpt: str, trace_name: str,
+               header: dict):
+        """Parameters and loss trace of `model` trained on `corpus`'s train
+        prefixes, kept in checkpoint `ckpt` (with `header`) and `trace_name`.
+        Initialization and training draw from the streams `{label}-init` and
+        `{label}-train`."""
 
         def fit():
-            init = model.init_params(self.root.child("target-init"))
+            init = model.init_params(self.root.child(f"{label}-init"))
             prefixes = [corpus.train_prefix(u) for u in range(corpus.n_users)]
-            return model.train(
-                init, prefixes, self.cfg.target_train, self.root.child("target-train")
-            )
+            return model.train(init, prefixes, train_cfg, self.root.child(f"{label}-train"))
 
-        files = {ckpt: _checkpoint(model, dataclasses.asdict(model.cfg)), trace_name: TRACE}
-        return self.artifacts(files, fit)
+        return self.artifacts({ckpt: _checkpoint(model, header), trace_name: TRACE}, fit)
+
+    def _train_target(self, corpus: Corpus, ckpt: str, trace_name: str):
+        model = self.ctx["target_model"]
+        return self._train(model, corpus, self.cfg.target_train, "target", ckpt, trace_name,
+                           dataclasses.asdict(model.cfg))
 
     def stage_clean_model(self) -> None:
         cfg = self.cfg
@@ -323,18 +322,11 @@ class Pipeline:
             table,
             self.ctx["reduced"],
         )
-
-        def fit():
-            init = model.init_params(self.root.child("dualview-init"))
-            prefixes = [corpus.train_prefix(u) for u in range(corpus.n_users)]
-            return model.train(init, prefixes, cfg.dualview_train, self.root.child("dualview-train"))
-
-        files = {
-            "dualview.ckpt": _checkpoint(model, {"model": dataclasses.asdict(model.cfg)}),
-            "trace_dualview.json": TRACE,
-        }
         self.ctx["dualview_model"] = model
-        self.ctx["dualview_params"], self.ctx["dualview_trace"] = self.artifacts(files, fit)
+        self.ctx["dualview_params"], self.ctx["dualview_trace"] = self._train(
+            model, corpus, cfg.dualview_train, "dualview", "dualview.ckpt", "trace_dualview.json",
+            {"model": dataclasses.asdict(model.cfg)},
+        )
 
     def stage_detect(self) -> None:
         manifest = self.ctx["manifest"]
@@ -350,7 +342,7 @@ class Pipeline:
                 self.root.child("detect"),
                 manifest=manifest,
             )
-            return report, {"summary": _jsonable(report.summary), "suspicious": report.suspicious}
+            return report, {"summary": report.summary, "suspicious": report.suspicious}
 
         truth = manifest.truth()
         files = {
@@ -410,7 +402,7 @@ class Pipeline:
 
     def stage_final(self) -> None:
         (self.ctx["metrics"],) = self.artifacts(
-            {"metrics.json": JSON}, lambda: [_jsonable(self._metrics())]
+            {"metrics.json": JSON}, lambda: [self._metrics()]
         )
 
     def _metrics(self) -> dict:
@@ -446,7 +438,6 @@ class Pipeline:
                     ("dualview", "dualview.ckpt"),
                     ("rectified", "rectified.ckpt"),
                 )
-                if os.path.exists(self.path(fname))
             },
         }
         key = f"NDCG@{KS[0]}"
@@ -467,10 +458,10 @@ class Pipeline:
     def run(self, stop_after: str = "final") -> dict:
         if stop_after not in STAGES:
             raise InvalidArgument(f"unknown stage {stop_after!r}")
-        saved, current = self.path("config.json"), _jsonable(self.cfg.to_dict())
-        if self.resume and os.path.exists(saved) and read_json(saved) != current:
+        saved = self.path("config.json")
+        if self.resume and os.path.exists(saved) and ExperimentConfig.from_dict(read_json(saved)) != self.cfg:
             raise InvalidArgument(f"{saved} holds another config; resume needs the run's own")
-        write_json(saved, current)
+        write_json(saved, self.cfg.to_dict())
         for name in STAGES:
             start = time.perf_counter()
             try:
@@ -503,11 +494,6 @@ def fake_order_effect_sweep(
     split = pipe.ctx["split"]
     model = pipe.ctx["target_model"]
     eval_rng = pipe.root.child("eval")
-    mixes = {
-        "repetitive": (1.0, 0.0, 0.0),
-        "semantic": (0.0, 1.0, 0.0),
-        "sequential": (0.0, 0.0, 1.0),
-    }
     rows = []
     for variant in variants:
         if variant == "clean":
@@ -515,9 +501,10 @@ def fake_order_effect_sweep(
             trace = pipe.ctx["clean_trace"]
             var_corpus, var_split = corpus, split
         else:
-            if variant not in mixes:
+            if variant not in injector.TYPES:
                 raise InvalidArgument(f"unknown sweep variant {variant!r}")
-            inj = dataclasses.replace(cfg.injection, type_mix=mixes[variant])
+            mix = tuple(float(kind == variant) for kind in injector.TYPES)
+            inj = dataclasses.replace(cfg.injection, type_mix=mix)
             rng = pipe.root.child(f"sweep-inject-{variant}")
             files = {
                 f"corpus_sweep_{variant}.json": CORPUS,

@@ -4,10 +4,13 @@ from pathlib import Path
 import pytest
 
 from orderlab.corpus import SynthConfig
+from orderlab.detector import DetectorConfig
 from orderlab.errors import InvalidArgument
-from orderlab.harness.config import DataConfig, EvalConfig, ExperimentConfig, ModelSpec
+from orderlab.harness.config import DataConfig, EvalConfig, ExperimentConfig, ModelSpec, SemanticsConfig
 from orderlab.harness.pipeline import write_json
 from orderlab.injector import InjectionConfig
+from orderlab.params import TrainConfig
+from orderlab.rectifier import InfluenceConfig, RectifyConfig
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 
@@ -110,6 +113,42 @@ def test_partial_document_keeps_defaults():
 def test_malformed_document_is_rejected(doc):
     with pytest.raises(InvalidArgument):
         ExperimentConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("doc, klass", [
+    ({"no_such_key": 1}, "ExperimentConfig"),
+    ({"model": {"no_such_key": 1}}, "ModelSpec"),
+    ({"data": {"synth": {"no_such_key": 1}}}, "SynthConfig"),
+])
+def test_unknown_key_is_named_with_its_class(doc, klass):
+    with pytest.raises(InvalidArgument, match=f"unknown config key 'no_such_key' for {klass}"):
+        ExperimentConfig.from_dict(doc)
+
+
+# one out-of-range value per section that has its own rules, built in code
+INVALID_SECTIONS = {
+    "data": DataConfig(source="foo"),
+    "data.synth": DataConfig(synth=SynthConfig(users=0)),
+    "semantics": SemanticsConfig(source="foo"),
+    "injection": InjectionConfig(user_ratio=0.0),
+    "model": ModelSpec(hidden=4),
+    "target_train": TrainConfig(batch_size=0),
+    "dualview_train": TrainConfig(learning_rate=0.0),
+    "detector": DetectorConfig(default_percentile=150),
+    "influence": InfluenceConfig(lissa_depth=0),
+    "rectify": RectifyConfig(max_rounds=0),
+}
+
+
+@pytest.mark.parametrize("where", INVALID_SECTIONS)
+def test_validate_checks_every_section(where):
+    """`ExperimentConfig.validate` alone checks a config built in code, section by
+    section; `eval` checks itself on construction."""
+    with_rules = {name for name, value in vars(ExperimentConfig()).items() if hasattr(value, "validate")}
+    assert with_rules == {key.partition(".")[0] for key in INVALID_SECTIONS}
+    cfg = ExperimentConfig(**{where.partition(".")[0]: INVALID_SECTIONS[where]})
+    with pytest.raises(InvalidArgument):
+        cfg.validate()
 
 
 # settings held as module constants, each at its one value in use

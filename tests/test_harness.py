@@ -12,11 +12,12 @@ import pytest
 import orderlab
 from orderlab import dualview, errors, rectifier
 from orderlab.checkpoint import load_checkpoint, save_checkpoint
-from orderlab.errors import FormatError, writing
+from orderlab.errors import FormatError, InvalidArgument, writing
 from orderlab.harness import metrics, pipeline
 from orderlab.harness.cli import EXIT_CODES, main
 from orderlab.harness.config import ExperimentConfig
 from orderlab.harness.pipeline import SWEEP_VARIANTS, Pipeline, _checkpoint
+from orderlab.injector import InjectionConfig
 from orderlab.numkit import SeededRng
 from orderlab.seqrec import ModelConfig, SeqRecModel
 
@@ -112,6 +113,17 @@ def test_cli_exit_codes(tmp_path, doc, code):
 def test_negative_seed_override_exits_2(tmp_path):
     out = tmp_path / "out"
     assert main(["synth", "--seed", "-1", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(seed=-1),
+    ExperimentConfig(injection=InjectionConfig(user_ratio=0.0)),
+], ids=["seed", "injection"])
+def test_pipeline_validates_a_config_built_in_code(tmp_path, cfg):
+    out = tmp_path / "out"
+    with pytest.raises(InvalidArgument):
+        Pipeline(cfg, str(out)).run("data")
     assert not out.exists()
 
 
@@ -227,8 +239,9 @@ def without_entries(blob):
     ("detection.json", lambda blob: b"{}"),
     ("influence.json", lambda blob: b"{}"),
     ("categories.json", lambda blob: b"{}"),
+    ("categories.json", lambda blob: b'{"categories": ["a"]}'),
 ], ids=["checkpoint-cut", "checkpoint-extra", "corpus-cut", "manifest-format", "manifest-key", "trace-cut",
-        "trace-key", "detection-key", "influence-key", "categories-key"])
+        "trace-key", "detection-key", "influence-key", "categories-key", "categories-type"])
 def test_corrupt_artifact_on_resume_exits_3(fresh, tmp_path, caplog, name, corrupt):
     config, out, _ = fresh
     run = tmp_path / "run"
@@ -372,6 +385,33 @@ def test_effect_sweep_writes_one_row_per_variant(fresh, tmp_path):
     # the clean variant is the pipeline's clean baseline, ranked the same way
     clean = dict(zip(header.split(","), rows[0].split(",")))
     assert float(clean["NDCG@10"]) == json.loads(metrics_json)["clean"]["test"]["NDCG@10"]
+
+
+def assert_same_form(fresh, resumed, where="ctx"):
+    """Equal values of the same types, recursively: a tuple stays a tuple, and a
+    float is a Python float on both sides."""
+    assert type(fresh) is type(resumed), where
+    if isinstance(fresh, dict):
+        assert fresh.keys() == resumed.keys(), where
+        for key in fresh:
+            assert_same_form(fresh[key], resumed[key], f"{where}.{key}")
+    elif isinstance(fresh, (list, tuple)):
+        assert len(fresh) == len(resumed), where
+        for i, (a, b) in enumerate(zip(fresh, resumed)):
+            assert_same_form(a, b, f"{where}[{i}]")
+    else:
+        assert fresh == resumed, where
+
+
+def test_resumed_stage_values_have_the_fresh_form(tmp_path):
+    """A stage keeps its values in the form its JSON files load them in, so
+    a later stage sees the same values whether the run was resumed or not."""
+    cfg = ExperimentConfig.from_dict(TINY)
+    fresh_ctx = Pipeline(cfg, str(tmp_path)).run()
+    resumed_ctx = Pipeline(cfg, str(tmp_path), resume=True).run()
+    for key in ("clean_trace", "poisoned_trace", "dualview_trace", "detect_summary",
+                "suspicious", "harmful", "rectify_trace", "metrics"):
+        assert_same_form(fresh_ctx[key], resumed_ctx[key], key)
 
 
 def test_resume_with_another_config_is_refused(fresh, tmp_path):
